@@ -18,9 +18,9 @@ from importlib import resources
 
 from . import features as feats
 from . import ocsvm
-from .errors import ChaintraceError
+from .errors import ChaintraceError, MalformedLine
 from .events import LogEvent, decode_event, encode_event, parse_raw_line, RawLine, render_raw_line
-from .graph import apply_rules, build_graph, export_graph, load_rules
+from .graph import PropertyGraph, apply_rules, build_graph, export_graph, load_rules
 from .killchain import (
     exit_code_for,
     identify_adversary,
@@ -107,6 +107,13 @@ def _read_events(path: str):
             yield decode_event(line)
 
 
+def _input_events(args: argparse.Namespace):
+    """The event stream named by ``--store`` or ``--events``."""
+    if args.store:
+        return EventStore(args.store).query_all()
+    return _read_events(args.events)
+
+
 # --- subcommands ---
 
 def cmd_simulate(args) -> int:
@@ -140,8 +147,10 @@ def cmd_ingest(args) -> int:
         def raw_stream():
             with open(args.events, "r", encoding="utf-8") as fh:
                 next_id = store.last_id + 1
-                for line in fh:
-                    kind, text = line.rstrip("\n").split("\t", 1)
+                for lineno, line in enumerate(fh, 1):
+                    kind, tab, text = line.rstrip("\n").partition("\t")
+                    if not tab:
+                        raise MalformedLine(f"line {lineno}: no tab after the source kind")
                     yield parse_raw_line(RawLine(kind, text), next_id)
                     next_id += 1
         stream = raw_stream()
@@ -174,22 +183,14 @@ def cmd_detect(args) -> int:
     model = load_killchain(
         args.killchain or _default_resource("default_killchain.json"), rules
     )
-    if args.store:
-        store = EventStore(args.store)
-        events = store.query_all()
-        big = store.count() > args.lite_threshold
+    events = _input_events(args)
+    if args.export:
+        # the exported graph carries the host/user/event layer as well
+        events = list(events)
+        graph = build_graph(events)
     else:
-        events = _read_events(args.events)
-        big = False
-
-    if big:
-        # very large runs: skip per-event graph nodes, feed rules directly
-        graph = build_graph(events, include_events=False)
-        store2 = EventStore(args.store)
-        apply_rules(graph, rules, events=store2.query_all())
-    else:
-        graph = build_graph(events, include_events=True)
-        apply_rules(graph, rules)
+        graph = PropertyGraph()
+    apply_rules(graph, rules, events)
 
     matches = match_killchain(graph, model)
     report_rows = []
@@ -216,12 +217,7 @@ def cmd_detect(args) -> int:
 
 
 def _vectors_from_args(args):
-    if args.store:
-        store = EventStore(args.store)
-        events = store.query_all()
-    else:
-        events = _read_events(args.events)
-    return feats.extract_features(events, window=args.window_secs)
+    return feats.extract_features(_input_events(args), window=args.window_secs)
 
 
 def cmd_train(args) -> int:
@@ -286,13 +282,8 @@ def cmd_reveal(args) -> int:
 
 def cmd_export(args) -> int:
     rules = load_rules(args.rules or _default_resource("default_rules.json"))
-    if args.store:
-        store = EventStore(args.store)
-        events = store.query_all()
-    else:
-        events = _read_events(args.events)
-    graph = build_graph(events)
-    apply_rules(graph, rules)
+    events = list(_input_events(args))
+    graph = apply_rules(build_graph(events), rules, events)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(export_graph(graph, args.format))
     return 0
@@ -304,6 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp):
         sp.add_argument("--seed", type=int, default=None)
+
+    def add_input(sp):
+        src = sp.add_mutually_exclusive_group(required=True)
+        src.add_argument("--store")
+        src.add_argument("--events")
 
     sp = sub.add_parser("simulate", help="generate an event stream + ground truth")
     add_common(sp)
@@ -335,20 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("detect", help="kill-chain detection over a store")
     add_common(sp)
-    sp.add_argument("--store")
-    sp.add_argument("--events")
+    add_input(sp)
     sp.add_argument("--rules")
     sp.add_argument("--killchain")
     sp.add_argument("--out", required=True)
     sp.add_argument("--export")
     sp.add_argument("--format", choices=("dot", "graphml"), default="dot")
-    sp.add_argument("--lite-threshold", type=int, default=500_000)
     sp.set_defaults(func=cmd_detect)
 
     sp = sub.add_parser("train", help="train the one-class SVM on clean windows")
     add_common(sp)
-    sp.add_argument("--store")
-    sp.add_argument("--events")
+    add_input(sp)
     sp.add_argument("--out", required=True)
     sp.add_argument("--nu", type=float, default=0.05)
     sp.add_argument("--gamma", type=float, default=None)
@@ -359,8 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("score", help="score user windows against a model")
     add_common(sp)
-    sp.add_argument("--store")
-    sp.add_argument("--events")
+    add_input(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--window-secs", type=int, default=3600)
@@ -385,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("export", help="export the event graph")
     add_common(sp)
-    sp.add_argument("--store")
-    sp.add_argument("--events")
+    add_input(sp)
     sp.add_argument("--rules")
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("dot", "graphml"), default="dot")

@@ -82,7 +82,7 @@ class UnknownInputKind(ChaintraceError):
 # --- kill chain ---
 
 class SchemaError(ChaintraceError):
-    """Kill-chain model document violates the schema."""
+    """A kill-chain model or sequence-rule document violates its schema."""
 
 
 class UnknownSequenceType(ChaintraceError):

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .errors import RuleCycle, UnknownInputKind, UnsortedInput
+from .errors import RuleCycle, SchemaError, UnknownInputKind, UnsortedInput
 from .events import EVENT_TYPES, LogEvent
 
 NS = 1_000_000_000
@@ -52,7 +53,6 @@ class PropertyGraph:
         self.event_count = 0
         self.rule_skips = 0
         self.applied_rules: set[str] = set()
-        self._events: list[LogEvent] | None = None
 
     def add_node(self, node: Node) -> Node:
         existing = self.nodes.get(node.id)
@@ -99,26 +99,25 @@ def _event_id(eid: int) -> str:
     return f"event:{eid}"
 
 
-def build_graph(
-    events: Iterable[LogEvent], include_events: bool = True
-) -> PropertyGraph:
+def _in_order(events: Iterable[LogEvent]) -> Iterator[LogEvent]:
+    """Yield ``events``, raising UnsortedInput at the first step back in (ts, id)."""
+    last = (-1, -1)
+    for e in events:
+        if (e.ts, e.id) <= last:
+            raise UnsortedInput(f"event id={e.id} ts={e.ts} out of order")
+        last = (e.ts, e.id)
+        yield e
+
+
+def build_graph(events: Iterable[LogEvent]) -> PropertyGraph:
     """Construct the host/user/event layer from a time-sorted stream.
 
-    ``include_events=False`` keeps only host/user nodes and connects_to
-    edges (constant memory per distinct entity) for very large streams;
-    sequence rules then consume the stream directly via
-    :func:`apply_rules`'s ``events`` argument.
+    Detection reads only sequence nodes, so this layer is built for export.
     """
     g = PropertyGraph()
-    last_ts = -1
-    last_id = -1
     prev_event_per_host: dict[str, str] = {}
-    kept: list[LogEvent] | None = [] if include_events else None
 
-    for e in events:
-        if e.ts < last_ts or (e.ts == last_ts and e.id <= last_id):
-            raise UnsortedInput(f"event id={e.id} ts={e.ts} out of order")
-        last_ts, last_id = e.ts, e.id
+    for e in _in_order(events):
         g.event_count += 1
 
         host = g.add_node(Node(_host_id(e.source_host), "host", e.source_host))
@@ -129,21 +128,16 @@ def build_graph(
             if e.event_type in ("fw_conn", "http_request"):
                 g.add_edge(host.id, _host_id(dst_ip), "connects_to")
 
-        if include_events:
-            ev = g.add_node(Node(
-                _event_id(e.id), "event", e.event_type,
-                {"ts": e.ts, "event": e},
-            ))
-            g.add_edge(ev.id, host.id, "caused_by")
-            g.add_edge(ev.id, user.id, "caused_by")
-            prev = prev_event_per_host.get(host.id)
-            if prev is not None:
-                g.add_edge(prev, ev.id, "next")
-            prev_event_per_host[host.id] = ev.id
-            kept.append(e)
-
-    if include_events:
-        g._events = kept
+        ev = g.add_node(Node(
+            _event_id(e.id), "event", e.event_type,
+            {"ts": e.ts, "event": e},
+        ))
+        g.add_edge(ev.id, host.id, "caused_by")
+        g.add_edge(ev.id, user.id, "caused_by")
+        prev = prev_event_per_host.get(host.id)
+        if prev is not None:
+            g.add_edge(prev, ev.id, "next")
+        prev_event_per_host[host.id] = ev.id
     return g
 
 
@@ -179,18 +173,21 @@ class SequenceRule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SequenceRule":
-        rule = cls(
-            id=data["id"],
-            layer=data["layer"],
-            input_kind=data["input_kind"],
-            where=dict(data.get("where", {})),
-            group_by=list(data.get("group_by", [])),
-            window=float(data["window"]),
-            min_count=int(data["min_count"]),
-            emit=data["emit"],
-            max_count=data.get("max_count"),
-        )
-        rule.validate()
+        try:
+            rule = cls(
+                id=data["id"],
+                layer=data["layer"],
+                input_kind=data["input_kind"],
+                where=dict(data.get("where", {})),
+                group_by=list(data.get("group_by", [])),
+                window=float(data["window"]),
+                min_count=int(data["min_count"]),
+                emit=data["emit"],
+                max_count=data.get("max_count"),
+            )
+            rule.validate()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed sequence rule: {exc}") from exc
         return rule
 
     def to_dict(self) -> dict:
@@ -249,26 +246,39 @@ class SeqItem:
     group: dict[str, str]
 
 
+def _take_window(
+    buf: deque[SeqItem], window_ns: int, min_count: int, max_count: int | None
+) -> list[SeqItem] | None:
+    """Pop the window anchored at the head of ``buf``.
+
+    Returns its members when at least ``min_count`` fall within
+    ``window_ns`` of the head (at most ``max_count``); otherwise drops the
+    head alone and returns None.
+    """
+    head_ts = buf[0].ts
+    count = 0
+    for item in buf:
+        if item.ts - head_ts > window_ns:
+            break
+        count += 1
+        if max_count is not None and count >= max_count:
+            break
+    if count < min_count:
+        buf.popleft()
+        return None
+    return [buf.popleft() for _ in range(count)]
+
+
 def greedy_windows(
     items: list[SeqItem], window_ns: int, min_count: int, max_count: int | None
 ) -> list[list[SeqItem]]:
     """Earliest-start, non-overlapping window aggregation with loop cap."""
+    buf = deque(items)
     out: list[list[SeqItem]] = []
-    i = 0
-    n = len(items)
-    while i < n:
-        j = i
-        members: list[SeqItem] = []
-        while j < n and items[j].ts - items[i].ts <= window_ns:
-            members.append(items[j])
-            j += 1
-            if max_count is not None and len(members) >= max_count:
-                break
-        if len(members) >= min_count:
+    while buf:
+        members = _take_window(buf, window_ns, min_count, max_count)
+        if members is not None:
             out.append(members)
-            i += len(members)
-        else:
-            i += 1
     return out
 
 
@@ -285,7 +295,7 @@ class RuleEngine:
         for r in self.layer1:
             self._by_type.setdefault(r.input_kind, []).append(r)
         # (rule id, group key) -> pending items, ts-ascending
-        self._buffers: dict[tuple[str, tuple[str, ...]], list[SeqItem]] = {}
+        self._buffers: dict[tuple[str, tuple[str, ...]], deque[SeqItem]] = {}
         self._emitted: dict[str, list[tuple[SequenceRule, list[SeqItem], dict[str, str]]]] = {}
         self.skips = 0
 
@@ -313,29 +323,18 @@ class RuleEngine:
                 self.skips += 1
                 continue
             key = (rule.id, tuple(group[f] for f in rule.group_by))
-            buf = self._buffers.setdefault(key, [])
+            buf = self._buffers.setdefault(key, deque())
             buf.append(SeqItem(ts=e.ts, t_end=e.ts, ref=e.id, group=group))
             window_ns = int(rule.window * NS)
             # drain completed prefixes: the head window is closed once the
             # newest item falls outside it
             while buf and e.ts - buf[0].ts > window_ns:
-                self._drain_head(rule, key, buf, window_ns, final=False)
+                self._drain(rule, buf, window_ns)
 
-    def _drain_head(self, rule, key, buf, window_ns, final: bool) -> None:
-        head_ts = buf[0].ts
-        count = 0
-        for item in buf:
-            if item.ts - head_ts > window_ns:
-                break
-            count += 1
-            if rule.max_count is not None and count >= rule.max_count:
-                break
-        if count >= rule.min_count:
-            members = buf[:count]
-            del buf[:count]
+    def _drain(self, rule: SequenceRule, buf: deque[SeqItem], window_ns: int) -> None:
+        members = _take_window(buf, window_ns, rule.min_count, rule.max_count)
+        if members is not None:
             self._emit(rule, members)
-        else:
-            del buf[0]
 
     def finish(self) -> None:
         """Flush remaining buffers and apply higher-layer rules."""
@@ -344,7 +343,7 @@ class RuleEngine:
             buf = self._buffers[key]
             window_ns = int(rule.window * NS)
             while buf:
-                self._drain_head(rule, key, buf, window_ns, final=True)
+                self._drain(rule, buf, window_ns)
         self._buffers.clear()
 
         for rule in self.higher:
@@ -389,25 +388,18 @@ class RuleEngine:
 def apply_rules(
     graph: PropertyGraph,
     rules: list[SequenceRule],
-    events: Iterable[LogEvent] | None = None,
+    events: Iterable[LogEvent],
 ) -> PropertyGraph:
-    """Apply sequence rules in ascending layer order; idempotent.
+    """Apply sequence rules to a time-sorted stream in ascending layer
+    order, adding sequence nodes to ``graph``; idempotent.
 
-    ``events`` defaults to the events captured by :func:`build_graph`;
-    pass the stream explicitly when the graph was built without event
-    nodes.
+    Event nodes, where ``graph`` holds them, gain member_of edges.
     """
     pending = [r for r in rules if r.id not in graph.applied_rules]
     if not pending:
         return graph
     engine = RuleEngine(pending)
-    if events is None:
-        if graph._events is None:
-            raise UnknownInputKind(
-                "graph holds no events; pass the stream explicitly"
-            )
-        events = graph._events
-    for e in events:
+    for e in _in_order(events):
         engine.feed(e)
     engine.finish()
     graph.rule_skips += engine.skips

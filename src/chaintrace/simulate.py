@@ -292,13 +292,6 @@ def scenario_events(
     return out
 
 
-# kept as the named single-scenario entry point; simulate() schedules it
-def scenario_cooltype_jpeg_exfil(cfg: SimConfig, victim_index: int = 0,
-                                 t_start: float = 120.0) -> list[_Rec]:
-    counter = iter(range(10**9))
-    return scenario_events(cfg, victim_index, t_start, counter)
-
-
 def _attack_start_times(cfg: SimConfig) -> list[float]:
     slot = cfg.duration / cfg.victims
     scenario_len = 320.0

@@ -28,7 +28,7 @@ from chaintrace.features import (
     matrix_of,
     standardize,
 )
-from chaintrace.graph import apply_rules, build_graph
+from chaintrace.graph import PropertyGraph, apply_rules, build_graph
 from chaintrace.killchain import (
     EXIT_FULL,
     EXIT_NO_ALERT,
@@ -62,7 +62,7 @@ def criterion(n: int, capfd):
 
 
 def _detect(events, rules, model):
-    graph = apply_rules(build_graph(events), rules)
+    graph = apply_rules(build_graph(events), rules, events)
     matches = match_killchain(graph, model)
     return graph, matches
 
@@ -140,8 +140,7 @@ def test_acceptance_06_five_million_events(tmp_path, default_rules, default_mode
         assert store.count() >= target
 
         store = EventStore(str(tmp_path / "bigstore"))
-        graph = build_graph(store.query_all(), include_events=False)
-        apply_rules(graph, default_rules, events=store.query_all())
+        graph = apply_rules(PropertyGraph(), default_rules, store.query_all())
         matches = match_killchain(graph, default_model)
         full = [m for m in matches if m.status == STATUS_FULL]
         assert any(m.victim_host == truth.victim_host for m in full)

@@ -203,3 +203,39 @@ def test_bad_config_is_error(workdir, capsys):
     rc = main(["simulate", "--config", str(cfg),
                "--out", "x.jsonl", "--truth", "t.tsv"])
     assert rc == EXIT_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--out", "r.jsonl"],
+    ["train", "--out", "m.json"],
+    ["score", "--model", "m.json", "--out", "s.jsonl"],
+    ["export", "--out", "g.dot"],
+])
+def test_input_source_required(workdir, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "one of the arguments --store --events is required" in err
+    assert "Traceback" not in err
+
+
+def test_raw_line_without_tab_is_error(workdir, capsys):
+    _simulate(workdir, extra=("--raw", "raw.log"))
+    lines = (workdir / "raw.log").read_text().splitlines()
+    (workdir / "bad.log").write_text(f"{lines[0]}\nno tab here\n")
+    rc = main(["ingest", "--store", "store", "--events", "bad.log",
+               "--format", "raw"])
+    assert rc == EXIT_ERROR
+    assert "line 2" in capsys.readouterr().err
+
+
+def test_rule_missing_layer_is_error(workdir, capsys):
+    _simulate(workdir)
+    rule = {"id": "r", "input_kind": "file_read", "window": 60,
+            "min_count": 2, "emit": "burst"}
+    (workdir / "rules.json").write_text(json.dumps([rule]))
+    rc = main(["detect", "--events", "events.jsonl", "--rules", "rules.json",
+               "--out", "r.jsonl"])
+    assert rc == EXIT_ERROR
+    assert "layer" in capsys.readouterr().err

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaintrace.errors import RuleCycle, UnknownInputKind, UnsortedInput
 from chaintrace.events import LogEvent
 from chaintrace.graph import (
     NS,
+    PropertyGraph,
     SeqItem,
     SequenceRule,
     apply_rules,
@@ -56,20 +57,14 @@ def test_build_graph_rejects_unsorted():
     events = [_ev(2, 5), _ev(1, 1)]
     with pytest.raises(UnsortedInput):
         build_graph(events)
-
-
-def test_build_graph_lite_mode(case_study):
-    _, events, _ = case_study
-    g = build_graph(events, include_events=False)
-    assert g.event_count == len(events)
-    assert not any(n.kind == "event" for n in g.nodes.values())
-    assert any(n.kind == "host" for n in g.nodes.values())
+    with pytest.raises(UnsortedInput):
+        apply_rules(PropertyGraph(), [_rule()], events)
 
 
 def test_membership_partition(case_study, default_rules):
     # within one rule, no event belongs to two sequence nodes
     _, events, _ = case_study
-    g = apply_rules(build_graph(events), default_rules)
+    g = apply_rules(build_graph(events), default_rules, events)
     seen: dict[str, set] = {}
     for node in g.sequences():
         rule = node.attributes["rule"]
@@ -81,10 +76,10 @@ def test_membership_partition(case_study, default_rules):
 
 def test_apply_rules_idempotent(case_study, default_rules):
     _, events, _ = case_study
-    g = apply_rules(build_graph(events), default_rules)
+    g = apply_rules(build_graph(events), default_rules, events)
     before = sorted(g.nodes)
     edge_count = g.edge_count()
-    apply_rules(g, default_rules)
+    apply_rules(g, default_rules, events)
     assert sorted(g.nodes) == before
     assert g.edge_count() == edge_count
 
@@ -92,7 +87,7 @@ def test_apply_rules_idempotent(case_study, default_rules):
 def test_sequence_node_shape(case_study, default_rules):
     _, events, truth = case_study
     by_id = {e.id: e for e in events}
-    g = apply_rules(build_graph(events), default_rules)
+    g = apply_rules(build_graph(events), default_rules, events)
     seqs = g.sequences()
     assert seqs
     for node in seqs:
@@ -108,7 +103,7 @@ def test_sequence_node_shape(case_study, default_rules):
 
 def test_layer2_sequences_reference_layer1(case_study, default_rules):
     _, events, _ = case_study
-    g = apply_rules(build_graph(events), default_rules)
+    g = apply_rules(build_graph(events), default_rules, events)
     layer2 = [n for n in g.sequences() if n.attributes["layer"] == 2]
     assert layer2, "case study should produce a repeated-beacon channel"
     for node in layer2:
@@ -153,6 +148,7 @@ def test_loop_cap_splits_groups():
     min_count=st.integers(min_value=1, max_value=6),
     max_count=st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
 )
+@example(gaps=[0, 60, 0], window=60, min_count=1, max_count=None)  # tie at the window edge
 @settings(max_examples=300, deadline=None)
 def test_greedy_windows_matches_scan_oracle(gaps, window, min_count, max_count):
     if max_count is not None and max_count < min_count:
@@ -167,6 +163,11 @@ def test_greedy_windows_matches_scan_oracle(gaps, window, min_count, max_count):
     )
     want = window_scan_ref(ts, window, min_count, max_count)
     assert [[m.ref for m in g] for g in got] == want
+    # the same timestamps as events through the streaming layer-1 drain
+    rule = _rule(window=float(window), min_count=min_count, max_count=max_count)
+    events = [_ev(i, x) for i, x in enumerate(ts)]
+    g = apply_rules(PropertyGraph(), [rule], events)
+    assert sorted(n.attributes["members"] for n in g.sequences()) == want
 
 
 # --- rule engine semantics ---
@@ -179,7 +180,7 @@ def test_where_filter_and_grouping():
         _ev(3, 2, actor="a", path="x.txt", ext="txt"),
         _ev(4, 3, actor="a", path="y.jpg", ext="jpg"),
     ]
-    g = apply_rules(build_graph(events), [rule])
+    g = apply_rules(build_graph(events), [rule], events)
     seqs = g.sequences()
     assert len(seqs) == 1
     assert seqs[0].attributes["members"] == [1, 4]
@@ -193,29 +194,18 @@ def test_missing_group_field_skips_and_counts():
         _ev(2, 1, "fw_conn", dst_ip="9.9.9.9", dst_port=1,
             verdict="deny", bytes_out=0),
     ]
-    g = apply_rules(build_graph(events), [rule])
+    g = apply_rules(build_graph(events), [rule], events)
     assert len(g.sequences()) == 1
     assert g.rule_skips == 1
 
 
 def test_streaming_equals_offline(case_study, default_rules):
-    # feeding via the explicit stream argument must match the captured path
+    # an empty graph gains the same sequence nodes as the full event graph
     _, events, _ = case_study
-    g_full = apply_rules(build_graph(events), default_rules)
-    g_lite = apply_rules(
-        build_graph(events, include_events=False), default_rules, events=events
-    )
-    full = [
-        (n.attributes["rule"], n.attributes["t_start"],
-         [r for r in n.attributes["members"] if isinstance(r, int)])
-        for n in g_full.sequences()
-    ]
-    lite = [
-        (n.attributes["rule"], n.attributes["t_start"],
-         [r for r in n.attributes["members"] if isinstance(r, int)])
-        for n in g_lite.sequences()
-    ]
-    assert full == lite
+    g_full = apply_rules(build_graph(events), default_rules, events)
+    g_seq = apply_rules(PropertyGraph(), default_rules, events)
+    assert [(n.id, n.attributes) for n in g_full.sequences()] \
+        == [(n.id, n.attributes) for n in g_seq.sequences()]
 
 
 # --- rule validation ---
@@ -253,7 +243,7 @@ def test_rule_field_validation():
 
 def test_export_dot_deterministic(case_study, default_rules):
     _, events, _ = case_study
-    g = apply_rules(build_graph(events), default_rules)
+    g = apply_rules(build_graph(events), default_rules, events)
     a = export_graph(g, "dot")
     b = export_graph(g, "dot")
     assert a == b

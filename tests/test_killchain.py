@@ -28,14 +28,14 @@ from chaintrace.simulate import SimConfig, simulate
 
 def _detect(cfg, rules, model):
     events, truth = simulate(cfg)
-    graph = apply_rules(build_graph(events), rules)
+    graph = apply_rules(build_graph(events), rules, events)
     matches = match_killchain(graph, model)
     return events, truth, graph, matches
 
 
 def test_full_chain_on_case_study(case_study, default_rules, default_model):
     _, events, truth = case_study
-    graph = apply_rules(build_graph(events), default_rules)
+    graph = apply_rules(build_graph(events), default_rules, events)
     matches = match_killchain(graph, default_model)
     alerting = [m for m in matches if m.status != STATUS_NONE]
     assert len(alerting) == 1
@@ -54,7 +54,7 @@ def _victim_match(matches, truth):
 
 def test_bindings_are_temporally_ordered(case_study, default_rules, default_model):
     _, events, truth = case_study
-    graph = apply_rules(build_graph(events), default_rules)
+    graph = apply_rules(build_graph(events), default_rules, events)
     m = _victim_match(match_killchain(graph, default_model), truth)
     order = [e.id for e in default_model.elements]
     bound = [m.matched[eid].ts for eid in order if eid in m.matched]
@@ -63,7 +63,7 @@ def test_bindings_are_temporally_ordered(case_study, default_rules, default_mode
 
 def test_adversary_identified(case_study, default_rules, default_model):
     _, events, truth = case_study
-    graph = apply_rules(build_graph(events), default_rules)
+    graph = apply_rules(build_graph(events), default_rules, events)
     m = _victim_match(match_killchain(graph, default_model), truth)
     node_id = identify_adversary(m, graph, default_model)
     assert m.adversary == truth.attacker_ip
@@ -72,7 +72,7 @@ def test_adversary_identified(case_study, default_rules, default_model):
 
 def test_reconstruction_covers_labels(case_study, default_rules, default_model):
     _, events, truth = case_study
-    graph = apply_rules(build_graph(events), default_rules)
+    graph = apply_rules(build_graph(events), default_rules, events)
     m = _victim_match(match_killchain(graph, default_model), truth)
     report = reconstruct_attack(m, graph, default_model)
     covered = set()
@@ -130,7 +130,7 @@ def test_optional_binding_never_breaks_required(default_rules, default_model):
         last.id + 1, last.ts + 1, truth.victim_host, "file_write", "u000",
         {"path": "C:\\Users\\u000\\backup.zip", "ext": "zip"},
     ))
-    graph = apply_rules(build_graph(events), default_rules)
+    graph = apply_rules(build_graph(events), default_rules, events)
     m = _victim_match(match_killchain(graph, default_model), truth)
     assert m.status == STATUS_FULL
     if "prepare_exfiltration" in m.matched:
