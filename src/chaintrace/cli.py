@@ -20,7 +20,14 @@ from . import features as feats
 from . import ocsvm
 from .errors import ChaintraceError, MalformedLine
 from .events import LogEvent, decode_event, encode_event, parse_raw_line, RawLine, render_raw_line
-from .graph import PropertyGraph, apply_rules, build_graph, export_graph, load_rules
+from .graph import (
+    PropertyGraph,
+    apply_rules,
+    build_graph,
+    export_graph,
+    line_prefilter,
+    load_rules,
+)
 from .killchain import (
     exit_code_for,
     identify_adversary,
@@ -70,6 +77,9 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
         "elapsed_seconds": round(time.monotonic() - t0, 3),
         "exit_status": status,
     }
+    counters = getattr(args, "counters", None)
+    if counters is not None:
+        manifest["counters"] = counters
     path = os.path.join(os.path.dirname(os.path.abspath(primary)),
                         f"manifest.{command}.json")
     tmp = path + ".tmp"
@@ -107,11 +117,24 @@ def _read_events(path: str):
             yield decode_event(line)
 
 
-def _input_events(args: argparse.Namespace):
-    """The event stream named by ``--store`` or ``--events``."""
+def _input_events(args: argparse.Namespace, prefilter=None):
+    """The event stream named by ``--store`` or ``--events``, and the
+    store it reads (None for ``--events``).
+
+    A ``--store`` that is not an existing store is an error, not an empty
+    stream. ``prefilter`` applies to store lines only (``EventStore.query``).
+    """
     if args.store:
-        return EventStore(args.store).query_all()
-    return _read_events(args.events)
+        store = EventStore(args.store, create=False)
+        return store.query_all(prefilter=prefilter), store
+    return _read_events(args.events), None
+
+
+def _counted(events, counts: dict):
+    """Yield ``events``, counting them in ``counts["events_decoded"]``."""
+    for e in events:
+        counts["events_decoded"] += 1
+        yield e
 
 
 # --- subcommands ---
@@ -183,7 +206,13 @@ def cmd_detect(args) -> int:
     model = load_killchain(
         args.killchain or _default_resource("default_killchain.json"), rules
     )
-    events = _input_events(args)
+    # Canonical store lines that no layer-1 rule can accept are skipped
+    # undecoded; an --events file need not be canonical, and the exported
+    # graph needs every event.
+    prefilter = line_prefilter(rules) if args.store and not args.export else None
+    events, store = _input_events(args, prefilter)
+    counts = {"events_decoded": 0}
+    events = _counted(events, counts)
     if args.export:
         # the exported graph carries the host/user/event layer as well
         events = list(events)
@@ -191,6 +220,12 @@ def cmd_detect(args) -> int:
     else:
         graph = PropertyGraph()
     apply_rules(graph, rules, events)
+    args.counters = {
+        "rows_scanned": store.rows_scanned if store else counts["events_decoded"],
+        "rows_skipped": store.rows_skipped if store else 0,
+        "events_decoded": counts["events_decoded"],
+        "rule_skips": graph.rule_skips,
+    }
 
     matches = match_killchain(graph, model)
     report_rows = []
@@ -217,7 +252,8 @@ def cmd_detect(args) -> int:
 
 
 def _vectors_from_args(args):
-    return feats.extract_features(_input_events(args), window=args.window_secs)
+    events, _ = _input_events(args)
+    return feats.extract_features(events, window=args.window_secs)
 
 
 def cmd_train(args) -> int:
@@ -282,7 +318,7 @@ def cmd_reveal(args) -> int:
 
 def cmd_export(args) -> int:
     rules = load_rules(args.rules or _default_resource("default_rules.json"))
-    events = list(_input_events(args))
+    events = list(_input_events(args)[0])
     graph = apply_rules(build_graph(events), rules, events)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(export_graph(graph, args.format))

@@ -117,3 +117,7 @@ class LengthMismatch(ChaintraceError):
 
 class EmptyInput(ChaintraceError):
     """Metric computation over zero samples."""
+
+
+class ModelFormatError(ChaintraceError, ValueError):
+    """A model file is not JSON, not a model, or lacks or garbles a member."""

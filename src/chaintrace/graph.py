@@ -14,7 +14,7 @@ import json
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import RuleCycle, SchemaError, UnknownInputKind, UnsortedInput
 from .events import EVENT_TYPES, LogEvent
@@ -383,6 +383,52 @@ class RuleEngine:
 
     def results(self) -> dict[str, list[tuple[SequenceRule, list[SeqItem], dict[str, str]]]]:
         return self._emitted
+
+
+def line_prefilter(rules: list[SequenceRule]) -> Callable[[str], bool]:
+    """A test on raw canonical store lines: False only for a line no
+    layer-1 rule can accept, so the caller may skip decoding it.
+
+    A canonical line (``encode_event``) starts ``{"id":``, ends ``}}``,
+    writes the host before the type and each attribute exactly as
+    ``json.dumps(k) + ":" + json.dumps(v)``. Every quote inside a JSON
+    string is escaped, so the host cannot hold ``"type":"`` and the first
+    one opens the type; and a ``where`` pair the event holds is always a
+    substring of its line. A hit elsewhere (a key ending in an escaped
+    ``"k``) only costs a decode: the exact ``where`` check runs after it.
+    A line that is not canonically framed is kept, so decoding it reports
+    the damage.
+    """
+    by_type: dict[str, list[tuple[str, ...]]] = {}
+    for r in rules:
+        if r.layer != 1:
+            continue
+        # A None value accepts every event without its key, so it asks for
+        # no substring; a non-string value is never in a line and never
+        # equals a (string) attribute either.
+        pairs = tuple(json.dumps(k) + ":" + json.dumps(v)
+                      for k, v in r.where.items() if v is not None)
+        by_type.setdefault(r.input_kind, []).append(pairs)
+
+    def keep(line: str) -> bool:
+        if not (line.startswith('{"id":') and line.endswith("}}\n")):
+            return True
+        start = line.find('"type":"') + 8
+        if start < 8:
+            return True
+        end = line.find('"', start)
+        alternatives = by_type.get(line[start:end])
+        if alternatives is None:
+            return end < 0  # an unterminated type is garbled: decode it
+        for pairs in alternatives:
+            for p in pairs:
+                if p not in line:
+                    break
+            else:
+                return True
+        return False
+
+    return keep
 
 
 def apply_rules(

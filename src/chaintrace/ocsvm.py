@@ -21,6 +21,7 @@ from .errors import (
     DidNotConverge,
     DimensionMismatch,
     EmptyTrainingSet,
+    ModelFormatError,
 )
 from .features import FEATURE_NAMES, SOURCE_SETS, standardize
 
@@ -125,25 +126,30 @@ class OneClassSvmModel:
 
     @classmethod
     def load(cls, path: str) -> "OneClassSvmModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("magic") != _MODEL_MAGIC:
-            raise ValueError(f"{path}: not a model file")
-        indices = tuple(payload["feature_indices"])
-        if payload.get("feature_schema_hash") != feature_schema_hash(indices):
-            raise ValueError(f"{path}: feature schema hash mismatch")
-        model = cls(
-            nu=payload["nu"],
-            gamma=payload["gamma"],
-            rho=payload["rho"],
-            alpha=np.array(payload["alpha"], dtype=np.float64),
-            support_vectors=np.array(payload["support_vectors"], dtype=np.float64),
-            feature_means=np.array(payload["feature_means"], dtype=np.float64),
-            feature_stds=np.array(payload["feature_stds"], dtype=np.float64),
-            feature_indices=indices,
-            l=payload["l"],
-        )
-        model.check_feasible()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                payload = json.load(fh)  # JSONDecodeError is a ValueError
+            if not isinstance(payload, dict) or payload.get("magic") != _MODEL_MAGIC:
+                raise ModelFormatError(f"{path}: not a model file")
+            indices = tuple(payload["feature_indices"])
+            if payload.get("feature_schema_hash") != feature_schema_hash(indices):
+                raise ModelFormatError(f"{path}: feature schema hash mismatch")
+            model = cls(
+                nu=payload["nu"],
+                gamma=payload["gamma"],
+                rho=payload["rho"],
+                alpha=np.array(payload["alpha"], dtype=np.float64),
+                support_vectors=np.array(payload["support_vectors"], dtype=np.float64),
+                feature_means=np.array(payload["feature_means"], dtype=np.float64),
+                feature_stds=np.array(payload["feature_stds"], dtype=np.float64),
+                feature_indices=indices,
+                l=payload["l"],
+            )
+            model.check_feasible()
+        except ModelFormatError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+            raise ModelFormatError(f"{path}: malformed model file: {exc!r}") from exc
         return model
 
 

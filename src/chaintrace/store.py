@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, asdict
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import IoFailure, OutOfOrder
 from .events import LogEvent, decode_event, encode_event
@@ -35,14 +35,22 @@ class StoreSegment:
 class EventStore:
     """Segmented append-only store with (min_ts, max_ts) segment index."""
 
-    def __init__(self, root: str, segment_events: int = DEFAULT_SEGMENT_EVENTS):
+    def __init__(self, root: str, segment_events: int = DEFAULT_SEGMENT_EVENTS,
+                 create: bool = True):
+        """Open the store at ``root``; with ``create=False`` a directory
+        without ``index.json`` is refused and nothing is created."""
         self.root = root
         self.segment_events = segment_events
         self.segments: list[StoreSegment] = []
         self._active: StoreSegment | None = None
         self._fh = None
+        self.rows_scanned = 0  # lines read by queries
+        self.rows_skipped = 0  # of those, lines a prefilter left undecoded
         try:
-            os.makedirs(root, exist_ok=True)
+            if create:
+                os.makedirs(root, exist_ok=True)
+            elif not os.path.isfile(self._index_path()):
+                raise IoFailure(f"{root}: not an event store (no {_INDEX_FILE})")
             self._load_index()
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
@@ -161,8 +169,13 @@ class EventStore:
         event_types: set[str] | None = None,
         source_hosts: set[str] | None = None,
         actors: set[str] | None = None,
+        prefilter: Callable[[str], bool] | None = None,
     ) -> Iterator[LogEvent]:
-        """Stream stored events with t0 <= ts < t1 passing every filter."""
+        """Stream stored events with t0 <= ts < t1 passing every filter.
+
+        ``prefilter`` sees each raw line first; a line it rejects is
+        counted and skipped without being decoded.
+        """
         if t0 >= t1:
             raise ValueError(f"require t0 < t1, got [{t0}, {t1})")
         for seg in self.segments:
@@ -176,6 +189,10 @@ class EventStore:
                 for n, line in enumerate(fh):
                     if n >= seg.count:
                         break  # rows flushed after this query began
+                    self.rows_scanned += 1
+                    if prefilter is not None and not prefilter(line):
+                        self.rows_skipped += 1
+                        continue
                     e = decode_event(line)
                     if e.ts < t0:
                         continue

@@ -239,3 +239,89 @@ def test_rule_missing_layer_is_error(workdir, capsys):
                "--out", "r.jsonl"])
     assert rc == EXIT_ERROR
     assert "layer" in capsys.readouterr().err
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("garble", ["logon_cut_in_half", "no_type_member",
+                                    "unterminated_type"])
+def test_detect_store_decodes_garbled_lines(workdir, capsys, garble):
+    _simulate(workdir)
+    assert main(["ingest", "--store", "store", "--events", "events.jsonl"]) == 0
+    assert main(["detect", "--events", "events.jsonl", "--out", "r-events.jsonl"]) == 4
+    assert main(["detect", "--store", "store", "--out", "r-store.jsonl"]) == 4
+    assert (workdir / "r-events.jsonl").read_bytes() \
+        == (workdir / "r-store.jsonl").read_bytes()
+    capsys.readouterr()
+
+    # no default rule reads logon lines, so only decoding them finds the damage
+    seg = workdir / "store" / "000000.seg"
+    lines = seg.read_text().splitlines(keepends=True)
+    i = next(n for n, ln in enumerate(lines) if '"type":"logon"' in ln)
+    if garble == "logon_cut_in_half":
+        # torn after the type member, which still reads logon
+        lines[i] = lines[i][: lines[i].index('"actor"')] + "\n"
+    elif garble == "no_type_member":
+        lines[i] = lines[i].replace('"type":"', '"kind":"')
+    else:
+        lines[i] = lines[i][: lines[i].index('"type":"') + 8] + 'logon}}\n'
+    seg.write_text("".join(lines))
+    rc = main(["detect", "--store", "store", "--out", "r-store.jsonl"])
+    assert rc == EXIT_ERROR
+    _one_line_error(capsys)
+
+
+def test_detect_manifest_counters(workdir):
+    _simulate(workdir)
+    main(["ingest", "--store", "store", "--events", "events.jsonl"])
+    n = len((workdir / "events.jsonl").read_text().splitlines())
+    main(["detect", "--store", "store", "--out", "r.jsonl"])
+    store = json.loads((workdir / "manifest.detect.json").read_text())["counters"]
+    assert store["rows_scanned"] == n
+    assert 0 < store["events_decoded"] < n
+    assert store["rows_skipped"] == n - store["events_decoded"]
+    main(["detect", "--events", "events.jsonl", "--out", "r.jsonl"])
+    events = json.loads((workdir / "manifest.detect.json").read_text())["counters"]
+    assert events == {"rows_scanned": n, "rows_skipped": 0,
+                      "events_decoded": n, "rule_skips": store["rule_skips"]}
+
+
+@pytest.fixture
+def model_file(workdir):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"users": 10, "duration": 3600}))
+    main(["simulate", "--seed", "1", "--config", str(cfg), "--attack", "false",
+          "--out", "clean.jsonl", "--truth", "clean-truth.tsv"])
+    assert main(["train", "--events", "clean.jsonl", "--out", "model.json"]) == 0
+    return "model.json"
+
+
+@pytest.mark.parametrize("command", ["detect", "train", "score"])
+def test_missing_store_is_error(workdir, capsys, model_file, command):
+    argv = [command, "--store", "nosuch", "--out", "out.jsonl"]
+    if command == "score":
+        argv += ["--model", model_file]
+    capsys.readouterr()
+    rc = main(argv)
+    assert rc >= EXIT_ERROR
+    assert "nosuch" in _one_line_error(capsys)
+    assert not (workdir / "nosuch").exists()
+    assert not (workdir / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("content", [
+    '{"x": 1}',
+    "not json at all",
+    '{"magic": "chaintrace-ocsvm", "version": 1}',
+])
+def test_score_bad_model_is_error(workdir, capsys, content):
+    (workdir / "model.json").write_text(content)
+    rc = main(["score", "--events", "events.jsonl", "--model", "model.json",
+               "--out", "s.jsonl"])
+    assert rc == EXIT_ERROR
+    assert "model.json" in _one_line_error(capsys)

@@ -10,6 +10,7 @@ from chaintrace.errors import (
     BadHyperparameters,
     DimensionMismatch,
     EmptyTrainingSet,
+    ModelFormatError,
 )
 from chaintrace.ocsvm import (
     OneClassSvmModel,
@@ -256,6 +257,16 @@ def test_model_load_rejects_tampered_schema(tmp_path):
     json.dump(payload, open(path, "w"))
     with pytest.raises(ValueError):
         OneClassSvmModel.load(path)
+
+
+@pytest.mark.parametrize("content", [
+    '{"x": 1}', "[1, 2]", "not json", '{"magic": "chaintrace-ocsvm"}',
+])
+def test_model_load_rejects_foreign_files(tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_text(content)
+    with pytest.raises(ModelFormatError):
+        OneClassSvmModel.load(str(path))
 
 
 @given(

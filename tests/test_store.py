@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from chaintrace.errors import OutOfOrder
+from chaintrace.errors import IoFailure, OutOfOrder
 from chaintrace.events import LogEvent
+from chaintrace.graph import SequenceRule, line_prefilter
 from chaintrace.simulate import SimConfig, simulate
 from chaintrace.store import EventStore
 
@@ -139,3 +140,76 @@ def test_reopen_without_close(tmp_path, sample_events):
     del store
     again = EventStore(root)
     assert again.count() == len(sample_events)
+
+
+def test_open_existing_refuses_missing_store(tmp_path):
+    root = tmp_path / "nosuch"
+    with pytest.raises(IoFailure):
+        EventStore(str(root), create=False)
+    assert not root.exists()
+    tmp_path.joinpath("empty").mkdir()
+    with pytest.raises(IoFailure):
+        EventStore(str(tmp_path / "empty"), create=False)
+
+
+# Fragments that collide with the canonical framing: quotes, backslashes,
+# the type member, a rule's where pair, non-ASCII text and the empty string.
+_TRICKY = ['"', "\\", '"type":"', '"via":"direct"', "via", "direct", ":", ",",
+           "}}", "\u00e9", "\u2603", "logon", "http_request", ""]
+_text = st.one_of(
+    st.lists(st.sampled_from(_TRICKY), max_size=4).map("".join),
+    st.text(max_size=4),
+)
+_keys = st.one_of(st.sampled_from(["via", "type", 'x"via', ""]), _text)
+_types = st.sampled_from(["http_request", "logon", "file_read"])
+_where_values = st.one_of(_text, st.sampled_from(["direct", 443, None]))
+
+
+@given(
+    rules=st.lists(st.tuples(_types, st.dictionaries(_keys, _where_values, max_size=2)),
+                   max_size=4),
+    events=st.lists(st.tuples(_types, _text, _text,
+                              st.dictionaries(_keys, _text, max_size=3)),
+                    max_size=8),
+)
+@example(
+    rules=[("http_request", {"via": "direct"})],
+    events=[
+        ("http_request", '"type":"logon"', "a",
+         {"note": '"type":"logon"', "type": "logon", "via": "direct"}),
+        ("logon", "h", "a", {"note": '"type":"http_request","via":"direct"'}),
+        ("logon", "h", "a", {"via": "direct"}),
+    ],
+)
+@example(
+    rules=[("logon", {"note": "\u00e9\u2603"})],
+    events=[("logon", "h", "a", {"note": "\u00e9\u2603"})],
+)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_prefilter_equals_postfilter(tmp_path_factory, rules, events):
+    seq_rules = [
+        SequenceRule(id=f"r{i}", layer=1, input_kind=kind, where=where,
+                     group_by=[], window=60.0, min_count=1, emit=f"s{i}")
+        for i, (kind, where) in enumerate(rules)
+    ]
+
+    def accepted(e):
+        return any(
+            r.input_kind == e.event_type
+            and all(e.attributes.get(k) == v for k, v in r.where.items())
+            for r in seq_rules
+        )
+
+    store = EventStore(str(tmp_path_factory.mktemp("s")))
+    store.append(LogEvent(i, 1000 + i, host, etype, actor, attrs)
+                 for i, (etype, host, actor, attrs) in enumerate(events, 1))
+    expected = [e for e in store.query_all() if accepted(e)]
+    scanned = store.rows_scanned
+    got = [e for e in store.query_all(prefilter=line_prefilter(seq_rules))
+           if accepted(e)]
+    assert got == expected
+    assert store.rows_scanned == 2 * scanned == 2 * len(events)
