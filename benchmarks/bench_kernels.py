@@ -1,87 +1,94 @@
-"""Compare the numba and pure-numpy builds of the SVM kernels.
+"""Size sweep of the one-class SVM's training kernels.
 
-Runs each backend in a subprocess (the backend is chosen at import time
-via CHAINTRACE_NO_NUMBA) and reports wall time for the RBF Gram matrix
-and the dual solver across a few problem sizes.
+For each training-set size l, a fresh subprocess trains on an l x 10
+Gaussian cloud (standardized, default gamma, nu 0.05) and reports the
+seconds spent building the RBF Gram matrix, the seconds of the rest of
+``train_ocsvm`` (the SMO solve), the solver iterations and the process's
+peak RSS (``ru_maxrss``). One process per size keeps each peak its own.
 
-Usage: python benchmarks/bench_kernels.py
+Usage: python benchmarks/bench_kernels.py [--out BENCH_kernels.json]
 """
 
+import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 
+SIZES = (500, 1000, 2000, 3000, 5000)
+DIMS = 10
+NU = 0.05
+
 _WORKER = r"""
-import json, sys, time
+import json, resource, sys, time
 import numpy as np
-from chaintrace import _kernels
-from chaintrace.ocsvm import train_ocsvm
+from chaintrace import ocsvm
+from chaintrace.features import standardize
 
-sizes = [(200, 10), (500, 10), (1000, 10)]
-out = {"backend": "numba" if _kernels.using_numba() else "numpy", "runs": []}
+l, d, nu = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3])
+Z, _ = standardize(np.random.default_rng(l).normal(size=(l, d)))
+gamma = ocsvm.default_gamma(Z)
 
-# warm up the jit (compilation time would otherwise dominate)
-warm = np.random.default_rng(0).normal(size=(8, 4))
-_kernels.rbf_matrix(warm, warm, 0.5)
-train_ocsvm(warm, 0.5, 0.5)
-
-for l, d in sizes:
-    rng = np.random.default_rng(l)
-    X = rng.normal(size=(l, d))
-
+gram = [0.0]
+build = ocsvm.rbf_matrix
+def timed(*args):
     t0 = time.perf_counter()
-    for _ in range(5):
-        K = _kernels.rbf_matrix(X, X, 0.1)
-    t_rbf = (time.perf_counter() - t0) / 5
+    try:
+        return build(*args)
+    finally:
+        gram[0] += time.perf_counter() - t0
+ocsvm.rbf_matrix = timed  # train_ocsvm calls it through the module
 
-    t0 = time.perf_counter()
-    alpha, rho, iters = train_ocsvm(X, 0.1, 0.1)
-    t_solve = time.perf_counter() - t0
-
-    out["runs"].append({
-        "l": l, "d": d, "rbf_seconds": t_rbf,
-        "solve_seconds": t_solve, "solver_iterations": iters,
-        "objective": 0.5 * float(alpha @ K @ alpha),
-    })
-
-print(json.dumps(out))
+stats = ocsvm.SolverStats()
+t0 = time.perf_counter()
+ocsvm.train_ocsvm(Z, nu, gamma, stats=stats)
+total = time.perf_counter() - t0
+print(json.dumps({
+    "l": l, "d": d,
+    "gram_seconds": gram[0],
+    "solve_seconds": total - gram[0],
+    "iterations": stats.iterations,
+    "gram_mib": l * l * 8 / 2**20,
+    "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+}))
 """
 
 
-def run_backend(no_numba: bool) -> dict:
-    env = dict(os.environ)
-    if no_numba:
-        env["CHAINTRACE_NO_NUMBA"] = "1"
-    else:
-        env.pop("CHAINTRACE_NO_NUMBA", None)
+def run_size(l: int) -> dict:
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
-        [sys.executable, "-c", _WORKER], env=env,
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", _WORKER, str(l), str(DIMS), str(NU)],
+        env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def main() -> int:
-    results = [run_backend(no_numba=False), run_backend(no_numba=True)]
-    if results[0]["backend"] == results[1]["backend"]:
-        print("warning: numba unavailable, both runs used the numpy path")
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", help="also write the results here as JSON")
+    args = ap.parse_args()
+    import numpy as np
 
-    header = f"{'backend':>8} {'l':>6} {'rbf (ms)':>10} {'solve (ms)':>11} {'iters':>7}"
+    runs = [run_size(l) for l in SIZES]
+    header = (f"{'l':>6} {'gram (s)':>9} {'solve (s)':>10} {'iters':>7} "
+              f"{'gram MiB':>9} {'peak MiB':>9}")
     print(header)
     print("-" * len(header))
-    for res in results:
-        for run in res["runs"]:
-            print(f"{res['backend']:>8} {run['l']:>6} "
-                  f"{run['rbf_seconds'] * 1e3:>10.2f} "
-                  f"{run['solve_seconds'] * 1e3:>11.2f} "
-                  f"{run['solver_iterations']:>7}")
-
-    # both backends must land on the same optimum
-    for a, b in zip(results[0]["runs"], results[1]["runs"]):
-        drift = abs(a["objective"] - b["objective"])
-        assert drift <= 1e-9, f"objective drift {drift} at l={a['l']}"
-    print("objectives agree across backends")
+    for r in runs:
+        print(f"{r['l']:>6} {r['gram_seconds']:>9.3f} {r['solve_seconds']:>10.3f} "
+              f"{r['iterations']:>7} {r['gram_mib']:>9.1f} {r['peak_rss_mib']:>9.1f}")
+    if args.out:
+        result = {
+            "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                        "numpy": np.__version__},
+            "runs": runs,
+        }
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(result, fh, indent=2)
+            fh.write("\n")
     return 0
 
 

@@ -252,17 +252,36 @@ def cmd_detect(args) -> int:
 
 
 def _vectors_from_args(args):
-    events, _ = _input_events(args)
-    return feats.extract_features(events, window=args.window_secs)
+    """Feature vectors of the input; fills ``args.counters`` with what the
+    scan and the extraction saw."""
+    events, store = _input_events(args)
+    counts = {"events_decoded": 0}
+    stats = feats.ExtractionStats()
+    vectors = feats.extract_features(_counted(events, counts),
+                                     window=args.window_secs, stats=stats)
+    args.counters = {
+        "rows_scanned": store.rows_scanned if store else counts["events_decoded"],
+        "events_decoded": counts["events_decoded"],
+        "windows": len(vectors),
+        "unmatched_logoffs": stats.unmatched_logoffs,
+        "bad_numeric_attrs": stats.bad_numeric_attrs,
+    }
+    return vectors
 
 
 def cmd_train(args) -> int:
     vectors = _vectors_from_args(args)
     X = feats.matrix_of(vectors)
+    solver = ocsvm.SolverStats()
     model = ocsvm.fit(
-        X, nu=args.nu, gamma=args.gamma, source_set=args.source_set
+        X, nu=args.nu, gamma=args.gamma, source_set=args.source_set, stats=solver
     )
     model.save(args.out)
+    args.counters.update(
+        iterations=solver.iterations,
+        final_gap=solver.final_gap,
+        support_vectors=model.support_vectors.shape[0],
+    )
     print(f"trained on {len(vectors)} windows, "
           f"{model.support_vectors.shape[0]} support vectors")
     return 0
@@ -273,6 +292,7 @@ def cmd_score(args) -> int:
     vectors = _vectors_from_args(args)
     X = feats.matrix_of(vectors)
     decisions = model.decision(X)
+    args.counters["anomalous"] = int((decisions < 0).sum())
     with open(args.out, "w", encoding="utf-8") as fh:
         for fv, f in zip(vectors, decisions):
             fh.write(json.dumps({

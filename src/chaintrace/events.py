@@ -98,6 +98,11 @@ def decode_event(text: str) -> LogEvent:
             raise DecodeError(f"missing member {member!r}", 0)
     if not isinstance(obj["id"], int) or not isinstance(obj["ts"], int):
         raise DecodeError("id and ts must be integers", 0)
+    # the checks of LogEvent.validate
+    if obj["ts"] <= 0:
+        raise DecodeError(f"ts must be > 0, got {obj['ts']}", 0)
+    if not isinstance(obj["type"], str) or obj["type"] not in EVENT_TYPES:
+        raise DecodeError(f"unknown type {obj['type']!r}", 0)
     attrs = obj["attrs"]
     if not isinstance(attrs, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()

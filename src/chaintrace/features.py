@@ -148,6 +148,9 @@ def _add_net(e, key, v, dsts, stats) -> None:
 
 
 def matrix_of(vectors: list[FeatureVector]) -> np.ndarray:
+    """One row per vector; no vectors give shape (0, N_FEATURES)."""
+    if not vectors:
+        return np.empty((0, N_FEATURES), dtype=np.float64)
     return np.array([fv.values for fv in vectors], dtype=np.float64)
 
 

@@ -2,7 +2,7 @@
 
 Dual problem: minimize 1/2 a'Ka subject to sum(a) = 1 and
 0 <= a_i <= 1/(nu*l). Decision value f(x) = sum_i a_i K(x_i, x) - rho;
-f < 0 flags an anomaly.
+f < 0 flags an anomaly. Training holds one l x l float64 Gram matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     BadHyperparameters,
     DidNotConverge,
@@ -27,6 +26,9 @@ from .features import FEATURE_NAMES, SOURCE_SETS, standardize
 
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 10**6
+
+# rows per block of rbf_matrix's elementwise pass
+_KERNEL_BLOCK_ROWS = 256
 
 _MODEL_MAGIC = "chaintrace-ocsvm"
 _MODEL_VERSION = 1
@@ -47,12 +49,78 @@ def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
     return math.exp(-gamma * float(diff @ diff))
 
 
+def rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
+    """K[i, j] = exp(-gamma * ||X_i - Y_j||^2) in one len(X) x len(Y) buffer.
+
+    One matmul fills the buffer with X @ Y.T; BLAS runs it as syrk when
+    Y is X, so a Gram matrix is exactly symmetric. The elementwise
+    transform then overwrites it a block of rows at a time, so the only
+    other buffer is one block of squared distances.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    gamma = float(gamma)
+    xx = (X * X).sum(axis=1)
+    yy = (Y * Y).sum(axis=1)
+    K = X @ Y.T
+    block = np.empty((min(len(K), _KERNEL_BLOCK_ROWS), K.shape[1]))
+    for start in range(0, len(K), _KERNEL_BLOCK_ROWS):
+        rows = K[start:start + _KERNEL_BLOCK_ROWS]
+        sq = block[:len(rows)]
+        np.add(xx[start:start + len(rows), None], yy, out=sq)
+        rows *= 2.0
+        sq -= rows
+        np.maximum(sq, 0.0, out=sq)
+        sq *= -gamma
+        np.exp(sq, out=rows)
+    return K
+
+
+def _smo_solve(K: np.ndarray, alpha: np.ndarray, C: float, tol: float,
+               max_iter: int) -> tuple[int, float]:
+    """Pairwise coordinate descent on min 1/2 a'Ka, sum a = 1, 0<=a<=C,
+    in place on ``alpha``.
+
+    Working pair = maximal KKT violation: i with the smallest gradient
+    among a_i < C (room to grow), j with the largest gradient among
+    a_j > 0 (room to shrink); first index wins ties. The gradient update
+    reads rows of K, which equal its columns since K is symmetric.
+    Returns (iterations, final KKT gap).
+    """
+    g = K @ alpha  # gradient of the dual objective
+    it = 0
+    gap = np.inf
+    while it < max_iter:
+        up = alpha < C - 1e-15
+        low = alpha > 1e-15
+        if not up.any() or not low.any():
+            break
+        i = int(np.argmin(np.where(up, g, np.inf)))
+        j = int(np.argmax(np.where(low, g, -np.inf)))
+        gap = g[j] - g[i]
+        if gap <= tol or i == j:
+            break
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        delta = min((g[j] - g[i]) / eta, C - alpha[i], alpha[j])
+        alpha[i] += delta
+        alpha[j] -= delta
+        g += delta * (K[i] - K[j])
+        it += 1
+    return it, float(gap)
+
+
 def default_gamma(X_std: np.ndarray) -> float:
     """1 / (d * var) over the standardized training matrix."""
     var = float(X_std.var())
     if var <= 0:
         var = 1.0
     return 1.0 / (X_std.shape[1] * var)
+
+
+@dataclass
+class SolverStats:
+    iterations: int = 0
+    final_gap: float = math.inf
 
 
 @dataclass
@@ -95,9 +163,7 @@ class OneClassSvmModel:
             raise DimensionMismatch(
                 f"expected {self.support_vectors.shape[1]} features, got {Z.shape[1]}"
             )
-        return _kernels.decision_values(
-            self.support_vectors, self.alpha, Z, self.gamma, self.rho
-        )
+        return rbf_matrix(Z, self.support_vectors, self.gamma) @ self.alpha - self.rho
 
     def predict(self, X: np.ndarray, standardized: bool = False) -> np.ndarray:
         return self.decision(X, standardized=standardized) < 0
@@ -159,11 +225,13 @@ def train_ocsvm(
     gamma: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    stats: SolverStats | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Solve the dual on pre-standardized rows.
 
     Returns (full alpha over all training points, rho, iterations).
-    Deterministic given the input row order.
+    Deterministic given the input row order. ``stats``, if given,
+    receives the iterations and the final KKT gap.
     """
     X_std = np.asarray(X_std, dtype=np.float64)
     l = X_std.shape[0]
@@ -175,7 +243,7 @@ def train_ocsvm(
         raise BadHyperparameters(f"gamma must be > 0, got {gamma}")
 
     C = 1.0 / (nu * l)
-    K = _kernels.rbf_matrix(X_std, X_std, gamma)
+    K = rbf_matrix(X_std, X_std, gamma)
 
     # feasible start: fill the first floor(nu*l) boxes, remainder next
     alpha = np.zeros(l, dtype=np.float64)
@@ -184,7 +252,9 @@ def train_ocsvm(
     if n_full < l:
         alpha[n_full] = 1.0 - n_full * C
 
-    iters, gap = _kernels.smo_solve(K, alpha, C, tol, max_iter)
+    iters, gap = _smo_solve(K, alpha, C, tol, max_iter)
+    if stats is not None:
+        stats.iterations, stats.final_gap = iters, gap
     if gap > tol:
         raise DidNotConverge(f"gap {gap:.3e} > {tol:.1e} after {iters} updates")
 
@@ -207,8 +277,10 @@ def fit(
     source_set: str = "combined",
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    stats: SolverStats | None = None,
 ) -> OneClassSvmModel:
-    """Standardize, pick gamma if unset, train, and package the model."""
+    """Standardize, pick gamma if unset, train, and package the model;
+    ``stats`` goes to :func:`train_ocsvm`."""
     indices = SOURCE_SETS[source_set]
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -222,7 +294,8 @@ def fit(
     Z, (means, stds) = standardize(X)
     if gamma is None:
         gamma = default_gamma(Z)
-    alpha, rho, _iters = train_ocsvm(Z, nu, gamma, tol=tol, max_iter=max_iter)
+    alpha, rho, _iters = train_ocsvm(Z, nu, gamma, tol=tol, max_iter=max_iter,
+                                     stats=stats)
     sv_mask = alpha > 0.0
     model = OneClassSvmModel(
         nu=nu,

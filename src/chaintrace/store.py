@@ -3,7 +3,9 @@
 Directory layout: ``NNNNNN.seg`` files in canonical event format (one
 JSON record per line) plus ``index.json`` describing every segment.
 Single writer, any number of readers; a reader sees everything flushed
-before its query began.
+before its query began. The index records each segment's committed byte
+length; a writer that reopens the store cuts the active segment back to
+it, dropping whatever a torn append left behind.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class StoreSegment:
     max_id: int
     count: int
     sealed: bool
+    bytes: int | None = None  # committed length; None in older indexes
 
 
 class EventStore:
@@ -101,7 +104,8 @@ class EventStore:
         self._active = seg
         if self._fh is not None:
             self._fh.close()
-        self._fh = open(os.path.join(self.root, name), "a", encoding="utf-8")
+        # "w": a file of this name holds only a torn batch's rows
+        self._fh = open(os.path.join(self.root, name), "w", encoding="utf-8")
 
     def append(self, events: Iterable[LogEvent]) -> int:
         """Append a (ts, id)-sorted batch; durable once this returns."""
@@ -133,29 +137,36 @@ class EventStore:
                 last_ts, last_id = e.ts, e.id
                 appended += 1
             if appended:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
+                self._sync_active()
                 self._write_index()
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
         return appended
 
+    def _sync_active(self) -> None:
+        """Make the active segment durable and record its length."""
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        self._active.bytes = os.fstat(self._fh.fileno()).st_size
+
     def _reopen_active(self) -> None:
-        self._fh = open(
-            os.path.join(self.root, self._active.path), "a", encoding="utf-8"
-        )
+        path = os.path.join(self.root, self._active.path)
+        committed = self._active.bytes
+        if committed is not None and os.path.getsize(path) > committed:
+            os.truncate(path, committed)  # rows of a batch never indexed
+        self._fh = open(path, "a", encoding="utf-8")
 
     def _seal_active(self) -> None:
-        self._active.sealed = True
-        self._active = None
         if self._fh is not None:
+            self._sync_active()
             self._fh.close()
             self._fh = None
+        self._active.sealed = True
+        self._active = None
 
     def close(self) -> None:
         if self._fh is not None:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+            self._sync_active()
             self._fh.close()
             self._fh = None
         self._write_index()

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chaintrace import _kernels
+from chaintrace import ocsvm
 from chaintrace.cli import main
 from chaintrace.events import encode_event
 from chaintrace.features import (
@@ -186,7 +186,7 @@ def test_acceptance_08_solver_matches_independent_oracle(capfd):
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(l, 3))
             gamma = 0.5
-            K = _kernels.rbf_matrix(X, X, gamma)
+            K = ocsvm.rbf_matrix(X, X, gamma)
             alpha, _, _ = train_ocsvm(X, nu, gamma)
             ref = ocsvm_dual_pgd(K, nu)
             assert abs(dual_objective(K, alpha) - dual_objective(K, ref)) <= 1e-6
@@ -211,7 +211,7 @@ def test_acceptance_09_nu_property(capfd):
             Z, _ = standardize(rng.normal(size=(l, 6)))
             gamma = 1.0 / (6 * Z.var())
             alpha, rho, _ = train_ocsvm(Z, nu, gamma)
-            f = _kernels.rbf_matrix(Z, Z, gamma) @ alpha - rho
+            f = ocsvm.rbf_matrix(Z, Z, gamma) @ alpha - rho
             assert float((f < -1e-5).mean()) <= nu + 0.05
             assert float((alpha > 1e-10).mean()) >= nu - 0.05
 

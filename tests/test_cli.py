@@ -5,6 +5,7 @@ import pytest
 
 from chaintrace.cli import EXIT_ERROR, main
 from chaintrace.events import decode_event
+from chaintrace.features import ExtractionStats, extract_features
 
 
 @pytest.fixture
@@ -325,3 +326,46 @@ def test_score_bad_model_is_error(workdir, capsys, content):
                "--out", "s.jsonl"])
     assert rc == EXIT_ERROR
     assert "model.json" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("lines", [
+    [],
+    ['{"id":1,"ts":5,"host":"h","type":"email_received","actor":"a","attrs":{}}'],
+])
+def test_train_on_no_windows_is_error(workdir, capsys, lines):
+    (workdir / "events.jsonl").write_text("".join(line + "\n" for line in lines))
+    rc = main(["train", "--events", "events.jsonl", "--out", "model.json"])
+    assert rc == EXIT_ERROR
+    err = _one_line_error(capsys)
+    assert "empty" in err and "2-d" not in err
+    assert not (workdir / "model.json").exists()
+
+
+def test_train_score_manifest_counters(workdir, model_file):
+    events = [decode_event(line)
+              for line in (workdir / "clean.jsonl").read_text().splitlines()]
+    stats = ExtractionStats()
+    vectors = extract_features(events, window=3600, stats=stats)
+    assert main(["ingest", "--store", "store", "--events", "clean.jsonl"]) == 0
+    assert main(["train", "--store", "store", "--out", "model.json"]) == 0
+    train = json.loads((workdir / "manifest.train.json").read_text())["counters"]
+    model = json.loads((workdir / "model.json").read_text())
+    assert 0 < train.pop("iterations")
+    assert 0 <= train.pop("final_gap") <= 1e-6
+    assert train == {
+        "rows_scanned": len(events), "events_decoded": len(events),
+        "windows": len(vectors), "unmatched_logoffs": stats.unmatched_logoffs,
+        "bad_numeric_attrs": stats.bad_numeric_attrs,
+        "support_vectors": len(model["alpha"]),
+    }
+    assert main(["score", "--store", "store", "--model", "model.json",
+                 "--out", "scored.jsonl"]) == 0
+    score = json.loads((workdir / "manifest.score.json").read_text())["counters"]
+    scored = [json.loads(line)
+              for line in (workdir / "scored.jsonl").read_text().splitlines()]
+    assert score == {
+        "rows_scanned": len(events), "events_decoded": len(events),
+        "windows": len(scored), "unmatched_logoffs": stats.unmatched_logoffs,
+        "bad_numeric_attrs": stats.bad_numeric_attrs,
+        "anomalous": sum(r["anomalous"] for r in scored),
+    }

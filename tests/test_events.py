@@ -1,6 +1,9 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chaintrace.cli import EXIT_ERROR, main
 from chaintrace.errors import DecodeError, MalformedLine
 from chaintrace.events import (
     EVENT_TYPES,
@@ -85,6 +88,27 @@ def test_decode_error_reports_offset():
     with pytest.raises(DecodeError) as exc:
         decode_event('{"id":1,"ts":2,}')
     assert exc.value.offset > 0
+
+
+@pytest.mark.parametrize("ts,etype", [(-5, "nope"), (-5, "logon"), (0, "logon"),
+                                      (5, "nope"), (5, 7)])
+def test_decode_rejects_what_validate_rejects(ts, etype):
+    e = LogEvent(1, ts, "h", etype, "a", {})
+    with pytest.raises(ValueError):
+        e.validate()
+    text = json.dumps({"id": 1, "ts": ts, "host": "h", "type": etype,
+                       "actor": "a", "attrs": {}})
+    with pytest.raises(DecodeError):
+        decode_event(text)
+
+
+def test_detect_names_the_bad_line(tmp_path, capsys):
+    path = tmp_path / "events.jsonl"
+    path.write_text('{"id":1,"ts":-5,"host":"h","type":"nope","actor":"a","attrs":{}}\n')
+    rc = main(["detect", "--events", str(path), "--out", str(tmp_path / "r.jsonl")])
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "ts must be > 0" in err and "out of order" not in err
 
 
 _attr_key = st.text(

@@ -1,11 +1,10 @@
-import subprocess
-import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chaintrace import _kernels
+from chaintrace import ocsvm
 from chaintrace.errors import (
     BadHyperparameters,
     DimensionMismatch,
@@ -47,17 +46,44 @@ def test_rbf_basic_properties():
 def test_rbf_matrix_matches_pairwise():
     X = _cloud(8, seed=1)
     Y = _cloud(5, seed=2)
-    K = _kernels.rbf_matrix(X, Y, 0.3)
+    K = ocsvm.rbf_matrix(X, Y, 0.3)
     for i in range(8):
         for j in range(5):
             assert K[i, j] == pytest.approx(rbf_ref(X[i], Y[j], 0.3), abs=1e-12)
 
 
-def test_numba_and_numpy_kernels_agree():
-    X = _cloud(30, seed=3)
-    K_active = _kernels.rbf_matrix(X, X, 0.2)
-    K_numpy = _kernels.rbf_matrix_numpy(X, X, 0.2)
-    assert np.allclose(K_active, K_numpy, atol=1e-12)
+def _rbf_broadcast(X, Y, gamma):
+    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] \
+        - 2.0 * (X @ Y.T)
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
+
+def test_rbf_matrix_equals_broadcast_reference():
+    # 600 rows: two full blocks and a partial one
+    X = _cloud(600, d=10, seed=21, scale=2.0)
+    Y = _cloud(300, d=10, seed=22)
+    assert np.array_equal(ocsvm.rbf_matrix(X, X, 0.07), _rbf_broadcast(X, X, 0.07))
+    assert np.array_equal(ocsvm.rbf_matrix(X, Y, 0.07), _rbf_broadcast(X, Y, 0.07))
+    assert np.array_equal(ocsvm.rbf_matrix(Y, X, 0.07), _rbf_broadcast(Y, X, 0.07))
+
+
+def test_gram_matrix_exactly_symmetric():
+    # the solver reads rows of K in place of columns
+    Z = _cloud(700, d=10, seed=23)
+    K = ocsvm.rbf_matrix(Z, Z, 0.05)
+    assert np.array_equal(K, K.T)
+
+
+def test_rbf_matrix_peak_memory():
+    Z = _cloud(1500, d=10, seed=24)
+    tracemalloc.start()
+    try:
+        K = ocsvm.rbf_matrix(Z, Z, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1500 * 1500 * 8
+    assert K.shape == (1500, 1500)
 
 
 # --- solver vs oracle ---
@@ -69,7 +95,7 @@ def test_numba_and_numpy_kernels_agree():
 def test_smo_matches_projected_gradient(l, nu, seed):
     X = _cloud(l, d=3, seed=seed)
     gamma = 0.5
-    K = _kernels.rbf_matrix(X, X, gamma)
+    K = ocsvm.rbf_matrix(X, X, gamma)
     alpha, rho, iters = train_ocsvm(X, nu, gamma)
     ref = ocsvm_dual_pgd(K, nu)
     assert abs(dual_objective(K, alpha) - dual_objective(K, ref)) <= 1e-6
@@ -81,7 +107,7 @@ def test_smo_matches_projected_gradient(l, nu, seed):
 def test_gradient_matches_finite_differences():
     # the dual gradient K @ alpha against central differences of the objective
     X = _cloud(6, seed=7)
-    K = _kernels.rbf_matrix(X, X, 0.4)
+    K = ocsvm.rbf_matrix(X, X, 0.4)
     rng = np.random.default_rng(8)
     alpha = rng.uniform(0.1, 0.9, size=6)
     g = K @ alpha
@@ -111,7 +137,7 @@ def test_margin_support_vectors_on_boundary():
     C = 1.0 / (nu * len(Z))
     margin = (alpha > 1e-8) & (alpha < C - 1e-8)
     if margin.any():
-        K = _kernels.rbf_matrix(Z, Z, gamma)
+        K = ocsvm.rbf_matrix(Z, Z, gamma)
         f = K @ alpha - rho
         assert np.abs(f[margin]).max() <= 1e-6
 
@@ -125,7 +151,7 @@ def test_nu_property(l, nu):
     Z, _ = standardize(X)
     gamma = default_gamma(Z)
     alpha, rho, _ = train_ocsvm(Z, nu, gamma)
-    f = _kernels.rbf_matrix(Z, Z, gamma) @ alpha - rho
+    f = ocsvm.rbf_matrix(Z, Z, gamma) @ alpha - rho
     # margin vectors sit within solver tolerance of f = 0; only points
     # clearly below the boundary count as outliers
     outlier_frac = float((f < -1e-5).mean())
@@ -141,13 +167,13 @@ def test_permutation_invariance():
     rng = np.random.default_rng(12)
     perm = rng.permutation(40)
     alpha_p, rho_p, _ = train_ocsvm(X[perm], nu, gamma)
-    K = _kernels.rbf_matrix(X, X, gamma)
-    Kp = _kernels.rbf_matrix(X[perm], X[perm], gamma)
+    K = ocsvm.rbf_matrix(X, X, gamma)
+    Kp = ocsvm.rbf_matrix(X[perm], X[perm], gamma)
     assert abs(dual_objective(K, alpha) - dual_objective(Kp, alpha_p)) <= 1e-6
     # scoring is invariant too
     probe = _cloud(10, seed=13)
-    f = _kernels.rbf_matrix(probe, X, gamma) @ alpha - rho
-    fp = _kernels.rbf_matrix(probe, X[perm], gamma) @ alpha_p - rho_p
+    f = ocsvm.rbf_matrix(probe, X, gamma) @ alpha - rho
+    fp = ocsvm.rbf_matrix(probe, X[perm], gamma) @ alpha_p - rho_p
     assert np.allclose(f, fp, atol=1e-5)
 
 
@@ -157,32 +183,6 @@ def test_determinism():
     a2, r2, i2 = train_ocsvm(X, 0.3, 0.2)
     assert np.array_equal(a1, a2)
     assert r1 == r2 and i1 == i2
-
-
-def test_numpy_fallback_matches_numba():
-    # run the solver in a child process with the env flag set and compare
-    X = _cloud(25, seed=15)
-    alpha, rho, _ = train_ocsvm(X, 0.3, 0.4)
-    code = (
-        "import numpy as np, sys;"
-        "from chaintrace.ocsvm import train_ocsvm;"
-        "from chaintrace import _kernels;"
-        "assert not _kernels.using_numba();"
-        "X = np.load(sys.argv[1]);"
-        "a, r, _ = train_ocsvm(X, 0.3, 0.4);"
-        "np.save(sys.argv[2], np.append(a, r))"
-    )
-    import tempfile, os
-    with tempfile.TemporaryDirectory() as td:
-        xin = os.path.join(td, "x.npy")
-        out = os.path.join(td, "out.npy")
-        np.save(xin, X)
-        env = dict(os.environ, CHAINTRACE_NO_NUMBA="1")
-        subprocess.run([sys.executable, "-c", code, xin, out],
-                       check=True, env=env)
-        got = np.load(out)
-    assert np.allclose(got[:-1], alpha, atol=1e-12)
-    assert got[-1] == pytest.approx(rho, abs=1e-12)
 
 
 # --- hyperparameter and input validation ---
@@ -279,7 +279,7 @@ def test_smo_objective_never_beats_oracle_property(l, nu_pct, seed):
     nu = nu_pct / 100.0
     X = _cloud(l, d=3, seed=seed)
     gamma = 0.5
-    K = _kernels.rbf_matrix(X, X, gamma)
+    K = ocsvm.rbf_matrix(X, X, gamma)
     alpha, _, _ = train_ocsvm(X, nu, gamma)
     ref = ocsvm_dual_pgd(K, nu)
     assert dual_objective(K, alpha) <= dual_objective(K, ref) + 1e-6

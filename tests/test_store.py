@@ -1,8 +1,11 @@
+import json
+import os
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chaintrace.errors import IoFailure, OutOfOrder
-from chaintrace.events import LogEvent
+from chaintrace.events import LogEvent, encode_event
 from chaintrace.graph import SequenceRule, line_prefilter
 from chaintrace.simulate import SimConfig, simulate
 from chaintrace.store import EventStore
@@ -140,6 +143,92 @@ def test_reopen_without_close(tmp_path, sample_events):
     del store
     again = EventStore(root)
     assert again.count() == len(sample_events)
+
+
+def _ids(store):
+    return [e.id for e in store.query_all()]
+
+
+def test_reopen_drops_torn_batch(tmp_path):
+    root = str(tmp_path / "s")
+    store = EventStore(root)
+    store.append([_mk(1, 10), _mk(2, 20)])
+    store.close()
+    seg = os.path.join(root, "000000.seg")
+    committed = os.path.getsize(seg)
+    with open(seg, "a", encoding="utf-8") as fh:  # a batch the index never saw
+        fh.write(encode_event(_mk(3, 30)) + "\n")
+    torn = os.path.getsize(seg)
+    assert _ids(EventStore(root, create=False)) == [1, 2]
+    assert os.path.getsize(seg) == torn  # readers never truncate
+    again = EventStore(root)
+    again.append([_mk(3, 30), _mk(4, 40)])
+    assert _ids(again) == [1, 2, 3, 4]
+    assert os.path.getsize(seg) > committed
+
+
+def test_index_without_byte_lengths_loads(tmp_path):
+    root = str(tmp_path / "s")
+    store = EventStore(root)
+    store.append([_mk(1, 10), _mk(2, 20)])
+    store.close()
+    index = os.path.join(root, "index.json")
+    with open(index, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for seg in payload["segments"]:
+        del seg["bytes"]
+    with open(index, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+    again = EventStore(root)
+    again.append([_mk(3, 30)])
+    assert _ids(again) == [1, 2, 3]
+
+
+class _Crash(Exception):
+    pass
+
+
+@given(
+    committed=st.integers(min_value=1, max_value=5),
+    torn=st.integers(min_value=1, max_value=5),
+    more=st.integers(min_value=1, max_value=5),
+    segment_events=st.sampled_from([2, 3, 100]),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_append_after_torn_batch(tmp_path_factory, committed, torn, more,
+                                 segment_events, cut):
+    root = str(tmp_path_factory.mktemp("s"))
+    store = EventStore(root, segment_events=segment_events)
+    store.append(_mk(i, 10 * i) for i in range(1, committed + 1))
+
+    def segments():
+        return sorted(f for f in os.listdir(root) if f.endswith(".seg"))
+
+    sizes = {f: os.path.getsize(os.path.join(root, f)) for f in segments()}
+
+    def crashing_batch():
+        yield from (_mk(i, 10 * i) for i in range(committed + 1, committed + torn + 1))
+        raise _Crash
+
+    with pytest.raises(_Crash):
+        store.append(crashing_batch())
+    store._fh.close()  # the process dies: its rows reach the disk, the index does not
+    # keep a prefix of the uncommitted bytes, cut at any offset
+    extra = {f: os.path.getsize(os.path.join(root, f)) - sizes.get(f, 0)
+             for f in segments()}
+    keep = int(cut * sum(extra.values()))
+    for f in segments():
+        kept = min(extra[f], keep)
+        keep -= kept
+        os.truncate(os.path.join(root, f), sizes.get(f, 0) + kept)
+
+    assert _ids(EventStore(root, create=False)) == list(range(1, committed + 1))
+    again = EventStore(root, segment_events=segment_events)
+    last = committed + more
+    again.append(_mk(i, 10 * i) for i in range(committed + 1, last + 1))
+    assert _ids(again) == list(range(1, last + 1))
+    assert _ids(EventStore(root, create=False)) == list(range(1, last + 1))
 
 
 def test_open_existing_refuses_missing_store(tmp_path):
