@@ -111,15 +111,27 @@ def _write_events(path: str, events) -> int:
     return n
 
 
-def _read_events(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            yield decode_event(line)
+class _EventFile:
+    """The events of a canonical file, one per line; counts the lines it
+    reads as ``EventStore.query`` counts a store's."""
+
+    rows_skipped = 0  # every line is decoded
+
+    def __init__(self, path: str):
+        self.path = path
+        self.rows_scanned = 0
+
+    def __iter__(self):
+        with open(self.path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                self.rows_scanned += 1
+                yield decode_event(line)
 
 
 def _input_events(args: argparse.Namespace, prefilter=None):
     """The event stream named by ``--store`` or ``--events``, and the
-    store it reads (None for ``--events``).
+    store or file it reads, whose ``rows_scanned`` and ``rows_skipped``
+    are complete once the stream is.
 
     A ``--store`` that is not an existing store is an error, not an empty
     stream. ``prefilter`` applies to store lines only (``EventStore.query``).
@@ -127,14 +139,8 @@ def _input_events(args: argparse.Namespace, prefilter=None):
     if args.store:
         store = EventStore(args.store, create=False)
         return store.query_all(prefilter=prefilter), store
-    return _read_events(args.events), None
-
-
-def _counted(events, counts: dict):
-    """Yield ``events``, counting them in ``counts["events_decoded"]``."""
-    for e in events:
-        counts["events_decoded"] += 1
-        yield e
+    events = _EventFile(args.events)
+    return events, events
 
 
 # --- subcommands ---
@@ -165,7 +171,7 @@ def cmd_simulate(args) -> int:
 def cmd_ingest(args) -> int:
     store = EventStore(args.store)
     if args.format == "canonical":
-        stream = _read_events(args.events)
+        stream = _EventFile(args.events)
     else:
         def raw_stream():
             with open(args.events, "r", encoding="utf-8") as fh:
@@ -194,7 +200,7 @@ def cmd_pseudonymize(args) -> int:
                 os.path.join(args.shares_dir, f"share-{share.x:03d}.txt"), share
             )
     def stream():
-        for e in _read_events(args.events):
+        for e in _EventFile(args.events):
             yield vault.pseudonymize_event(e)
     _write_events(args.out, stream())
     vault.save(args.vault)
@@ -210,9 +216,7 @@ def cmd_detect(args) -> int:
     # undecoded; an --events file need not be canonical, and the exported
     # graph needs every event.
     prefilter = line_prefilter(rules) if args.store and not args.export else None
-    events, store = _input_events(args, prefilter)
-    counts = {"events_decoded": 0}
-    events = _counted(events, counts)
+    events, source = _input_events(args, prefilter)
     if args.export:
         # the exported graph carries the host/user/event layer as well
         events = list(events)
@@ -221,9 +225,9 @@ def cmd_detect(args) -> int:
         graph = PropertyGraph()
     apply_rules(graph, rules, events)
     args.counters = {
-        "rows_scanned": store.rows_scanned if store else counts["events_decoded"],
-        "rows_skipped": store.rows_skipped if store else 0,
-        "events_decoded": counts["events_decoded"],
+        "rows_scanned": source.rows_scanned,
+        "rows_skipped": source.rows_skipped,
+        "events_decoded": source.rows_scanned - source.rows_skipped,
         "rule_skips": graph.rule_skips,
     }
 
@@ -254,14 +258,12 @@ def cmd_detect(args) -> int:
 def _vectors_from_args(args):
     """Feature vectors of the input; fills ``args.counters`` with what the
     scan and the extraction saw."""
-    events, store = _input_events(args)
-    counts = {"events_decoded": 0}
+    events, source = _input_events(args)
     stats = feats.ExtractionStats()
-    vectors = feats.extract_features(_counted(events, counts),
-                                     window=args.window_secs, stats=stats)
+    vectors = feats.extract_features(events, window=args.window_secs, stats=stats)
     args.counters = {
-        "rows_scanned": store.rows_scanned if store else counts["events_decoded"],
-        "events_decoded": counts["events_decoded"],
+        "rows_scanned": source.rows_scanned,
+        "events_decoded": source.rows_scanned - source.rows_skipped,
         "windows": len(vectors),
         "unmatched_logoffs": stats.unmatched_logoffs,
         "bad_numeric_attrs": stats.bad_numeric_attrs,
@@ -309,7 +311,7 @@ def cmd_metrics(args) -> int:
     truth = read_truth_file(args.truth)
     labeled_ids = truth.labeled_ids()
     labeled_events = [
-        e for e in _read_events(args.events) if e.id in labeled_ids
+        e for e in _EventFile(args.events) if e.id in labeled_ids
     ]
     scored = []
     with open(args.scored, "r", encoding="utf-8") as fh:
@@ -347,6 +349,8 @@ def cmd_export(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="chaintrace")
+    # each command's ``outputs`` names the arguments whose files it writes;
+    # the manifest hashes those
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
@@ -366,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--raw", help="also write raw source lines here")
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=cmd_simulate, outputs=("out", "truth", "raw"))
 
     sp = sub.add_parser("ingest", help="append an event file to a store")
     add_common(sp)
     sp.add_argument("--store", required=True)
     sp.add_argument("--events", required=True)
     sp.add_argument("--format", choices=("canonical", "raw"), default="canonical")
-    sp.set_defaults(func=cmd_ingest)
+    sp.set_defaults(func=cmd_ingest, outputs=())
 
     sp = sub.add_parser("pseudonymize", help="tokenize identity fields")
     add_common(sp)
@@ -383,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--shares-dir", default="shares")
     sp.add_argument("-k", "--threshold", type=int, default=3)
     sp.add_argument("-n", "--shares", type=int, default=5)
-    sp.set_defaults(func=cmd_pseudonymize)
+    sp.set_defaults(func=cmd_pseudonymize, outputs=("out",))
 
     sp = sub.add_parser("detect", help="kill-chain detection over a store")
     add_common(sp)
@@ -393,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--export")
     sp.add_argument("--format", choices=("dot", "graphml"), default="dot")
-    sp.set_defaults(func=cmd_detect)
+    sp.set_defaults(func=cmd_detect, outputs=("out", "export"))
 
     sp = sub.add_parser("train", help="train the one-class SVM on clean windows")
     add_common(sp)
@@ -404,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window-secs", type=int, default=3600)
     sp.add_argument("--source-set", choices=sorted(feats.SOURCE_SETS),
                     default="combined")
-    sp.set_defaults(func=cmd_train)
+    sp.set_defaults(func=cmd_train, outputs=("out",))
 
     sp = sub.add_parser("score", help="score user windows against a model")
     add_common(sp)
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--window-secs", type=int, default=3600)
-    sp.set_defaults(func=cmd_score)
+    sp.set_defaults(func=cmd_score, outputs=("out",))
 
     sp = sub.add_parser("metrics", help="compare scored windows to ground truth")
     add_common(sp)
@@ -421,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--truth", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--window-secs", type=int, default=3600)
-    sp.set_defaults(func=cmd_metrics)
+    sp.set_defaults(func=cmd_metrics, outputs=("out",))
 
     sp = sub.add_parser("reveal", help="re-identify a pseudonym token")
     add_common(sp)
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--token", required=True)
     sp.add_argument("--share", action="append", required=True,
                     help="share file; repeat for each share")
-    sp.set_defaults(func=cmd_reveal)
+    sp.set_defaults(func=cmd_reveal, outputs=())
 
     sp = sub.add_parser("export", help="export the event graph")
     add_common(sp)
@@ -437,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rules")
     sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("dot", "graphml"), default="dot")
-    sp.set_defaults(func=cmd_export)
+    sp.set_defaults(func=cmd_export, outputs=("out",))
 
     return p
 
@@ -453,8 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_ERROR + 1
-    outputs = [getattr(args, name, None) for name in
-               ("out", "truth", "raw", "export", "model")]
+    outputs = [getattr(args, name) for name in args.outputs]
     _write_manifest(args.command, args, [o for o in outputs if o], t0, status)
     return status
 

@@ -66,56 +66,69 @@ class RawLine:
 
 # --- canonical codec ---
 
+# One encoder and one decoder for every line: json.dumps and json.loads
+# would build or wrap them again on each call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
+_scan_once = json.JSONDecoder().scan_once  # the C scanner where available
+_JSON_WS = " \t\n\r"
+
+
 def encode_event(e: LogEvent) -> str:
     """Serialize one event to its canonical single-line JSON form."""
-    return json.dumps(
-        {
-            "id": e.id,
-            "ts": e.ts,
-            "host": e.source_host,
-            "type": e.event_type,
-            "actor": e.actor,
-            "attrs": e.attributes,
-        },
-        separators=(",", ":"),
-        ensure_ascii=True,
-    )
+    return _ENCODER.encode({
+        "id": e.id,
+        "ts": e.ts,
+        "host": e.source_host,
+        "type": e.event_type,
+        "actor": e.actor,
+        "attrs": e.attributes,
+    })
 
 
-_REQUIRED_MEMBERS = ("id", "ts", "host", "type", "actor", "attrs")
+def _parse(text: str):
+    """The JSON value of ``text``, as json.loads gives it.
+
+    The scanner reads a value that starts at offset 0 and is followed by
+    JSON whitespace only; anything else (leading whitespace, extra data,
+    bad JSON) goes to json.loads, which parses it or names the fault.
+    """
+    try:
+        obj, end = _scan_once(text, 0)
+        if end == len(text) or not text[end:].strip(_JSON_WS):
+            return obj
+    except (StopIteration, ValueError):
+        pass
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DecodeError(f"invalid JSON: {exc.msg}", exc.pos) from exc
 
 
 def decode_event(text: str) -> LogEvent:
     """Inverse of :func:`encode_event`; raises DecodeError with byte offset."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DecodeError(f"invalid JSON: {exc.msg}", exc.pos) from exc
-    if not isinstance(obj, dict):
+    obj = _parse(text)
+    if type(obj) is not dict:
         raise DecodeError("record is not an object", 0)
-    for member in _REQUIRED_MEMBERS:
-        if member not in obj:
-            raise DecodeError(f"missing member {member!r}", 0)
-    if not isinstance(obj["id"], int) or not isinstance(obj["ts"], int):
+    try:  # read in member order, so the first one missing is named
+        eid, ts, host, etype, actor, attrs = (obj["id"], obj["ts"], obj["host"],
+                                              obj["type"], obj["actor"], obj["attrs"])
+    except KeyError as exc:
+        raise DecodeError(f"missing member {exc.args[0]!r}", 0) from None
+    if type(eid) is not int or type(ts) is not int:  # bool is not an integer here
         raise DecodeError("id and ts must be integers", 0)
     # the checks of LogEvent.validate
-    if obj["ts"] <= 0:
-        raise DecodeError(f"ts must be > 0, got {obj['ts']}", 0)
-    if not isinstance(obj["type"], str) or obj["type"] not in EVENT_TYPES:
-        raise DecodeError(f"unknown type {obj['type']!r}", 0)
-    attrs = obj["attrs"]
-    if not isinstance(attrs, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in attrs.items()
-    ):
+    if ts <= 0:
+        raise DecodeError(f"ts must be > 0, got {ts}", 0)
+    if type(etype) is not str or etype not in EVENT_TYPES:
+        raise DecodeError(f"unknown type {etype!r}", 0)
+    if type(host) is not str or type(actor) is not str:
+        raise DecodeError("host and actor must be strings", 0)
+    if type(attrs) is not dict:
         raise DecodeError("attrs must map strings to strings", 0)
-    return LogEvent(
-        id=obj["id"],
-        ts=obj["ts"],
-        source_host=obj["host"],
-        event_type=obj["type"],
-        actor=obj["actor"],
-        attributes=dict(attrs),
-    )
+    for value in attrs.values():  # JSON object keys are always strings
+        if type(value) is not str:
+            raise DecodeError("attrs must map strings to strings", 0)
+    return LogEvent(eid, ts, host, etype, actor, attrs)
 
 
 # --- raw source grammars ---

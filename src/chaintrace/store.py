@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, asdict
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import IoFailure, OutOfOrder
@@ -189,33 +190,37 @@ class EventStore:
         """
         if t0 >= t1:
             raise ValueError(f"require t0 < t1, got [{t0}, {t1})")
-        for seg in self.segments:
-            if seg.count == 0 or seg.max_ts < t0 or seg.min_ts >= t1:
-                continue
-            try:
-                fh = open(os.path.join(self.root, seg.path), "r", encoding="utf-8")
-            except OSError as exc:
-                raise IoFailure(str(exc)) from exc
-            with fh:
-                for n, line in enumerate(fh):
-                    if n >= seg.count:
-                        break  # rows flushed after this query began
-                    self.rows_scanned += 1
-                    if prefilter is not None and not prefilter(line):
-                        self.rows_skipped += 1
-                        continue
-                    e = decode_event(line)
-                    if e.ts < t0:
-                        continue
-                    if e.ts >= t1:
-                        return
-                    if event_types is not None and e.event_type not in event_types:
-                        continue
-                    if source_hosts is not None and e.source_host not in source_hosts:
-                        continue
-                    if actors is not None and e.actor not in actors:
-                        continue
-                    yield e
+        scanned = skipped = 0
+        try:
+            for seg in self.segments:
+                if seg.count == 0 or seg.max_ts < t0 or seg.min_ts >= t1:
+                    continue
+                try:
+                    fh = open(os.path.join(self.root, seg.path), "r", encoding="utf-8")
+                except OSError as exc:
+                    raise IoFailure(str(exc)) from exc
+                with fh:
+                    # rows flushed after this query began are not read
+                    for line in islice(fh, seg.count):
+                        scanned += 1
+                        if prefilter is not None and not prefilter(line):
+                            skipped += 1
+                            continue
+                        e = decode_event(line)
+                        if e.ts < t0:
+                            continue
+                        if e.ts >= t1:
+                            return
+                        if event_types is not None and e.event_type not in event_types:
+                            continue
+                        if source_hosts is not None and e.source_host not in source_hosts:
+                            continue
+                        if actors is not None and e.actor not in actors:
+                            continue
+                        yield e
+        finally:  # also when the consumer stops early
+            self.rows_scanned += scanned
+            self.rows_skipped += skipped
 
     def query_all(self, **filters) -> Iterator[LogEvent]:
         """Full-range query convenience wrapper."""

@@ -3,10 +3,13 @@
 These deliberately avoid the library's own code paths: the dual solver
 oracle is projected-gradient descent, window aggregation is an explicit
 quadratic scan, and GF(2^8) multiplication is schoolbook polynomial
-arithmetic with long-division reduction.
+arithmetic with long-division reduction, and the canonical event decoder
+is ``json.loads`` followed by explicit member checks.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -110,3 +113,42 @@ def dual_objective(K: np.ndarray, alpha: np.ndarray) -> float:
 
 def rbf_ref(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
     return float(np.exp(-gamma * np.sum((np.asarray(x) - np.asarray(y)) ** 2)))
+
+
+# --- canonical event decoder reference ---
+
+class RefDecodeError(Exception):
+    """A line the reference decoder rejects, with the offset of the fault."""
+
+    def __init__(self, offset: int):
+        super().__init__(offset)
+        self.offset = offset
+
+
+def decode_event_ref(text: str, event_types) -> tuple:
+    """``(id, ts, host, type, actor, attrs)`` of one canonical line.
+
+    The JSON is parsed by ``json.loads``; a JSON fault raises
+    RefDecodeError at its position, a record that breaks the schema at 0.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RefDecodeError(exc.pos) from exc
+    if not isinstance(obj, dict):
+        raise RefDecodeError(0)
+    names = ("id", "ts", "host", "type", "actor", "attrs")
+    if any(name not in obj for name in names):
+        raise RefDecodeError(0)
+    eid, ts, host, etype, actor, attrs = (obj[name] for name in names)
+    ok = (
+        isinstance(eid, int) and not isinstance(eid, bool)
+        and isinstance(ts, int) and not isinstance(ts, bool) and ts > 0
+        and isinstance(etype, str) and etype in event_types
+        and isinstance(host, str) and isinstance(actor, str)
+        and isinstance(attrs, dict)
+        and all(isinstance(v, str) for v in attrs.values())
+    )
+    if not ok:
+        raise RefDecodeError(0)
+    return eid, ts, host, etype, actor, attrs

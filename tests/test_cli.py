@@ -369,3 +369,32 @@ def test_train_score_manifest_counters(workdir, model_file):
         "bad_numeric_attrs": stats.bad_numeric_attrs,
         "anomalous": sum(r["anomalous"] for r in scored),
     }
+
+
+@pytest.mark.parametrize("member,value", [("actor", 5), ("host", ["x"])])
+@pytest.mark.parametrize("command", ["train", "pseudonymize", "export", "ingest"])
+def test_non_string_host_or_actor_is_error(workdir, capsys, command, member, value):
+    obj = {"id": 1, "ts": 5, "host": "h", "type": "logon", "actor": "a",
+           "attrs": {"session_id": "S"}}
+    obj[member] = value
+    (workdir / "events.jsonl").write_text(json.dumps(obj) + "\n")
+    argv = {
+        "train": ["train", "--events", "events.jsonl", "--out", "out.json"],
+        "pseudonymize": ["pseudonymize", "--events", "events.jsonl", "--out", "out.json",
+                         "--vault", "vault.json"],
+        "export": ["export", "--events", "events.jsonl", "--out", "out.json"],
+        "ingest": ["ingest", "--store", "store", "--events", "events.jsonl"],
+    }[command]
+    assert main(argv) == EXIT_ERROR
+    assert "host and actor must be strings" in _one_line_error(capsys)
+    if command == "ingest":
+        assert not (workdir / "store" / "000000.seg").exists()
+
+
+def test_manifest_outputs_are_the_command_outputs(workdir, model_file):
+    train = json.loads((workdir / "manifest.train.json").read_text())
+    assert list(train["outputs"]) == [model_file]
+    assert main(["score", "--events", "clean.jsonl", "--model", model_file,
+                 "--out", "scored.jsonl"]) == 0
+    score = json.loads((workdir / "manifest.score.json").read_text())
+    assert list(score["outputs"]) == ["scored.jsonl"]

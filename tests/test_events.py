@@ -1,7 +1,8 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import RefDecodeError, decode_event_ref
 
 from chaintrace.cli import EXIT_ERROR, main
 from chaintrace.errors import DecodeError, MalformedLine
@@ -154,3 +155,118 @@ def test_normalization_order_preserving(case_study):
     _, events, _ = case_study
     pairs = [(e.ts, e.id) for e in events]
     assert pairs == sorted(pairs)
+
+
+# --- the codec against json ---
+
+_MEMBERS = ("id", "ts", "host", "type", "actor", "attrs")
+
+# quotes, backslashes, control and non-ASCII characters, among any others
+_tricky = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\/\x00\x1f\n\t\u00e9\u20ac\u2028\U0001f600'),
+                       st.characters()),
+    max_size=12,
+)
+_events = st.builds(
+    LogEvent,
+    id=st.integers(min_value=1, max_value=2**63 - 1),
+    ts=st.integers(min_value=1, max_value=2**62),
+    source_host=_tricky,
+    event_type=st.sampled_from(sorted(EVENT_TYPES)),
+    actor=_tricky,
+    attributes=st.dictionaries(_tricky, _tricky, max_size=4),
+)
+_not_strings = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+    st.lists(st.integers(), max_size=2), st.just({}),
+)
+_json_ws = st.text(alphabet=" \t\n\r", min_size=1, max_size=3)
+_other_ws = st.text(alphabet=" \t\n\r\x0b\x0c\x85\u00a0\u2028", min_size=1, max_size=3)
+
+
+def _as_dict(e: LogEvent) -> dict:
+    return {"id": e.id, "ts": e.ts, "host": e.source_host, "type": e.event_type,
+            "actor": e.actor, "attrs": e.attributes}
+
+
+def _compact(obj, ensure_ascii=True) -> str:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=ensure_ascii)
+
+
+@st.composite
+def _lines(draw):
+    """An encoded event, or one of the ways a line can differ from one."""
+    e = draw(_events)
+    line, obj = encode_event(e), _as_dict(e)
+    variant = draw(st.sampled_from((
+        "plain", "newline", "leading_ws", "trailing_ws", "second_object",
+        "truncated", "not_object", "unescaped", "bad_member", "bad_attr",
+        "missing_member",
+    )))
+    if variant == "newline":
+        return line + "\n"
+    if variant == "leading_ws":
+        return draw(_json_ws) + line
+    if variant == "trailing_ws":
+        return line + draw(_other_ws)
+    if variant == "second_object":
+        return line + draw(st.sampled_from(("", " ", "\n"))) + encode_event(draw(_events))
+    if variant == "truncated":
+        return line[:draw(st.integers(0, len(line) - 1))]
+    if variant == "not_object":
+        return draw(st.sampled_from((
+            "[" + line + "]", _compact(e.actor), _compact([obj]), "null", "5",
+        )))
+    if variant == "unescaped":
+        return _compact(obj, ensure_ascii=False)
+    if variant == "bad_member":  # bool or float id/ts, non-string host/actor/type
+        obj[draw(st.sampled_from(_MEMBERS[:5]))] = draw(_not_strings)
+        return _compact(obj)
+    if variant == "bad_attr":
+        obj["attrs"] = dict(obj["attrs"], **{draw(_tricky): draw(_not_strings)})
+        return _compact(obj)
+    if variant == "missing_member":
+        del obj[draw(st.sampled_from(_MEMBERS))]
+        return _compact(obj)
+    return line
+
+
+_LINE = '{"id":1,"ts":5,"host":"h","type":"logon","actor":"a","attrs":{"k":"v"}}'
+
+
+@given(line=_lines())
+# the scanner rejects these; json.loads parses the first and names the rest
+@example(line=" \t" + _LINE)
+@example(line=_LINE + "\x0b")
+@example(line=_LINE + _LINE)
+@example(line=_LINE + "\n" + _LINE)
+@example(line=_LINE[:-3])
+@example(line="")
+@example(line="\n")
+@example(line="\ufeff" + _LINE)
+@example(line='{"id":1,"ts":2,}')
+# the scanner reads these, then a member check rejects them
+@example(line=_LINE + " \r\n")
+@example(line=_LINE.replace('"id":1', '"id":true'))
+@example(line=_LINE.replace('"ts":5', '"ts":5.0'))
+@example(line=_LINE.replace('"actor":"a"', '"actor":5'))
+@example(line=_LINE.replace('"host":"h"', '"host":["x"]'))
+@example(line=_LINE.replace('"v"', 'null'))
+@settings(max_examples=500)
+def test_decode_matches_reference(line):
+    try:
+        want = decode_event_ref(line, EVENT_TYPES)
+    except RefDecodeError as ref:
+        with pytest.raises(DecodeError) as got:
+            decode_event(line)
+        assert got.value.offset == ref.offset
+        return
+    e = decode_event(line)
+    assert (e.id, e.ts, e.source_host, e.event_type, e.actor, e.attributes) == want
+
+
+@given(e=_events)
+@settings(max_examples=300)
+def test_encode_equals_json_dumps(e):
+    assert encode_event(e) == _compact(_as_dict(e))
+

@@ -302,3 +302,15 @@ def test_prefilter_equals_postfilter(tmp_path_factory, rules, events):
            if accepted(e)]
     assert got == expected
     assert store.rows_scanned == 2 * scanned == 2 * len(events)
+
+
+def test_query_counts_a_consumer_that_stops_early(tmp_path):
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    store.append(_mk(i, 100 * i) for i in range(1, 8))
+    rows = store.query_all(prefilter=lambda line: '"id":2,' not in line)
+    assert [next(rows).id, next(rows).id, next(rows).id, next(rows).id] == [1, 3, 4, 5]
+    rows.close()
+    assert (store.rows_scanned, store.rows_skipped) == (5, 1)
+    assert [e.id for e in store.query(200, 500)] == [2, 3, 4]
+    # the query stops at the first row past t1, in the second segment
+    assert (store.rows_scanned, store.rows_skipped) == (5 + 5, 1)
