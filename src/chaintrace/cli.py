@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -347,6 +348,22 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _at_least(convert, low: int, what: str):
+    """An argparse type: ``convert(text)``, finite and at least ``low``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_window_secs = _at_least(int, 1, "an integer > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="chaintrace")
     # each command's ``outputs`` names the arguments whose files it writes;
@@ -366,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", help="JSON SimConfig overrides")
     sp.add_argument("--attack", type=lambda v: v.lower() in ("1", "true", "yes"),
                     default=None)
-    sp.add_argument("--expand-factor", type=float, default=1.0)
+    sp.add_argument("--expand-factor", default=1.0,
+                    type=_at_least(float, 1, "a finite number >= 1"))
     sp.add_argument("--out", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--raw", help="also write raw source lines here")
@@ -405,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.add_argument("--nu", type=float, default=0.05)
     sp.add_argument("--gamma", type=float, default=None)
-    sp.add_argument("--window-secs", type=int, default=3600)
+    sp.add_argument("--window-secs", type=_window_secs, default=3600)
     sp.add_argument("--source-set", choices=sorted(feats.SOURCE_SETS),
                     default="combined")
     sp.set_defaults(func=cmd_train, outputs=("out",))
@@ -415,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--window-secs", type=int, default=3600)
+    sp.add_argument("--window-secs", type=_window_secs, default=3600)
     sp.set_defaults(func=cmd_score, outputs=("out",))
 
     sp = sub.add_parser("metrics", help="compare scored windows to ground truth")
@@ -424,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--events", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--window-secs", type=int, default=3600)
+    sp.add_argument("--window-secs", type=_window_secs, default=3600)
     sp.set_defaults(func=cmd_metrics, outputs=("out",))
 
     sp = sub.add_parser("reveal", help="re-identify a pseudonym token")

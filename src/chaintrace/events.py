@@ -90,18 +90,22 @@ def _parse(text: str):
 
     The scanner reads a value that starts at offset 0 and is followed by
     JSON whitespace only; anything else (leading whitespace, extra data,
-    bad JSON) goes to json.loads, which parses it or names the fault.
+    bad JSON) goes to json.loads, which parses it or names the fault. An
+    integer past Python's digit limit or nesting past its recursion limit
+    is a DecodeError too.
     """
     try:
         obj, end = _scan_once(text, 0)
         if end == len(text) or not text[end:].strip(_JSON_WS):
             return obj
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         pass
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"invalid JSON: {exc.msg}", exc.pos) from exc
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep
+        raise DecodeError(f"unreadable JSON: {exc}", 0) from exc
 
 
 def decode_event(text: str) -> LogEvent:

@@ -1,11 +1,19 @@
 """Directed property graph over hosts, users and events, plus the layered
-sequence-rule engine that aggregates events into event-sequence nodes.
+sequence rules that aggregate events into event-sequence nodes.
 
 Rule semantics: within one (rule, group key), members accumulate greedily
 from the earliest unconsumed item; the window is anchored at the first
 member, absorbs further members (loop) until the window or the loop cap
 is exhausted, and emits a sequence node when at least ``min_count``
 members were gathered. Membership never overlaps within one rule.
+
+Numbering: one apply_rules call makes its sequence nodes layer by layer
+and numbers them ``seq:<rule id>:<n>`` with one counter over all rules,
+in (layer, rule id, t_start, first member) order. The first member is
+compared as a string: an event id on layer 1 (``"10"`` before ``"9"``),
+a lower node id above it (``seq:a:10`` before ``seq:a:9``). A higher
+layer reads the lower nodes in (t_start, n) order, so nodes tied on
+t_start meet its windows in the order they were numbered.
 """
 
 from __future__ import annotations
@@ -43,39 +51,26 @@ class Edge:
 
 
 class PropertyGraph:
-    """Adjacency-indexed directed graph; both edge directions indexed."""
+    """Nodes by id and a set of distinct directed edges."""
 
     def __init__(self):
         self.nodes: dict[str, Node] = {}
-        self.out_edges: dict[str, list[Edge]] = {}
-        self.in_edges: dict[str, list[Edge]] = {}
         self._edge_set: set[Edge] = set()
         self.event_count = 0
         self.rule_skips = 0
-        self.applied_rules: set[str] = set()
 
     def add_node(self, node: Node) -> Node:
-        existing = self.nodes.get(node.id)
-        if existing is not None:
-            return existing
-        self.nodes[node.id] = node
-        self.out_edges[node.id] = []
-        self.in_edges[node.id] = []
-        return node
+        """Add ``node``, or return the node already holding its id."""
+        return self.nodes.setdefault(node.id, node)
 
     def add_edge(self, src: str, dst: str, kind: str) -> None:
         if src not in self.nodes or dst not in self.nodes:
             raise KeyError(f"edge {src} -> {dst} references missing node")
-        edge = Edge(src, dst, kind)
-        if edge in self._edge_set:
-            return
-        self._edge_set.add(edge)
-        self.out_edges[src].append(edge)
-        self.in_edges[dst].append(edge)
+        self._edge_set.add(Edge(src, dst, kind))
 
     def edges(self) -> Iterable[Edge]:
-        for lst in self.out_edges.values():
-            yield from lst
+        """Every edge once, in no particular order."""
+        return iter(self._edge_set)
 
     def edge_count(self) -> int:
         return len(self._edge_set)
@@ -128,10 +123,7 @@ def build_graph(events: Iterable[LogEvent]) -> PropertyGraph:
             if e.event_type in ("fw_conn", "http_request"):
                 g.add_edge(host.id, _host_id(dst_ip), "connects_to")
 
-        ev = g.add_node(Node(
-            _event_id(e.id), "event", e.event_type,
-            {"ts": e.ts, "event": e},
-        ))
+        ev = g.add_node(Node(_event_id(e.id), "event", e.event_type, {"ts": e.ts}))
         g.add_edge(ev.id, host.id, "caused_by")
         g.add_edge(ev.id, user.id, "caused_by")
         prev = prev_event_per_host.get(host.id)
@@ -236,14 +228,13 @@ def validate_rules(rules: list[SequenceRule]) -> list[SequenceRule]:
     return rules
 
 
-@dataclass
+@dataclass(slots=True)
 class SeqItem:
-    """One matchable item: a raw event or an emitted sequence node."""
+    """One matchable item: a raw event or a lower sequence node."""
 
     ts: int  # anchor timestamp (t_start for sequences)
     t_end: int
     ref: int | str  # LogEvent id or sequence node id
-    group: dict[str, str]
 
 
 def _take_window(
@@ -282,107 +273,49 @@ def greedy_windows(
     return out
 
 
-class RuleEngine:
-    """Streaming layer-1 matcher plus offline higher-layer application."""
+class _Windower:
+    """The greedy windows of one rule over items offered in ts order, one
+    deque per group key. A head window is closed once an offered item
+    falls outside it; ``flush`` closes the rest."""
 
-    def __init__(self, rules: list[SequenceRule]):
-        self.rules = validate_rules(rules)
-        self.layer1 = [r for r in self.rules if r.layer == 1]
-        self.higher = sorted(
-            (r for r in self.rules if r.layer > 1), key=lambda r: (r.layer, r.id)
-        )
-        self._by_type: dict[str, list[SequenceRule]] = {}
-        for r in self.layer1:
-            self._by_type.setdefault(r.input_kind, []).append(r)
-        # (rule id, group key) -> pending items, ts-ascending
-        self._buffers: dict[tuple[str, tuple[str, ...]], deque[SeqItem]] = {}
-        self._emitted: dict[str, list[tuple[SequenceRule, list[SeqItem], dict[str, str]]]] = {}
-        self.skips = 0
+    __slots__ = ("rule", "where", "window_ns", "buffers", "windows", "skips")
 
-    @staticmethod
-    def _group_of(rule: SequenceRule, e: LogEvent) -> dict[str, str] | None:
-        group: dict[str, str] = {}
-        for f in rule.group_by:
-            if f == "source_host":
-                v = e.source_host
-            elif f == "actor":
-                v = e.actor
-            else:
-                v = e.attributes.get("dst_ip", "")
-            if not v:
-                return None
-            group[f] = v
-        return group
+    def __init__(self, rule: SequenceRule):
+        self.rule = rule
+        self.where = tuple(rule.where.items())
+        self.window_ns = int(rule.window * NS)
+        self.buffers: dict[tuple[str, ...], deque[SeqItem]] = {}
+        self.windows: list[tuple[tuple[str, ...], list[SeqItem]]] = []
+        self.skips = 0  # items that passed ``where`` but lack a group_by field
 
-    def feed(self, e: LogEvent) -> None:
-        for rule in self._by_type.get(e.event_type, ()):
-            if any(e.attributes.get(k) != v for k, v in rule.where.items()):
-                continue
-            group = self._group_of(rule, e)
-            if group is None:
-                self.skips += 1
-                continue
-            key = (rule.id, tuple(group[f] for f in rule.group_by))
-            buf = self._buffers.setdefault(key, deque())
-            buf.append(SeqItem(ts=e.ts, t_end=e.ts, ref=e.id, group=group))
-            window_ns = int(rule.window * NS)
-            # drain completed prefixes: the head window is closed once the
-            # newest item falls outside it
-            while buf and e.ts - buf[0].ts > window_ns:
-                self._drain(rule, buf, window_ns)
+    def offer(self, attrs: dict, fields: dict, item: SeqItem) -> None:
+        """Offer ``item``; ``where`` tests ``attrs``, group_by reads ``fields``."""
+        for k, v in self.where:
+            if attrs.get(k) != v:
+                return
+        key = tuple(fields.get(f, "") for f in self.rule.group_by)
+        if not all(key):
+            self.skips += 1
+            return
+        buf = self.buffers.get(key)
+        if buf is None:
+            buf = self.buffers[key] = deque()
+        buf.append(item)
+        while buf and item.ts - buf[0].ts > self.window_ns:
+            self._close(key, buf)
 
-    def _drain(self, rule: SequenceRule, buf: deque[SeqItem], window_ns: int) -> None:
-        members = _take_window(buf, window_ns, rule.min_count, rule.max_count)
+    def _close(self, key: tuple[str, ...], buf: deque[SeqItem]) -> None:
+        members = _take_window(buf, self.window_ns, self.rule.min_count,
+                               self.rule.max_count)
         if members is not None:
-            self._emit(rule, members)
+            self.windows.append((key, members))
 
-    def finish(self) -> None:
-        """Flush remaining buffers and apply higher-layer rules."""
-        for key in sorted(self._buffers):
-            rule = next(r for r in self.layer1 if r.id == key[0])
-            buf = self._buffers[key]
-            window_ns = int(rule.window * NS)
+    def flush(self) -> list[tuple[tuple[str, ...], list[SeqItem]]]:
+        """Every window of the rule, as (group key, members)."""
+        for key, buf in self.buffers.items():
             while buf:
-                self._drain(rule, buf, window_ns)
-        self._buffers.clear()
-
-        for rule in self.higher:
-            produced = self._emitted.get(rule.input_kind, [])
-            items: dict[tuple[str, ...], list[SeqItem]] = {}
-            for _src_rule, members, group in produced:
-                sub = {}
-                ok = True
-                for f in rule.group_by:
-                    if f not in group:
-                        ok = False
-                        break
-                    sub[f] = group[f]
-                if not ok:
-                    self.skips += 1
-                    continue
-                if any(group.get(k) != v for k, v in rule.where.items()):
-                    continue
-                key = tuple(sub[f] for f in rule.group_by)
-                items.setdefault(key, []).append(SeqItem(
-                    ts=members[0].ts,
-                    t_end=members[-1].t_end,
-                    ref=("pending", rule.input_kind, id(members)),
-                    group=sub,
-                ))
-            window_ns = int(rule.window * NS)
-            for key in sorted(items):
-                lst = sorted(items[key], key=lambda s: s.ts)
-                for members in greedy_windows(
-                    lst, window_ns, rule.min_count, rule.max_count
-                ):
-                    self._emit(rule, members)
-
-    def _emit(self, rule: SequenceRule, members: list[SeqItem]) -> None:
-        group = dict(members[0].group)
-        self._emitted.setdefault(rule.emit, []).append((rule, members, group))
-
-    def results(self) -> dict[str, list[tuple[SequenceRule, list[SeqItem], dict[str, str]]]]:
-        return self._emitted
+                self._close(key, buf)
+        return self.windows
 
 
 def line_prefilter(rules: list[SequenceRule]) -> Callable[[str], bool]:
@@ -436,56 +369,60 @@ def apply_rules(
     rules: list[SequenceRule],
     events: Iterable[LogEvent],
 ) -> PropertyGraph:
-    """Apply sequence rules to a time-sorted stream in ascending layer
-    order, adding sequence nodes to ``graph``; idempotent.
+    """Apply sequence rules to a time-sorted stream, adding their sequence
+    nodes to ``graph`` layer by layer, numbered as the module docstring
+    says; a second call on the same stream adds no node or edge.
 
     Event nodes, where ``graph`` holds them, gain member_of edges.
     """
-    pending = [r for r in rules if r.id not in graph.applied_rules]
-    if not pending:
-        return graph
-    engine = RuleEngine(pending)
+    validate_rules(rules)
+    by_type: dict[str, list[_Windower]] = {}
+    for r in rules:
+        if r.layer == 1:
+            by_type.setdefault(r.input_kind, []).append(_Windower(r))
     for e in _in_order(events):
-        engine.feed(e)
-    engine.finish()
-    graph.rule_skips += engine.skips
+        offered = by_type.get(e.event_type)
+        if offered:
+            fields = {"source_host": e.source_host, "actor": e.actor,
+                      "dst_ip": e.attributes.get("dst_ip", "")}
+            item = SeqItem(e.ts, e.ts, e.id)
+            for w in offered:
+                w.offer(e.attributes, fields, item)
 
-    # materialize sequence nodes deterministically
-    seq_counter = 0
-    node_of_members: dict[int, str] = {}
-    all_seqs: list[tuple[SequenceRule, list[SeqItem], dict[str, str]]] = []
-    for emit_type in sorted(engine.results()):
-        all_seqs.extend(engine.results()[emit_type])
-    all_seqs.sort(key=lambda t: (t[0].layer, t[0].id, t[1][0].ts,
-                                 str(t[1][0].ref)))
-    for rule, members, group in all_seqs:
-        seq_counter += 1
-        node_id = f"seq:{rule.id}:{seq_counter}"
-        node_of_members[id(members)] = node_id
-        member_refs = []
-        for item in members:
-            if isinstance(item.ref, tuple) and item.ref[0] == "pending":
-                member_refs.append(node_of_members[item.ref[2]])
-            else:
-                member_refs.append(item.ref)
-        graph.add_node(Node(node_id, "sequence", rule.emit, {
-            "rule": rule.id,
-            "layer": rule.layer,
-            "type": rule.emit,
-            "group": group,
-            "members": member_refs,
-            "t_start": members[0].ts,
-            "t_end": max(m.t_end for m in members),
-        }))
-        for ref in member_refs:
-            if isinstance(ref, int):
-                ev_node = _event_id(ref)
-                if ev_node in graph.nodes:
-                    graph.add_edge(ev_node, node_id, "member_of")
-            else:
-                graph.add_edge(ref, node_id, "member_of")
-    for r in pending:
-        graph.applied_rules.add(r.id)
+    made: dict[str, list[Node]] = {}  # emitted type -> its nodes, numbered order
+    windowers = [w for ws in by_type.values() for w in ws]
+    n = 0
+    for layer in sorted({r.layer for r in rules}):
+        if layer > 1:
+            windowers = [_Windower(r) for r in rules if r.layer == layer]
+            for w in windowers:
+                lower = made.get(w.rule.input_kind, [])
+                for node in sorted(lower, key=lambda node: node.attributes["t_start"]):
+                    a = node.attributes
+                    w.offer(a["group"], a["group"],
+                            SeqItem(a["t_start"], a["t_end"], node.id))
+        found = sorted(
+            ((w.rule, key, members) for w in windowers for key, members in w.flush()),
+            key=lambda f: (f[0].id, f[2][0].ts, str(f[2][0].ref)),
+        )
+        for rule, key, members in found:
+            n += 1
+            refs = [m.ref for m in members]
+            node = graph.add_node(Node(f"seq:{rule.id}:{n}", "sequence", rule.emit, {
+                "rule": rule.id,
+                "layer": rule.layer,
+                "type": rule.emit,
+                "group": dict(zip(rule.group_by, key)),
+                "members": refs,
+                "t_start": members[0].ts,
+                "t_end": max(m.t_end for m in members),
+            }))
+            made.setdefault(rule.emit, []).append(node)
+            for ref in refs:
+                member = _event_id(ref) if isinstance(ref, int) else ref
+                if member in graph.nodes:
+                    graph.add_edge(member, node.id, "member_of")
+        graph.rule_skips += sum(w.skips for w in windowers)
     return graph
 
 

@@ -28,7 +28,7 @@ from chaintrace.features import (
     matrix_of,
     standardize,
 )
-from chaintrace.graph import PropertyGraph, apply_rules, build_graph
+from chaintrace.graph import apply_rules, build_graph
 from chaintrace.killchain import (
     EXIT_FULL,
     EXIT_NO_ALERT,
@@ -125,7 +125,7 @@ def test_acceptance_05_usb_delivery_variant(default_rules, default_model, capfd)
         assert full[0].matched["delivery"].variant_id == "2.2"
 
 
-def test_acceptance_06_five_million_events(tmp_path, default_rules, default_model, capfd):
+def test_acceptance_06_five_million_events(tmp_path, capfd):
     from chaintrace.store import EventStore
 
     with criterion(6, capfd):
@@ -139,12 +139,14 @@ def test_acceptance_06_five_million_events(tmp_path, default_rules, default_mode
         store.close()
         assert store.count() >= target
 
-        store = EventStore(str(tmp_path / "bigstore"))
-        graph = apply_rules(PropertyGraph(), default_rules, store.query_all())
-        matches = match_killchain(graph, default_model)
-        full = [m for m in matches if m.status == STATUS_FULL]
-        assert any(m.victim_host == truth.victim_host for m in full)
-        assert exit_code_for(matches) == EXIT_FULL
+        # the detect path the CLI ships, store prefilter included
+        report = tmp_path / "report.jsonl"
+        rc = main(["detect", "--store", str(tmp_path / "bigstore"),
+                   "--out", str(report)])
+        rows = [json.loads(line) for line in report.read_text().splitlines()]
+        full = [r for r in rows if r["status"] == STATUS_FULL]
+        assert any(r["victim"] == truth.victim_host for r in full)
+        assert rc == EXIT_FULL
 
         elapsed = time.monotonic() - t0
         peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20)

@@ -398,3 +398,45 @@ def test_manifest_outputs_are_the_command_outputs(workdir, model_file):
                  "--out", "scored.jsonl"]) == 0
     score = json.loads((workdir / "manifest.score.json").read_text())
     assert list(score["outputs"]) == ["scored.jsonl"]
+
+
+@pytest.mark.parametrize("value", ["1" * 5000, "[" * 100_000],
+                         ids=["digits", "nesting"])
+def test_unreadable_json_value_is_error(workdir, capsys, value):
+    # an integer past Python's 4,300-digit limit, or nesting past its
+    # recursion limit, makes json raise a plain ValueError or RecursionError
+    line = ('{"id":1,"ts":5,"host":"h","type":"logon","actor":"a","attrs":'
+            + value + "}")
+    (workdir / "events.jsonl").write_text(line + "\n")
+    rc = main(["detect", "--events", "events.jsonl", "--out", "r.jsonl"])
+    assert rc == EXIT_ERROR
+    assert "unreadable JSON" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("train", "--window-secs", "0"),
+    ("train", "--window-secs", "1.5"),
+    ("score", "--window-secs", "-60"),
+    ("metrics", "--window-secs", "0"),
+    ("simulate", "--expand-factor", "0.5"),
+    ("simulate", "--expand-factor", "nan"),
+])
+def test_number_out_of_range_is_usage_error(workdir, capsys, model_file,
+                                            command, flag, value):
+    assert main(["score", "--events", "clean.jsonl", "--model", model_file,
+                 "--out", "scored.jsonl"]) == 0
+    capsys.readouterr()
+    argv = {
+        "train": ["train", "--events", "clean.jsonl", "--out", "m2.json"],
+        "score": ["score", "--events", "clean.jsonl", "--model", model_file,
+                  "--out", "s2.jsonl"],
+        "metrics": ["metrics", "--scored", "scored.jsonl", "--events", "clean.jsonl",
+                    "--truth", "clean-truth.tsv", "--out", "m2.json"],
+        "simulate": ["simulate", "--out", "s2.jsonl", "--truth", "t2.tsv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err and "Traceback" not in err
+    assert not any((workdir / name).exists() for name in ("m2.json", "s2.jsonl"))

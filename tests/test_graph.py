@@ -117,7 +117,7 @@ def test_layer2_sequences_reference_layer1(case_study, default_rules):
 
 def _items(ts_list):
     return [
-        SeqItem(ts=t, t_end=t, ref=i, group={}) for i, t in enumerate(ts_list)
+        SeqItem(ts=t, t_end=t, ref=i) for i, t in enumerate(ts_list)
     ]
 
 
@@ -206,6 +206,133 @@ def test_streaming_equals_offline(case_study, default_rules):
     g_seq = apply_rules(PropertyGraph(), default_rules, events)
     assert [(n.id, n.attributes) for n in g_full.sequences()] \
         == [(n.id, n.attributes) for n in g_seq.sequences()]
+
+
+def _number(node_id):
+    return int(node_id.rsplit(":", 1)[1])
+
+
+def test_sequence_numbering_is_deterministic():
+    # 20 hosts burst at the same seconds, so every layer-1 node ties on
+    # t_start, and so does every layer-2 node above them
+    events, eid = [], 0
+    for t in range(3):
+        for h in range(20):
+            eid += 1
+            events.append(_ev(eid, t, host=f"ws{h:03d}"))
+    rules = [
+        _rule(id="burst", emit="burst"),
+        _rule(id="per_host", layer=2, input_kind="burst", min_count=1, emit="host_run"),
+        _rule(id="all", layer=2, input_kind="burst", group_by=[], min_count=1,
+              max_count=3, emit="run"),
+    ]
+
+    def run():
+        g = apply_rules(PropertyGraph(), rules, events)
+        return [(n.id, n.attributes) for n in g.sequences()]
+
+    first = run()
+    # differently sized allocations held between the runs move later objects
+    ballast = [bytearray(size) for size in (16, 4096, 1 << 20)]
+    ballast += [[None] * k for k in range(300)]
+    assert run() == first
+    del ballast
+
+    # the documented order: n counts (layer, rule id, t_start, first member
+    # as a string) ...
+    nodes = sorted(first, key=lambda item: _number(item[0]))
+    keys = [(a["layer"], a["rule"], a["t_start"], str(a["members"][0])) for _, a in nodes]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys) == 20 + 20 + 7
+    assert [_number(nid) for nid, _ in nodes] == list(range(1, 48))
+    # ... and a higher layer reads the lower nodes in (t_start, n) order
+    runs = [a["members"] for _, a in first if a["rule"] == "all"]
+    assert sorted(sum(runs, []), key=_number) == [f"seq:burst:{n}" for n in range(1, 21)]
+    assert sorted(runs, key=lambda m: _number(m[0])) == [
+        [f"seq:burst:{n}" for n in range(k, min(k + 3, 21))] for k in range(1, 21, 3)
+    ]
+
+
+_KINDS = ("file_read", "file_write", "usb_insert")
+
+
+@given(
+    steps=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),  # gap in seconds
+            st.integers(min_value=0, max_value=2),  # host
+            st.integers(min_value=0, max_value=1),  # actor
+            st.integers(min_value=0, max_value=2),  # index into _KINDS
+        ),
+        max_size=40,
+    ),
+    window=st.integers(min_value=1, max_value=90),
+    min_count=st.integers(min_value=1, max_value=4),
+    max_count=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+)
+@example(steps=[(0, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 0)],
+         window=10, min_count=1, max_count=2)  # ties inside one layer-2 key
+@example(steps=[(0, 0, 0, 1), (5, 0, 0, 0)],
+         window=10, min_count=1, max_count=1)  # two lower rules, one key
+@settings(max_examples=200, deadline=None)
+def test_layer2_windows_match_scan_oracle(steps, window, min_count, max_count):
+    if max_count is not None and max_count < min_count:
+        max_count = min_count
+    events, t = [], 0
+    for i, (gap, host, actor, kind) in enumerate(steps, 1):
+        t += gap
+        events.append(_ev(i, t, _KINDS[kind], host=f"ws{host}", actor=f"u{actor}"))
+    # every event is its own layer-1 node of type "step"; rule s's nodes
+    # lack source_host, so the layer-2 rule skips them
+    one = dict(min_count=1, max_count=1, emit="step")
+    rules = [
+        _rule(id="a", group_by=["source_host", "actor"], **one),
+        _rule(id="b", input_kind="file_write", **one),
+        _rule(id="s", input_kind="usb_insert", group_by=["actor"], **one),
+        _rule(id="c", layer=2, input_kind="step", window=float(window),
+              min_count=min_count, max_count=max_count, emit="chain"),
+    ]
+    g = apply_rules(PropertyGraph(), rules, events)
+    node_of = {n.attributes["members"][0]: n.id
+               for n in g.sequences() if n.attributes["layer"] == 1}
+    got: dict[str, list] = {}
+    for n in g.sequences():
+        if n.attributes["rule"] == "c":
+            got.setdefault(n.attributes["group"]["source_host"], []).append(
+                n.attributes["members"])
+    want: dict[str, list] = {}
+    for host in {e.source_host for e in events}:
+        # the lower nodes in (t_start, n) order: n counts rule a's nodes
+        # before rule b's, and ties within a rule by the event id as a string
+        lower = sorted((e for e in events if e.source_host == host
+                        and e.event_type != "usb_insert"),
+                       key=lambda e: (e.ts, e.event_type, str(e.id)))
+        groups = window_scan_ref([e.ts for e in lower], window * NS,
+                                 min_count, max_count)
+        if groups:
+            want[host] = [[node_of[lower[i].id] for i in grp] for grp in groups]
+    assert {h: sorted(m) for h, m in got.items()} == {h: sorted(m) for h, m in want.items()}
+    assert g.rule_skips == sum(e.event_type == "usb_insert" for e in events)
+
+
+def test_higher_layer_t_end_spans_members():
+    # u0's burst starts first and ends last, so the layer-2 run ends with
+    # it, not with its last-started member; the layer-3 node spans the run
+    events = [_ev(1, 0, actor="u0"), _ev(2, 10, actor="u1"),
+              _ev(3, 20, actor="u1"), _ev(4, 50, actor="u0")]
+    rules = [
+        _rule(id="burst", group_by=["source_host", "actor"], emit="burst"),
+        _rule(id="run", layer=2, input_kind="burst", min_count=2, emit="run"),
+        _rule(id="campaign", layer=3, input_kind="run", min_count=1, emit="campaign"),
+    ]
+    g = apply_rules(build_graph(events), rules, events)
+    ts_of = {e.id: e.ts for e in events}
+    for n in g.sequences():
+        a = n.attributes
+        ends = [ts_of[m] if a["layer"] == 1 else g.nodes[m].attributes["t_end"]
+                for m in a["members"]]
+        assert a["t_end"] == max(ends), n.id
+    campaign = [n for n in g.sequences() if n.attributes["layer"] == 3]
+    assert [n.attributes["t_end"] for n in campaign] == [50 * NS]
 
 
 # --- rule validation ---
