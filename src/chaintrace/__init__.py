@@ -2,24 +2,3 @@
 
 Pipeline: simulate -> ingest -> pseudonymize -> detect -> train/score.
 """
-
-from .events import LogEvent, RawLine, decode_event, encode_event, parse_raw_line
-from .store import EventStore
-from .simulate import SimConfig, GroundTruth, simulate, expand_with_noise
-from .graph import PropertyGraph, SequenceRule, build_graph, apply_rules, export_graph
-from .killchain import KillChainModel, ChainMatch, load_killchain, match_killchain
-from .vault import PseudonymVault, create_vault
-from .ocsvm import OneClassSvmModel, fit, train_ocsvm
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "LogEvent", "RawLine", "decode_event", "encode_event", "parse_raw_line",
-    "EventStore",
-    "SimConfig", "GroundTruth", "simulate", "expand_with_noise",
-    "PropertyGraph", "SequenceRule", "build_graph", "apply_rules", "export_graph",
-    "KillChainModel", "ChainMatch", "load_killchain", "match_killchain",
-    "PseudonymVault", "create_vault",
-    "OneClassSvmModel", "fit", "train_ocsvm",
-    "__version__",
-]

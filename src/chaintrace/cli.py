@@ -20,7 +20,8 @@ from importlib import resources
 from . import features as feats
 from . import ocsvm
 from .errors import ChaintraceError, MalformedLine
-from .events import LogEvent, decode_event, encode_event, parse_raw_line, RawLine, render_raw_line
+from .events import (RawLine, decode_event, encode_event, parse_raw_line,
+                     render_raw_line, utf8_fault)
 from .graph import (
     PropertyGraph,
     apply_rules,
@@ -124,9 +125,12 @@ class _EventFile:
 
     def __iter__(self):
         with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                self.rows_scanned += 1
-                yield decode_event(line)
+            try:
+                for line in fh:
+                    self.rows_scanned += 1
+                    yield decode_event(line)
+            except UnicodeDecodeError:
+                raise utf8_fault(self.path) from None
 
 
 def _input_events(args: argparse.Namespace, prefilter=None):
@@ -177,12 +181,16 @@ def cmd_ingest(args) -> int:
         def raw_stream():
             with open(args.events, "r", encoding="utf-8") as fh:
                 next_id = store.last_id + 1
-                for lineno, line in enumerate(fh, 1):
-                    kind, tab, text = line.rstrip("\n").partition("\t")
-                    if not tab:
-                        raise MalformedLine(f"line {lineno}: no tab after the source kind")
-                    yield parse_raw_line(RawLine(kind, text), next_id)
-                    next_id += 1
+                try:
+                    for lineno, line in enumerate(fh, 1):
+                        kind, tab, text = line.rstrip("\n").partition("\t")
+                        if not tab:
+                            raise MalformedLine(
+                                f"line {lineno}: no tab after the source kind")
+                        yield parse_raw_line(RawLine(kind, text), next_id)
+                        next_id += 1
+                except UnicodeDecodeError:
+                    raise utf8_fault(args.events) from None
         stream = raw_stream()
     n = store.append(stream)
     store.close()
@@ -370,16 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     # the manifest hashes those
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--seed", type=int, default=None)
-
     def add_input(sp):
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument("--store")
         src.add_argument("--events")
 
     sp = sub.add_parser("simulate", help="generate an event stream + ground truth")
-    add_common(sp)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--config", help="JSON SimConfig overrides")
     sp.add_argument("--attack", type=lambda v: v.lower() in ("1", "true", "yes"),
                     default=None)
@@ -391,14 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simulate, outputs=("out", "truth", "raw"))
 
     sp = sub.add_parser("ingest", help="append an event file to a store")
-    add_common(sp)
     sp.add_argument("--store", required=True)
     sp.add_argument("--events", required=True)
     sp.add_argument("--format", choices=("canonical", "raw"), default="canonical")
     sp.set_defaults(func=cmd_ingest, outputs=())
 
     sp = sub.add_parser("pseudonymize", help="tokenize identity fields")
-    add_common(sp)
     sp.add_argument("--events", required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--vault", required=True)
@@ -408,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_pseudonymize, outputs=("out",))
 
     sp = sub.add_parser("detect", help="kill-chain detection over a store")
-    add_common(sp)
     add_input(sp)
     sp.add_argument("--rules")
     sp.add_argument("--killchain")
@@ -418,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_detect, outputs=("out", "export"))
 
     sp = sub.add_parser("train", help="train the one-class SVM on clean windows")
-    add_common(sp)
     add_input(sp)
     sp.add_argument("--out", required=True)
     sp.add_argument("--nu", type=float, default=0.05)
@@ -429,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_train, outputs=("out",))
 
     sp = sub.add_parser("score", help="score user windows against a model")
-    add_common(sp)
     add_input(sp)
     sp.add_argument("--model", required=True)
     sp.add_argument("--out", required=True)
@@ -437,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_score, outputs=("out",))
 
     sp = sub.add_parser("metrics", help="compare scored windows to ground truth")
-    add_common(sp)
     sp.add_argument("--scored", required=True)
     sp.add_argument("--events", required=True)
     sp.add_argument("--truth", required=True)
@@ -446,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_metrics, outputs=("out",))
 
     sp = sub.add_parser("reveal", help="re-identify a pseudonym token")
-    add_common(sp)
     sp.add_argument("--vault", required=True)
     sp.add_argument("--token", required=True)
     sp.add_argument("--share", action="append", required=True,
@@ -454,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_reveal, outputs=())
 
     sp = sub.add_parser("export", help="export the event graph")
-    add_common(sp)
     add_input(sp)
     sp.add_argument("--rules")
     sp.add_argument("--out", required=True)

@@ -46,15 +46,6 @@ class LogEvent:
         if self.event_type not in EVENT_TYPES:
             raise ValueError(f"unknown event_type {self.event_type!r}")
 
-    def attr_int(self, key: str, default: int | None = None) -> int:
-        """Base-10 integer view of an attribute; errors on garbage."""
-        raw = self.attributes.get(key)
-        if raw is None:
-            if default is None:
-                raise KeyError(key)
-            return default
-        return int(raw, 10)
-
 
 @dataclass(frozen=True)
 class RawLine:
@@ -133,6 +124,18 @@ def decode_event(text: str) -> LogEvent:
         if type(value) is not str:
             raise DecodeError("attrs must map strings to strings", 0)
     return LogEvent(eid, ts, host, etype, actor, attrs)
+
+
+def utf8_fault(path: str) -> DecodeError:
+    """The DecodeError naming the first line of ``path`` that is not UTF-8;
+    readers call it once their text decoder has failed."""
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return DecodeError(f"{path}: line {lineno} is not UTF-8", exc.start)
+    return DecodeError(f"{path}: not UTF-8")
 
 
 # --- raw source grammars ---

@@ -19,6 +19,7 @@ t_start meet its windows in the order they were numbered.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
@@ -150,6 +151,9 @@ class SequenceRule:
     def validate(self) -> None:
         if self.layer < 1:
             raise UnknownInputKind(f"rule {self.id}: layer must be >= 1")
+        if not (self.window > 0 and math.isfinite(self.window * NS)):
+            raise UnknownInputKind(
+                f"rule {self.id}: window must be finite and > 0, got {self.window}")
         if self.min_count < 1:
             raise UnknownInputKind(f"rule {self.id}: min_count must be >= 1")
         if self.max_count is not None and self.max_count < self.min_count:
@@ -181,17 +185,6 @@ class SequenceRule:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed sequence rule: {exc}") from exc
         return rule
-
-    def to_dict(self) -> dict:
-        d = {
-            "id": self.id, "layer": self.layer, "input_kind": self.input_kind,
-            "where": self.where, "group_by": self.group_by,
-            "window": self.window, "min_count": self.min_count,
-            "emit": self.emit,
-        }
-        if self.max_count is not None:
-            d["max_count"] = self.max_count
-        return d
 
 
 def load_rules(path: str) -> list[SequenceRule]:

@@ -19,6 +19,8 @@ EXIT_NO_ALERT = 0
 EXIT_PARTIAL = 3
 EXIT_FULL = 4
 
+_LATEST = 1 << 62  # later than any t_start
+
 
 @dataclass
 class Variant:
@@ -130,77 +132,53 @@ class ChainMatch:
 def match_killchain(graph: PropertyGraph, model: KillChainModel) -> list[ChainMatch]:
     """Bind event sequences to kill-chain elements, one match per victim.
 
-    Greedy earliest binding: elements are visited in attack order; per
-    element the first variant owning an eligible sequence wins, and among
-    its candidates the earliest t_start is chosen. A sequence binds at
-    most once across all matches.
+    Each victim (a sequence's ``source_host``) keeps its unbound sequences
+    in (t_start, id) order, ids compared as strings. Required elements bind
+    in attack order, each at or after the previous binding; then optional
+    ones bind between their bound neighbours, so they never displace a
+    required one. An element binds the earliest sequence in range that its
+    first variant with any accepts, linked to a ``kc:<element id>`` node.
     """
-    seqs = graph.sequences()
-    by_host: dict[str, list[Node]] = {}
-    for s in seqs:
+    waiting: dict[str, list[Node]] = {}
+    for s in graph.sequences():  # in (t_start, id) order
         host = s.attributes["group"].get("source_host")
         if host:
-            by_host.setdefault(host, []).append(s)
-
-    consumed: set[str] = set()
-    matches: list[ChainMatch] = []
+            waiting.setdefault(host, []).append(s)
     required = model.required_ids()
-
-    def bind(element: Element, host_seqs: list[Node],
-             lo: int, hi: int) -> tuple[Node, str] | None:
-        for variant in element.variants:
-            candidates = [
-                s for s in host_seqs
-                if s.attributes["type"] in variant.accepts
-                and s.id not in consumed
-                and lo <= s.attributes["t_start"] <= hi
-            ]
-            if candidates:
-                best = min(candidates,
-                           key=lambda s: (s.attributes["t_start"], s.id))
-                return best, variant.id
-        return None
-
-    for host in sorted(by_host):
-        host_seqs = by_host[host]
+    matches: list[ChainMatch] = []
+    for host in sorted(waiting):
+        seqs = waiting[host]
         match = ChainMatch(victim_host=host)
-        # pass 1: required elements in attack order; pass 2 slots the
-        # optional elements between their bound neighbours so they can
-        # never displace a required binding.
+
+        def bind(element: Element, lo: int, hi: int) -> int | None:
+            for variant in element.variants:
+                for i, s in enumerate(seqs):
+                    ts = s.attributes["t_start"]
+                    if ts > hi:
+                        break
+                    if ts >= lo and s.attributes["type"] in variant.accepts:
+                        del seqs[i]
+                        match.matched[element.id] = Binding(s.id, variant.id, ts)
+                        kc = graph.add_node(
+                            Node(f"kc:{element.id}", "kc_element", element.name))
+                        graph.add_edge(s.id, kc.id, "matches")
+                        return ts
+            return None
+
         last_ts = -1
         for element in model.elements:
-            if not element.required:
-                continue
-            chosen = bind(element, host_seqs, last_ts, 1 << 62)
-            if chosen is None:
-                continue
-            seq, variant_id = chosen
-            consumed.add(seq.id)
-            match.matched[element.id] = Binding(
-                sequence_id=seq.id, variant_id=variant_id,
-                ts=seq.attributes["t_start"],
-            )
-            last_ts = seq.attributes["t_start"]
+            if element.required:
+                ts = bind(element, last_ts, _LATEST)
+                if ts is not None:
+                    last_ts = ts
         for idx, element in enumerate(model.elements):
             if element.required or element.id in match.matched:
                 continue
-            lo = max(
-                (match.matched[e.id].ts for e in model.elements[:idx]
-                 if e.id in match.matched), default=-1,
-            )
-            hi = min(
-                (match.matched[e.id].ts for e in model.elements[idx + 1:]
-                 if e.id in match.matched), default=1 << 62,
-            )
-            chosen = bind(element, host_seqs, lo, hi)
-            if chosen is None:
-                continue
-            seq, variant_id = chosen
-            consumed.add(seq.id)
-            match.matched[element.id] = Binding(
-                sequence_id=seq.id, variant_id=variant_id,
-                ts=seq.attributes["t_start"],
-            )
+            lo = max((match.matched[e.id].ts for e in model.elements[:idx]
+                      if e.id in match.matched), default=-1)
+            hi = min((match.matched[e.id].ts for e in model.elements[idx + 1:]
+                      if e.id in match.matched), default=_LATEST)
+            bind(element, lo, hi)
         if not match.matched:
             continue
         hit_required = sum(1 for eid in required if eid in match.matched)
@@ -209,19 +187,8 @@ def match_killchain(graph: PropertyGraph, model: KillChainModel) -> list[ChainMa
             match.status = STATUS_FULL
         elif match.completeness >= model.alert_threshold:
             match.status = STATUS_PARTIAL
-        else:
-            match.status = STATUS_NONE
-        _annotate(graph, model, match)
         matches.append(match)
     return matches
-
-
-def _annotate(graph: PropertyGraph, model: KillChainModel, match: ChainMatch) -> None:
-    names = {e.id: e.name for e in model.elements}
-    for eid, binding in match.matched.items():
-        kc_id = f"kc:{eid}"
-        graph.add_node(Node(kc_id, "kc_element", names[eid]))
-        graph.add_edge(binding.sequence_id, kc_id, "matches")
 
 
 def identify_adversary(match: ChainMatch, graph: PropertyGraph,

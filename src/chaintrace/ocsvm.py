@@ -24,8 +24,8 @@ from .errors import (
 )
 from .features import FEATURE_NAMES, SOURCE_SETS, standardize
 
-DEFAULT_TOL = 1e-6
-DEFAULT_MAX_ITER = 10**6
+TOL = 1e-6  # KKT gap at which the solver stops
+MAX_ITER = 10**6
 
 # rows per block of rbf_matrix's elementwise pass
 _KERNEL_BLOCK_ROWS = 256
@@ -37,16 +37,6 @@ _MODEL_VERSION = 1
 def feature_schema_hash(feature_indices: tuple[int, ...]) -> str:
     names = ",".join(FEATURE_NAMES[i] for i in feature_indices)
     return hashlib.sha256(names.encode()).hexdigest()[:16]
-
-
-def rbf_kernel(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    """exp(-gamma * ||x - y||^2) for a single pair."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"{x.shape} vs {y.shape}")
-    diff = x - y
-    return math.exp(-gamma * float(diff @ diff))
 
 
 def rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
@@ -76,8 +66,7 @@ def rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     return K
 
 
-def _smo_solve(K: np.ndarray, alpha: np.ndarray, C: float, tol: float,
-               max_iter: int) -> tuple[int, float]:
+def _smo_solve(K: np.ndarray, alpha: np.ndarray, C: float) -> tuple[int, float]:
     """Pairwise coordinate descent on min 1/2 a'Ka, sum a = 1, 0<=a<=C,
     in place on ``alpha``.
 
@@ -90,7 +79,7 @@ def _smo_solve(K: np.ndarray, alpha: np.ndarray, C: float, tol: float,
     g = K @ alpha  # gradient of the dual objective
     it = 0
     gap = np.inf
-    while it < max_iter:
+    while it < MAX_ITER:
         up = alpha < C - 1e-15
         low = alpha > 1e-15
         if not up.any() or not low.any():
@@ -98,7 +87,7 @@ def _smo_solve(K: np.ndarray, alpha: np.ndarray, C: float, tol: float,
         i = int(np.argmin(np.where(up, g, np.inf)))
         j = int(np.argmax(np.where(low, g, -np.inf)))
         gap = g[j] - g[i]
-        if gap <= tol or i == j:
+        if gap <= TOL or i == j:
             break
         eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
         delta = min((g[j] - g[i]) / eta, C - alpha[i], alpha[j])
@@ -155,18 +144,13 @@ class OneClassSvmModel:
             )
         return (X - self.feature_means) / self.feature_stds
 
-    def decision(self, X: np.ndarray, standardized: bool = False) -> np.ndarray:
-        """f(x) per row; anomalous iff f(x) < 0."""
-        Z = np.atleast_2d(np.asarray(X, dtype=np.float64)) if standardized \
-            else self._standardize(X)
-        if Z.shape[1] != self.support_vectors.shape[1]:
-            raise DimensionMismatch(
-                f"expected {self.support_vectors.shape[1]} features, got {Z.shape[1]}"
-            )
+    def decision(self, X: np.ndarray) -> np.ndarray:
+        """f(x) per row of unstandardized features; anomalous iff f(x) < 0."""
+        Z = self._standardize(X)
         return rbf_matrix(Z, self.support_vectors, self.gamma) @ self.alpha - self.rho
 
-    def predict(self, X: np.ndarray, standardized: bool = False) -> np.ndarray:
-        return self.decision(X, standardized=standardized) < 0
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self.decision(X) < 0
 
     # --- persistence ---
 
@@ -223,8 +207,6 @@ def train_ocsvm(
     X_std: np.ndarray,
     nu: float,
     gamma: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     stats: SolverStats | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Solve the dual on pre-standardized rows.
@@ -252,11 +234,11 @@ def train_ocsvm(
     if n_full < l:
         alpha[n_full] = 1.0 - n_full * C
 
-    iters, gap = _smo_solve(K, alpha, C, tol, max_iter)
+    iters, gap = _smo_solve(K, alpha, C)
     if stats is not None:
         stats.iterations, stats.final_gap = iters, gap
-    if gap > tol:
-        raise DidNotConverge(f"gap {gap:.3e} > {tol:.1e} after {iters} updates")
+    if gap > TOL:
+        raise DidNotConverge(f"gap {gap:.3e} > {TOL:.1e} after {iters} updates")
 
     g = K @ alpha
     margin = (alpha > 1e-10) & (alpha < C - 1e-10)
@@ -275,8 +257,6 @@ def fit(
     nu: float = 0.05,
     gamma: float | None = None,
     source_set: str = "combined",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     stats: SolverStats | None = None,
 ) -> OneClassSvmModel:
     """Standardize, pick gamma if unset, train, and package the model;
@@ -294,8 +274,7 @@ def fit(
     Z, (means, stds) = standardize(X)
     if gamma is None:
         gamma = default_gamma(Z)
-    alpha, rho, _iters = train_ocsvm(Z, nu, gamma, tol=tol, max_iter=max_iter,
-                                     stats=stats)
+    alpha, rho, _iters = train_ocsvm(Z, nu, gamma, stats=stats)
     sv_mask = alpha > 0.0
     model = OneClassSvmModel(
         nu=nu,

@@ -173,11 +173,8 @@ def _benign_records(cfg: SimConfig, counter: Iterator[int]) -> list[_Rec]:
                 "bytes_out": str(rng.randrange(100, 2000)),
             })
 
-        for etype, rate_key, op_pool in (
-            ("file_read", "file_read", None),
-            ("file_write", "file_write", None),
-        ):
-            for t in poisson_times(cfg.rates[rate_key]):
+        for etype in ("file_read", "file_write"):
+            for t in poisson_times(cfg.rates[etype]):
                 ext = rng.choices(_DOC_EXTS, weights=_DOC_EXT_WEIGHTS)[0]
                 name = f"doc{rng.randrange(200)}.{ext}"
                 emit(t, etype, host, user, {

@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from .errors import IoFailure, OutOfOrder
-from .events import LogEvent, decode_event, encode_event
+from .events import LogEvent, decode_event, encode_event, utf8_fault
 
 DEFAULT_SEGMENT_EVENTS = 1 << 20
 
@@ -191,12 +191,14 @@ class EventStore:
         if t0 >= t1:
             raise ValueError(f"require t0 < t1, got [{t0}, {t1})")
         scanned = skipped = 0
+        path = self.root
         try:
             for seg in self.segments:
                 if seg.count == 0 or seg.max_ts < t0 or seg.min_ts >= t1:
                     continue
+                path = os.path.join(self.root, seg.path)
                 try:
-                    fh = open(os.path.join(self.root, seg.path), "r", encoding="utf-8")
+                    fh = open(path, "r", encoding="utf-8")
                 except OSError as exc:
                     raise IoFailure(str(exc)) from exc
                 with fh:
@@ -218,6 +220,8 @@ class EventStore:
                         if actors is not None and e.actor not in actors:
                             continue
                         yield e
+        except UnicodeDecodeError:
+            raise utf8_fault(path) from None
         finally:  # also when the consumer stops early
             self.rows_scanned += scanned
             self.rows_skipped += skipped

@@ -177,11 +177,7 @@ class PseudonymVault:
         )
 
 
-def create_vault(
-    k: int,
-    n: int,
-    identity_fields: dict[str, str] | None = None,
-) -> tuple[PseudonymVault, list[ShamirShare]]:
+def create_vault(k: int, n: int) -> tuple[PseudonymVault, list[ShamirShare]]:
     """Generate a fresh vault and the n shares of its private key."""
     key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
     private_der = key.private_bytes(
@@ -198,7 +194,6 @@ def create_vault(
         public_key_pem=public_pem,
         k=k,
         n=n,
-        identity_fields=dict(identity_fields or DEFAULT_IDENTITY_FIELDS),
     )
     shares = split_secret(private_der, k, n)
     return vault, shares

@@ -3,8 +3,10 @@
 These deliberately avoid the library's own code paths: the dual solver
 oracle is projected-gradient descent, window aggregation is an explicit
 quadratic scan, and GF(2^8) multiplication is schoolbook polynomial
-arithmetic with long-division reduction, and the canonical event decoder
-is ``json.loads`` followed by explicit member checks.
+arithmetic with long-division reduction, the canonical event decoder
+is ``json.loads`` followed by explicit member checks, and kill-chain
+binding scans every sequence for each element instead of keeping sorted
+per-victim lists.
 """
 
 from __future__ import annotations
@@ -152,3 +154,68 @@ def decode_event_ref(text: str, event_types) -> tuple:
     if not ok:
         raise RefDecodeError(0)
     return eid, ts, host, etype, actor, attrs
+
+
+# --- kill-chain binding reference ---
+
+def match_killchain_ref(sequences, elements, alert_threshold):
+    """Greedy earliest binding per victim, by scanning every sequence.
+
+    ``sequences`` holds ``(id, source_host, type, t_start)`` tuples, where
+    a falsy host names no victim; ``elements`` holds ``(id, required,
+    [(variant id, accepted types), ...])`` in attack order. Per victim, in
+    sorted order: each required element takes, from the first variant
+    that has any, the unused sequence with the least (t_start, id) at or
+    after the previous required binding; then each optional element does
+    the same between the nearest bound elements before and after it. A
+    used sequence is never bound again.
+
+    Returns ``(victim, {element id: (sequence id, variant id, t_start)},
+    completeness, status)`` for every victim that bound anything.
+    """
+    used: set[str] = set()
+    n_required = sum(1 for _, required, _ in elements if required)
+    result = []
+    for victim in sorted({host for _, host, _, _ in sequences if host}):
+        bound: dict[str, tuple] = {}
+
+        def take(variants, lo, hi):
+            for variant_id, accepts in variants:
+                best = None
+                for sid, host, stype, t in sequences:
+                    if (host == victim and sid not in used and stype in accepts
+                            and lo <= t <= hi
+                            and (best is None or (t, sid) < (best[2], best[0]))):
+                        best = (sid, variant_id, t)
+                if best is not None:
+                    used.add(best[0])
+                    return best
+            return None
+
+        last = -1
+        for eid, required, variants in elements:
+            if required:
+                got = take(variants, last, float("inf"))
+                if got is not None:
+                    bound[eid] = got
+                    last = got[2]
+        for i, (eid, required, variants) in enumerate(elements):
+            if required:
+                continue
+            before = [bound[e][2] for e, _, _ in elements[:i] if e in bound]
+            after = [bound[e][2] for e, _, _ in elements[i + 1:] if e in bound]
+            got = take(variants, max(before, default=-1),
+                       min(after, default=float("inf")))
+            if got is not None:
+                bound[eid] = got
+        if not bound:
+            continue
+        completeness = sum(1 for e, r, _ in elements if r and e in bound) / n_required
+        if completeness >= 1.0:
+            status = "full"
+        elif completeness >= alert_threshold:
+            status = "partial"
+        else:
+            status = "none"
+        result.append((victim, bound, completeness, status))
+    return result

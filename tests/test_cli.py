@@ -1,5 +1,6 @@
 import json
 import os
+from importlib import resources
 
 import pytest
 
@@ -440,3 +441,54 @@ def test_number_out_of_range_is_usage_error(workdir, capsys, model_file,
     err = capsys.readouterr().err
     assert f"argument {flag}: must be" in err and "Traceback" not in err
     assert not any((workdir / name).exists() for name in ("m2.json", "s2.jsonl"))
+
+
+@pytest.mark.parametrize("window", ["nan", "inf", 1e300, -60, 0])
+def test_rule_window_out_of_range_is_error(workdir, capsys, window):
+    _simulate(workdir)
+    rules = json.loads(
+        (resources.files("chaintrace.data") / "default_rules.json").read_text())
+    next(r for r in rules if r["id"] == "file_sweep")["window"] = window
+    (workdir / "rules.json").write_text(json.dumps(rules))
+    capsys.readouterr()
+    rc = main(["detect", "--events", "events.jsonl", "--rules", "rules.json",
+               "--out", "r.jsonl"])
+    assert rc == EXIT_ERROR
+    assert "file_sweep: window must be finite and > 0" in _one_line_error(capsys)
+    assert not (workdir / "r.jsonl").exists()
+
+
+def _break_utf8(path) -> int:
+    """Put a 0xff byte into a line near the middle of ``path``; its number."""
+    data = bytearray(path.read_bytes())
+    at = data.index(b"\n", len(data) // 2) + 3
+    data[at] = 0xFF
+    path.write_bytes(bytes(data))
+    return data[:at].count(b"\n") + 1
+
+
+@pytest.mark.parametrize("command", [
+    "detect --events", "detect --store", "train --store", "ingest --format raw",
+    "pseudonymize",
+])
+def test_invalid_utf8_is_decode_error(workdir, capsys, command):
+    _simulate(workdir, extra=("--raw", "raw.log"))
+    assert main(["ingest", "--store", "store", "--events", "events.jsonl"]) == 0
+    argv, broken = {
+        "detect --events": (["detect", "--events", "events.jsonl", "--out", "out"],
+                            "events.jsonl"),
+        "detect --store": (["detect", "--store", "store", "--out", "out"],
+                           os.path.join("store", "000000.seg")),
+        "train --store": (["train", "--store", "store", "--out", "out"],
+                          os.path.join("store", "000000.seg")),
+        "ingest --format raw": (["ingest", "--store", "store2", "--events", "raw.log",
+                                 "--format", "raw"], "raw.log"),
+        "pseudonymize": (["pseudonymize", "--events", "events.jsonl", "--out", "out",
+                          "--vault", "vault.json"], "events.jsonl"),
+    }[command]
+    lineno = _break_utf8(workdir / broken)
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    assert f"{broken}: line {lineno} is not UTF-8" in _one_line_error(capsys)
+    if command != "pseudonymize":  # which writes its output as it reads
+        assert not (workdir / "out").exists()

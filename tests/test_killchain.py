@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaintrace.errors import (
     NoNetworkElementMatched,
     SchemaError,
     UnknownSequenceType,
 )
-from chaintrace.graph import apply_rules, build_graph
+from chaintrace.graph import Node, PropertyGraph, apply_rules, build_graph
 from chaintrace.killchain import (
     EXIT_FULL,
     EXIT_NO_ALERT,
@@ -24,6 +25,7 @@ from chaintrace.killchain import (
     reconstruct_attack,
 )
 from chaintrace.simulate import SimConfig, simulate
+from oracles import match_killchain_ref
 
 
 def _detect(cfg, rules, model):
@@ -194,3 +196,72 @@ def test_model_from_dict_errors():
 def test_default_model_consistent(default_rules, default_model):
     default_model.validate(default_rules)
     assert len(default_model.required_ids()) == 5
+
+
+# --- binding vs the brute-force reference ---
+
+_TYPES = ("a", "b", "c", "d")
+
+
+@st.composite
+def _binding_cases(draw):
+    hosts = draw(st.lists(st.sampled_from(["ws000", "ws001", "ws002"]),
+                          min_size=2, max_size=3, unique=True))
+    # one counter over all sequences, as apply_rules numbers them, so
+    # seq:a:10 sorts before seq:a:9 as a string
+    numbers = draw(st.lists(st.integers(1, 40), max_size=14, unique=True))
+    sequences = [
+        (f"seq:{draw(st.sampled_from('ab'))}:{n}",
+         draw(st.sampled_from([*hosts, "", None])),  # "" and None: no victim
+         draw(st.sampled_from(_TYPES)),
+         draw(st.integers(0, 6)))  # few values, many ties
+        for n in numbers
+    ]
+    accepts = st.lists(st.sampled_from(_TYPES), min_size=1, max_size=3, unique=True)
+    elements = [
+        (f"e{i}", draw(st.booleans()),
+         [(f"{i}.{j}", draw(accepts)) for j in range(draw(st.integers(1, 3)))])
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    if not any(required for _, required, _ in elements):
+        elements[0] = (elements[0][0], True, elements[0][2])
+    return sequences, elements, draw(st.sampled_from([0.2, 0.4, 0.5, 1.0]))
+
+
+@given(case=_binding_cases())
+@example(case=(  # the string order of ids breaks the tie on t_start
+    [("seq:a:9", "ws000", "a", 3), ("seq:a:10", "ws000", "a", 3),
+     ("seq:b:11", "ws001", "b", 1)],
+    [("e0", True, [("0.1", ["a"])]), ("e1", False, [("1.1", ["b"]), ("1.2", ["a"])])],
+    0.4,
+))
+@example(case=(  # an optional element binds only between its neighbours
+    [("seq:a:1", "ws000", "b", 1), ("seq:a:2", "ws000", "a", 2),
+     ("seq:a:3", "ws000", "b", 3), ("seq:a:4", "ws000", "c", 4)],
+    [("e0", True, [("0.1", ["a"])]), ("e1", False, [("1.1", ["b"])]),
+     ("e2", True, [("2.1", ["c"])])],
+    0.5,
+))
+@settings(max_examples=300, deadline=None)
+def test_match_killchain_matches_reference(case):
+    sequences, elements, threshold = case
+    graph = PropertyGraph()
+    for sid, host, stype, t in sequences:
+        group = {"dst_ip": "10.0.0.1"} if host is None else {"source_host": host}
+        graph.add_node(Node(sid, "sequence", stype,
+                            {"type": stype, "t_start": t, "group": group}))
+    model = KillChainModel(
+        elements=[Element(eid, f"E {eid}", required,
+                          [Variant(vid, list(acc)) for vid, acc in variants])
+                  for eid, required, variants in elements],
+        alert_threshold=threshold,
+    )
+    matches = match_killchain(graph, model)
+    got = [(m.victim_host,
+            {eid: (b.sequence_id, b.variant_id, b.ts) for eid, b in m.matched.items()},
+            m.completeness, m.status)
+           for m in matches]
+    assert got == match_killchain_ref(sequences, elements, threshold)
+    assert {(e.src, e.dst) for e in graph.edges() if e.kind == "matches"} == {
+        (b.sequence_id, f"kc:{eid}") for m in matches for eid, b in m.matched.items()
+    }

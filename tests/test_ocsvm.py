@@ -15,7 +15,7 @@ from chaintrace.ocsvm import (
     OneClassSvmModel,
     default_gamma,
     fit,
-    rbf_kernel,
+    rbf_matrix,
     train_ocsvm,
 )
 from oracles import dual_objective, ocsvm_dual_pgd, rbf_ref
@@ -30,17 +30,17 @@ def _cloud(l, d=4, seed=0, scale=1.0):
 
 def test_rbf_unit_distance():
     # gamma 0.5 at distance 1: exp(-0.5)
-    assert rbf_kernel(np.zeros(3), np.array([1.0, 0, 0]), 0.5) \
-        == pytest.approx(np.exp(-0.5))
+    K = rbf_matrix(np.zeros((1, 3)), np.array([[1.0, 0, 0]]), 0.5)
+    assert K.shape == (1, 1)
+    assert K[0, 0] == pytest.approx(np.exp(-0.5))
     assert np.exp(-0.5) == pytest.approx(0.6065306597, abs=1e-9)
 
 
 def test_rbf_basic_properties():
     x, y = np.array([1.0, 2.0]), np.array([3.0, -1.0])
-    assert rbf_kernel(x, x, 0.7) == 1.0
-    assert rbf_kernel(x, y, 0.7) == pytest.approx(rbf_ref(x, y, 0.7))
-    with pytest.raises(DimensionMismatch):
-        rbf_kernel(np.zeros(2), np.zeros(3), 1.0)
+    K = rbf_matrix(np.array([x, y]), np.array([x, y]), 0.7)
+    assert K[0, 0] == K[1, 1] == 1.0
+    assert K[0, 1] == K[1, 0] == pytest.approx(rbf_ref(x, y, 0.7))
 
 
 def test_rbf_matrix_matches_pairwise():
@@ -204,6 +204,9 @@ def test_fit_dimension_checks():
         fit(np.zeros(10))
     with pytest.raises(DimensionMismatch):
         fit(np.zeros((5, 7)))
+    model = fit(_cloud(20, d=10, seed=3), nu=0.2)
+    with pytest.raises(DimensionMismatch):
+        model.decision(np.zeros((2, 7)))
 
 
 def test_default_gamma_formula():
