@@ -19,9 +19,9 @@ from importlib import resources
 
 from . import features as feats
 from . import ocsvm
-from .errors import ChaintraceError, MalformedLine
-from .events import (RawLine, decode_event, encode_event, parse_raw_line,
-                     render_raw_line, utf8_fault)
+from .errors import ChaintraceError, MalformedLine, SchemaError
+from .events import (RawLine, decode_event, encode_event, load_json,
+                     parse_raw_line, render_raw_line, utf8_fault)
 from .graph import (
     PropertyGraph,
     apply_rules,
@@ -91,10 +91,9 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
 
 
 def _load_config(args: argparse.Namespace) -> SimConfig:
-    data = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = load_json(args.config, "config") if getattr(args, "config", None) else {}
+    if not isinstance(data, dict):
+        raise SchemaError(f"config {args.config}: expected a JSON object")
     cfg = SimConfig.from_dict(data)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -199,20 +198,31 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_pseudonymize(args) -> int:
+    """Tokenize into a temporary file; only once the whole input has been
+    read are a new vault's key shares, the vault and ``--out`` written, so
+    a failing input leaves none of them behind."""
+    shares = []
     if os.path.exists(args.vault):
         vault = PseudonymVault.load(args.vault)
     else:
         vault, shares = create_vault(args.threshold, args.shares)
-        os.makedirs(args.shares_dir, exist_ok=True)
+    def stream():
+        for e in _EventFile(args.events):
+            yield vault.pseudonymize_event(e)
+    tmp = args.out + ".tmp"
+    try:
+        _write_events(tmp, stream())
+        if shares:
+            os.makedirs(args.shares_dir, exist_ok=True)
         for share in shares:
             write_share_file(
                 os.path.join(args.shares_dir, f"share-{share.x:03d}.txt"), share
             )
-    def stream():
-        for e in _EventFile(args.events):
-            yield vault.pseudonymize_event(e)
-    _write_events(args.out, stream())
-    vault.save(args.vault)
+        vault.save(args.vault)
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return 0
 
 
@@ -291,6 +301,7 @@ def cmd_train(args) -> int:
     args.counters.update(
         iterations=solver.iterations,
         final_gap=solver.final_gap,
+        kernel_rows=solver.kernel_rows,
         support_vectors=model.support_vectors.shape[0],
     )
     print(f"trained on {len(vectors)} windows, "

@@ -8,7 +8,7 @@ class ChaintraceError(Exception):
 # --- event model ---
 
 class MalformedLine(ChaintraceError):
-    """A raw log line does not match its source grammar."""
+    """A raw log line (or a ground-truth line) does not match its grammar."""
 
 
 class DecodeError(ChaintraceError):
@@ -33,6 +33,10 @@ class IoFailure(ChaintraceError):
 
 class VaultSealed(ChaintraceError):
     """The vault was opened read-only; no new entries may be added."""
+
+
+class VaultFormatError(ChaintraceError, ValueError):
+    """A vault file is not a vault, or lacks or garbles a member."""
 
 
 class TokenCollision(ChaintraceError):
@@ -82,7 +86,9 @@ class UnknownInputKind(ChaintraceError):
 # --- kill chain ---
 
 class SchemaError(ChaintraceError):
-    """A kill-chain model or sequence-rule document violates its schema."""
+    """A JSON input document (rules, kill chain, config, vault) is not
+    UTF-8 JSON, or a kill-chain model or sequence-rule document violates
+    its schema."""
 
 
 class UnknownSequenceType(ChaintraceError):

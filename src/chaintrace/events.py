@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import DecodeError, MalformedLine
+from .errors import DecodeError, MalformedLine, SchemaError
 
 EVENT_TYPES = frozenset({
     "logon",
@@ -136,6 +136,17 @@ def utf8_fault(path: str) -> DecodeError:
             except UnicodeDecodeError as exc:
                 return DecodeError(f"{path}: line {lineno} is not UTF-8", exc.start)
     return DecodeError(f"{path}: not UTF-8")
+
+
+def load_json(path: str, what: str):
+    """The JSON document in the file ``path``. A file that is not UTF-8 or
+    not JSON is a SchemaError naming ``what`` and ``path``; a file that
+    cannot be opened stays an OSError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaError(f"{what} {path}: not a UTF-8 JSON document: {exc}") from None
 
 
 # --- raw source grammars ---

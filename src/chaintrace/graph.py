@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import RuleCycle, SchemaError, UnknownInputKind, UnsortedInput
-from .events import EVENT_TYPES, LogEvent
+from .events import EVENT_TYPES, LogEvent, load_json
 
 NS = 1_000_000_000
 
@@ -188,8 +188,9 @@ class SequenceRule:
 
 
 def load_rules(path: str) -> list[SequenceRule]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = load_json(path, "rules")
+    if not isinstance(raw, list):
+        raise SchemaError(f"rules {path}: expected a list of rules")
     return validate_rules([SequenceRule.from_dict(r) for r in raw])
 
 

@@ -3,10 +3,10 @@ scoring, adversary identification and attack reconstruction."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .errors import NoNetworkElementMatched, SchemaError, UnknownSequenceType
+from .events import load_json
 from .graph import Node, PropertyGraph, SequenceRule
 
 DEFAULT_ALERT_THRESHOLD = 0.4
@@ -90,9 +90,7 @@ def model_from_dict(data: dict) -> KillChainModel:
 
 
 def load_killchain(path: str, rules: list[SequenceRule] | None = None) -> KillChainModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    model = model_from_dict(data)
+    model = model_from_dict(load_json(path, "kill chain"))
     model.validate(rules)
     return model
 

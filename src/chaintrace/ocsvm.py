@@ -2,7 +2,14 @@
 
 Dual problem: minimize 1/2 a'Ka subject to sum(a) = 1 and
 0 <= a_i <= 1/(nu*l). Decision value f(x) = sum_i a_i K(x_i, x) - rho;
-f < 0 flags an anomaly. Training holds one l x l float64 Gram matrix.
+f < 0 flags an anomaly.
+
+Training never builds the l x l Gram matrix. The solver reads kernel rows
+from :class:`_KernelRows`, which computes each row on demand and keeps
+the recent ones in an LRU cache of ``_ROW_CACHE_BYTES`` (LIBSVM's kernel
+cache; Chang & Lin, ACM TIST 2(3), 2011). SMO reads only a small share of
+the rows, so training memory grows with l times the rows it touches,
+not with l squared.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +34,15 @@ from .features import FEATURE_NAMES, SOURCE_SETS, standardize
 
 TOL = 1e-6  # KKT gap at which the solver stops
 MAX_ITER = 10**6
+# gradients closer than this tie when the solver picks its pair
+_TIE = 1e-12
 
-# rows per block of rbf_matrix's elementwise pass
+# rows per block of rbf_matrix's elementwise pass and of the solver's
+# initial gradient
 _KERNEL_BLOCK_ROWS = 256
+
+# bytes of kernel rows the solver keeps between iterations
+_ROW_CACHE_BYTES = 64 << 20
 
 _MODEL_MAGIC = "chaintrace-ocsvm"
 _MODEL_VERSION = 1
@@ -39,19 +53,23 @@ def feature_schema_hash(feature_indices: tuple[int, ...]) -> str:
     return hashlib.sha256(names.encode()).hexdigest()[:16]
 
 
-def rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
+def rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float,
+               yy: np.ndarray | None = None) -> np.ndarray:
     """K[i, j] = exp(-gamma * ||X_i - Y_j||^2) in one len(X) x len(Y) buffer.
 
     One matmul fills the buffer with X @ Y.T; BLAS runs it as syrk when
     Y is X, so a Gram matrix is exactly symmetric. The elementwise
     transform then overwrites it a block of rows at a time, so the only
-    other buffer is one block of squared distances.
+    other buffer is one block of squared distances. ``yy``, if given,
+    holds the squared norms ``(Y * Y).sum(axis=1)``, for callers that ask
+    for many rows against one Y.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     gamma = float(gamma)
     xx = (X * X).sum(axis=1)
-    yy = (Y * Y).sum(axis=1)
+    if yy is None:
+        yy = (Y * Y).sum(axis=1)
     K = X @ Y.T
     block = np.empty((min(len(K), _KERNEL_BLOCK_ROWS), K.shape[1]))
     for start in range(0, len(K), _KERNEL_BLOCK_ROWS):
@@ -66,17 +84,61 @@ def rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
     return K
 
 
-def _smo_solve(K: np.ndarray, alpha: np.ndarray, C: float) -> tuple[int, float]:
-    """Pairwise coordinate descent on min 1/2 a'Ka, sum a = 1, 0<=a<=C,
-    in place on ``alpha``.
+class _KernelRows:
+    """Rows of the RBF Gram matrix of ``Z``, each computed on demand by
+    :func:`rbf_matrix` and kept in an LRU cache of at most ``budget`` bytes,
+    but never fewer than the two rows of a working pair.
 
-    Working pair = maximal KKT violation: i with the smallest gradient
-    among a_i < C (room to grow), j with the largest gradient among
-    a_j > 0 (room to shrink); first index wins ties. The gradient update
-    reads rows of K, which equal its columns since K is symmetric.
+    ``computed`` counts every row computed, recomputations after an
+    eviction and the rows of :meth:`weighted_sum` included.
+    """
+
+    def __init__(self, Z: np.ndarray, gamma: float, budget: int):
+        self.Z = Z
+        self.gamma = gamma
+        self.sq = (Z * Z).sum(axis=1)
+        self.capacity = max(2, budget // (8 * len(Z)))
+        self.cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        self.computed = 0
+
+    def __call__(self, i: int) -> np.ndarray:
+        row = self.cache.get(i)
+        if row is not None:
+            self.cache.move_to_end(i)
+            return row
+        row = rbf_matrix(self.Z[i:i + 1], self.Z, self.gamma, self.sq)[0]
+        self.computed += 1
+        if len(self.cache) >= self.capacity:
+            self.cache.popitem(last=False)
+        self.cache[i] = row
+        return row
+
+    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
+        """sum_k w[k] * row(k) over the non-zero w, a block of
+        ``_KERNEL_BLOCK_ROWS`` rows at a time; these rows are not cached."""
+        out = np.zeros(len(self.Z))
+        nonzero = np.flatnonzero(w)
+        for start in range(0, len(nonzero), _KERNEL_BLOCK_ROWS):
+            idx = nonzero[start:start + _KERNEL_BLOCK_ROWS]
+            out += w[idx] @ rbf_matrix(self.Z[idx], self.Z, self.gamma, self.sq)
+            self.computed += len(idx)
+        return out
+
+
+def _smo_solve(row, g: np.ndarray, alpha: np.ndarray, C: float) -> tuple[int, float]:
+    """Pairwise coordinate descent on min 1/2 a'Ka, sum a = 1, 0<=a<=C,
+    in place on ``alpha`` and on its gradient ``g`` = K @ alpha.
+
+    ``row(i)`` returns row i of K. Working pair = maximal KKT violation:
+    i with the smallest gradient among a_i < C (room to grow), j with the
+    largest gradient among a_j > 0 (room to shrink). Gradients within
+    ``_TIE`` of the extreme tie and the first index wins, so the pair does
+    not hang on the last bits of a kernel row: an unclipped step leaves
+    g_i == g_j in exact arithmetic, and how that tie rounds depends on how
+    the BLAS summed each entry. ``eta`` and the gradient update read only
+    rows i and j; a row stands in for the column since K is symmetric.
     Returns (iterations, final KKT gap).
     """
-    g = K @ alpha  # gradient of the dual objective
     it = 0
     gap = np.inf
     while it < MAX_ITER:
@@ -84,16 +146,20 @@ def _smo_solve(K: np.ndarray, alpha: np.ndarray, C: float) -> tuple[int, float]:
         low = alpha > 1e-15
         if not up.any() or not low.any():
             break
-        i = int(np.argmin(np.where(up, g, np.inf)))
-        j = int(np.argmax(np.where(low, g, -np.inf)))
+        grow = np.where(up, g, np.inf)
+        shrink = np.where(low, g, -np.inf)
+        i = int(np.argmax(grow <= grow.min() + _TIE))
+        j = int(np.argmax(shrink >= shrink.max() - _TIE))
         gap = g[j] - g[i]
         if gap <= TOL or i == j:
             break
-        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        Ki = row(i)
+        Kj = row(j)
+        eta = max(Ki[i] + Kj[j] - 2.0 * Ki[j], 1e-12)
         delta = min((g[j] - g[i]) / eta, C - alpha[i], alpha[j])
         alpha[i] += delta
         alpha[j] -= delta
-        g += delta * (K[i] - K[j])
+        g += delta * (Ki - Kj)
         it += 1
     return it, float(gap)
 
@@ -110,6 +176,7 @@ def default_gamma(X_std: np.ndarray) -> float:
 class SolverStats:
     iterations: int = 0
     final_gap: float = math.inf
+    kernel_rows: int = 0  # kernel rows computed, recomputations included
 
 
 @dataclass
@@ -212,8 +279,9 @@ def train_ocsvm(
     """Solve the dual on pre-standardized rows.
 
     Returns (full alpha over all training points, rho, iterations).
-    Deterministic given the input row order. ``stats``, if given,
-    receives the iterations and the final KKT gap.
+    rho comes from the gradient the solver maintains. Deterministic given
+    the input row order. ``stats``, if given, receives the iterations,
+    the final KKT gap and the kernel rows computed.
     """
     X_std = np.asarray(X_std, dtype=np.float64)
     l = X_std.shape[0]
@@ -225,7 +293,6 @@ def train_ocsvm(
         raise BadHyperparameters(f"gamma must be > 0, got {gamma}")
 
     C = 1.0 / (nu * l)
-    K = rbf_matrix(X_std, X_std, gamma)
 
     # feasible start: fill the first floor(nu*l) boxes, remainder next
     alpha = np.zeros(l, dtype=np.float64)
@@ -234,13 +301,15 @@ def train_ocsvm(
     if n_full < l:
         alpha[n_full] = 1.0 - n_full * C
 
-    iters, gap = _smo_solve(K, alpha, C)
+    rows = _KernelRows(X_std, gamma, _ROW_CACHE_BYTES)
+    g = rows.weighted_sum(alpha)
+    iters, gap = _smo_solve(rows, g, alpha, C)
     if stats is not None:
         stats.iterations, stats.final_gap = iters, gap
+        stats.kernel_rows = rows.computed
     if gap > TOL:
         raise DidNotConverge(f"gap {gap:.3e} > {TOL:.1e} after {iters} updates")
 
-    g = K @ alpha
     margin = (alpha > 1e-10) & (alpha < C - 1e-10)
     if margin.any():
         rho = float(g[margin].mean())

@@ -23,9 +23,10 @@ from .errors import (
     IntegrityFailure,
     TokenCollision,
     UnknownToken,
+    VaultFormatError,
     VaultSealed,
 )
-from .events import LogEvent
+from .events import LogEvent, load_json
 from .secretshare import ShamirShare, reconstruct_secret, split_secret
 
 _VAULT_MAGIC = "chaintrace-vault"
@@ -160,21 +161,24 @@ class PseudonymVault:
 
     @classmethod
     def load(cls, path: str, read_only: bool = False) -> "PseudonymVault":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("magic") != _VAULT_MAGIC:
-            raise ValueError(f"{path}: not a vault file")
+        payload = load_json(path, "vault")
+        if not isinstance(payload, dict) or payload.get("magic") != _VAULT_MAGIC:
+            raise VaultFormatError(f"{path}: not a vault file")
         if payload.get("primitive") != _PRIMITIVE:
-            raise ValueError(f"{path}: unsupported primitive {payload.get('primitive')}")
-        return cls(
-            token_key=bytes.fromhex(payload["token_key"]),
-            public_key_pem=payload["public_key"].encode(),
-            k=payload["k"],
-            n=payload["n"],
-            entries=payload["entries"],
-            identity_fields=payload["identity_fields"],
-            read_only=read_only,
-        )
+            raise VaultFormatError(
+                f"{path}: unsupported primitive {payload.get('primitive')}")
+        try:
+            return cls(
+                token_key=bytes.fromhex(payload["token_key"]),
+                public_key_pem=payload["public_key"].encode(),
+                k=payload["k"],
+                n=payload["n"],
+                entries=payload["entries"],
+                identity_fields=payload["identity_fields"],
+                read_only=read_only,
+            )
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise VaultFormatError(f"{path}: malformed vault file: {exc!r}") from exc
 
 
 def create_vault(k: int, n: int) -> tuple[PseudonymVault, list[ShamirShare]]:

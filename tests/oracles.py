@@ -1,7 +1,8 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the library's own code paths: the dual solver
-oracle is projected-gradient descent, window aggregation is an explicit
+oracles are projected-gradient descent and an SMO over a full Gram
+matrix built by broadcasting, window aggregation is an explicit
 quadratic scan, and GF(2^8) multiplication is schoolbook polynomial
 arithmetic with long-division reduction, the canonical event decoder
 is ``json.loads`` followed by explicit member checks, and kill-chain
@@ -107,6 +108,50 @@ def ocsvm_dual_pgd(
             break
         prev_obj = obj
     return alpha
+
+
+def ocsvm_smo_ref(X: np.ndarray, nu: float, gamma: float) -> tuple[np.ndarray, float, int]:
+    """The library's SMO (maximal-violating pair, the first index among
+    gradients within 1e-12 of the extreme, stop at a KKT gap of 1e-6, the
+    same feasible start) run on the whole Gram matrix, built at once by
+    broadcasting ||x||^2 + ||y||^2 - 2 x.y. Returns (alpha, rho,
+    iterations), with rho from a fresh K @ alpha."""
+    X = np.asarray(X, dtype=np.float64)
+    l = len(X)
+    sq = (X * X).sum(axis=1)
+    K = np.exp(-gamma * np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0))
+    C = 1.0 / (nu * l)
+    alpha = np.zeros(l)
+    n_full = int(nu * l)
+    alpha[:n_full] = C
+    if n_full < l:
+        alpha[n_full] = 1.0 - n_full * C
+    g = K @ alpha
+    iterations = 0
+    while True:
+        up = np.flatnonzero(alpha < C - 1e-15)
+        low = np.flatnonzero(alpha > 1e-15)
+        if not len(up) or not len(low):
+            break
+        i = int(up[g[up] <= g[up].min() + 1e-12][0])
+        j = int(low[g[low] >= g[low].max() - 1e-12][0])
+        if g[j] - g[i] <= 1e-6 or i == j:
+            break
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        delta = min((g[j] - g[i]) / eta, C - alpha[i], alpha[j])
+        alpha[i] += delta
+        alpha[j] -= delta
+        g += delta * (K[:, i] - K[:, j])
+        iterations += 1
+    g = K @ alpha
+    margin = (alpha > 1e-10) & (alpha < C - 1e-10)
+    if margin.any():
+        rho = float(g[margin].mean())
+    else:
+        lo, hi = g[alpha <= 1e-10], g[alpha >= C - 1e-10]
+        rho = float((lo.min() + hi.max()) / 2.0) if lo.size and hi.size \
+            else float(g.mean())
+    return alpha, rho, iterations
 
 
 def dual_objective(K: np.ndarray, alpha: np.ndarray) -> float:

@@ -353,6 +353,7 @@ def test_train_score_manifest_counters(workdir, model_file):
     model = json.loads((workdir / "model.json").read_text())
     assert 0 < train.pop("iterations")
     assert 0 <= train.pop("final_gap") <= 1e-6
+    assert 0 < train.pop("kernel_rows")
     assert train == {
         "rows_scanned": len(events), "events_decoded": len(events),
         "windows": len(vectors), "unmatched_logoffs": stats.unmatched_logoffs,
@@ -490,5 +491,57 @@ def test_invalid_utf8_is_decode_error(workdir, capsys, command):
     capsys.readouterr()
     assert main(argv) == EXIT_ERROR
     assert f"{broken}: line {lineno} is not UTF-8" in _one_line_error(capsys)
-    if command != "pseudonymize":  # which writes its output as it reads
-        assert not (workdir / "out").exists()
+    assert not (workdir / "out").exists()
+    if command == "pseudonymize":  # no orphan key shares, no vault
+        assert not (workdir / "shares").exists()
+        assert not (workdir / "vault.json").exists()
+        assert not (workdir / "out.tmp").exists()
+
+
+@pytest.mark.parametrize("content", ["{bad", b"[\xff]", "5", "[]"],
+                         ids=["not-json", "not-utf8", "number", "list"])
+@pytest.mark.parametrize("flag", ["--rules", "--killchain", "--config", "--vault",
+                                  "reveal --vault"])
+def test_unreadable_json_input_is_error(workdir, capsys, flag, content):
+    # every JSON document a command loads is checked at the load: one
+    # error line and exit 64, never a traceback
+    _simulate(workdir)
+    path = workdir / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    argv = {
+        "--rules": ["detect", "--events", "events.jsonl", "--out", "out",
+                    "--rules", "input.json"],
+        "--killchain": ["detect", "--events", "events.jsonl", "--out", "out",
+                        "--killchain", "input.json"],
+        "--config": ["simulate", "--config", "input.json", "--out", "out",
+                     "--truth", "truth2.tsv"],
+        "--vault": ["pseudonymize", "--events", "events.jsonl", "--out", "out",
+                    "--vault", "input.json"],
+        "reveal --vault": ["reveal", "--vault", "input.json", "--token", "pn:x",
+                           "--share", "s1"],
+    }[flag]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    _one_line_error(capsys)
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["17", "17\tdelivery\textra", "x\tdelivery"])
+def test_garbled_truth_file_is_error(workdir, capsys, line):
+    _simulate(workdir)
+    assert main(["train", "--events", "events.jsonl", "--out", "m.json",
+                 "--window-secs", "1200"]) == 0
+    assert main(["score", "--events", "events.jsonl", "--model", "m.json",
+                 "--out", "s.jsonl", "--window-secs", "1200"]) == 0
+    truth = workdir / "truth.tsv"
+    lines = truth.read_text().splitlines()
+    lines.insert(3, line)
+    truth.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["metrics", "--scored", "s.jsonl", "--events", "events.jsonl",
+                 "--truth", "truth.tsv", "--out", "m.out",
+                 "--window-secs", "1200"]) == EXIT_ERROR
+    assert "truth.tsv: line 4:" in _one_line_error(capsys)

@@ -1,8 +1,9 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaintrace import ocsvm
 from chaintrace.errors import (
@@ -18,7 +19,8 @@ from chaintrace.ocsvm import (
     rbf_matrix,
     train_ocsvm,
 )
-from oracles import dual_objective, ocsvm_dual_pgd, rbf_ref
+from chaintrace.features import standardize
+from oracles import dual_objective, ocsvm_dual_pgd, ocsvm_smo_ref, rbf_ref
 
 
 def _cloud(l, d=4, seed=0, scale=1.0):
@@ -68,7 +70,7 @@ def test_rbf_matrix_equals_broadcast_reference():
 
 
 def test_gram_matrix_exactly_symmetric():
-    # the solver reads rows of K in place of columns
+    # one syrk call fills a Gram matrix, so it equals its transpose
     Z = _cloud(700, d=10, seed=23)
     K = ocsvm.rbf_matrix(Z, Z, 0.05)
     assert np.array_equal(K, K.T)
@@ -102,6 +104,79 @@ def test_smo_matches_projected_gradient(l, nu, seed):
     C = 1.0 / (nu * l)
     assert abs(alpha.sum() - 1.0) <= 1e-9
     assert (alpha >= 0.0).all() and (alpha <= C + 1e-12).all()
+
+
+@given(
+    l=st.integers(min_value=2, max_value=400),
+    d=st.integers(min_value=2, max_value=10),
+    nu=st.sampled_from([0.05, 0.1, 0.2, 0.5, 0.9]),
+    gamma=st.sampled_from([0.05, 0.1, 0.3, 1.0]),
+    cache_rows=st.sampled_from([2, 3, 10, None]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+@example(l=289, d=2, nu=0.05, gamma=0.3, cache_rows=2, seed=1)
+def test_row_cache_solve_matches_full_gram_smo(l, d, nu, gamma, cache_rows, seed):
+    # kernel rows on demand, evicted from a cache of a few rows, solve the
+    # same problem as SMO over the whole Gram matrix: the same pairs, so
+    # the same iterations and support vectors, and alpha and rho equal up
+    # to rounding. A kernel entry's rounding reaches alpha through
+    # 1 / eta; the close pairs of a 2-d cloud (eta near 1e-3) take alpha's
+    # difference to 1.7e-12 in the pinned example, rho's stays below 1e-15.
+    Z, _ = standardize(np.random.default_rng(seed).normal(size=(l, d)))
+    budget = ocsvm._ROW_CACHE_BYTES if cache_rows is None else cache_rows * 8 * l
+    stats = ocsvm.SolverStats()
+    with mock.patch.object(ocsvm, "_ROW_CACHE_BYTES", budget):
+        alpha, rho, iters = train_ocsvm(Z, nu, gamma, stats=stats)
+    ref_alpha, ref_rho, ref_iters = ocsvm_smo_ref(Z, nu, gamma)
+    assert iters == ref_iters == stats.iterations
+    assert np.array_equal(alpha > 1e-12, ref_alpha > 1e-12)
+    assert np.abs(alpha - ref_alpha).max() <= 1e-11
+    assert abs(rho - ref_rho) <= 1e-12
+    assert stats.kernel_rows <= int(nu * l) + 1 + 2 * iters
+
+
+def test_row_cache_eviction_changes_nothing():
+    # a row recomputed after its eviction has the same bits as before
+    Z, _ = standardize(_cloud(800, d=6, seed=25))
+    gamma = default_gamma(Z)
+    roomy = ocsvm.SolverStats()
+    alpha, rho, iters = train_ocsvm(Z, 0.05, gamma, stats=roomy)
+    tight = ocsvm.SolverStats()
+    with mock.patch.object(ocsvm, "_ROW_CACHE_BYTES", 2 * 8 * len(Z)):
+        alpha2, rho2, iters2 = train_ocsvm(Z, 0.05, gamma, stats=tight)
+    assert np.array_equal(alpha, alpha2)
+    assert rho == rho2 and iters == iters2
+    assert tight.kernel_rows > roomy.kernel_rows
+
+
+def test_row_cache_evicts_least_recently_used():
+    Z = _cloud(50, d=3, seed=27)
+    rows = ocsvm._KernelRows(Z, 0.3, budget=2 * 8 * len(Z))
+    first = rows(0)
+    rows(1)
+    assert rows(0) is first  # a hit, now the most recent
+    rows(2)  # evicts row 1
+    assert list(rows.cache) == [0, 2] and rows.computed == 3
+    assert np.array_equal(rows(1), ocsvm.rbf_matrix(Z[1:2], Z, 0.3)[0])
+    assert list(rows.cache) == [2, 1] and rows.computed == 4
+
+
+def test_training_holds_no_gram_matrix():
+    # SMO touches a few hundred of the 4,000 rows; an l x l buffer would
+    # be 128 MB
+    l = 4000
+    Z, _ = standardize(_cloud(l, d=10, seed=26))
+    gamma = default_gamma(Z)
+    stats = ocsvm.SolverStats()
+    tracemalloc.start()
+    try:
+        train_ocsvm(Z, 0.05, gamma, stats=stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < l * l * 8 / 4
+    assert stats.kernel_rows < l
 
 
 def test_gradient_matches_finite_differences():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from chaintrace.errors import (
@@ -5,6 +7,7 @@ from chaintrace.errors import (
     IntegrityFailure,
     TokenCollision,
     UnknownToken,
+    VaultFormatError,
     VaultSealed,
 )
 from chaintrace.events import LogEvent
@@ -136,3 +139,17 @@ def test_load_rejects_foreign_file(tmp_path):
     open(path, "w").write('{"magic": "something-else"}')
     with pytest.raises(ValueError):
         PseudonymVault.load(path)
+
+
+@pytest.mark.parametrize("payload", [
+    {"magic": "chaintrace-vault", "primitive": "rsa-2048-oaep-sha256"},
+    {"magic": "chaintrace-vault", "primitive": "rsa-2048-oaep-sha256",
+     "token_key": "not hex", "public_key": "", "k": 2, "n": 3, "entries": {},
+     "identity_fields": {}},
+    ["chaintrace-vault"],
+])
+def test_load_rejects_damaged_vault(tmp_path, payload):
+    path = tmp_path / "vault.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(VaultFormatError):
+        PseudonymVault.load(str(path))
