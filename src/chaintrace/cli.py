@@ -327,21 +327,38 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _read_scored(path: str) -> list[tuple[str, int, bool]]:
+    """(user, window_start, anomalous) of each line ``score`` wrote."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    r = json.loads(line)
+                    row = (r["user"], r["window_start"], r["anomalous"])
+                    valid = (type(row[0]) is str and type(row[1]) is int
+                             and type(row[2]) is bool)
+                except (ValueError, RecursionError, TypeError, KeyError):
+                    valid = False
+                if not valid:
+                    raise MalformedLine(f"{path}: line {lineno}: not a scored "
+                                        "window (user, window_start, anomalous)")
+                rows.append(row)
+        except UnicodeDecodeError:
+            raise utf8_fault(path) from None
+    return rows
+
+
 def cmd_metrics(args) -> int:
     truth = read_truth_file(args.truth)
     labeled_ids = truth.labeled_ids()
     labeled_events = [
         e for e in _EventFile(args.events) if e.id in labeled_ids
     ]
-    scored = []
-    with open(args.scored, "r", encoding="utf-8") as fh:
-        for line in fh:
-            scored.append(json.loads(line))
-    vectors = [
-        feats.FeatureVector(r["user"], r["window_start"], None) for r in scored
-    ]
+    scored = _read_scored(args.scored)
+    vectors = [feats.FeatureVector(user, start, None) for user, start, _ in scored]
     labels = feats.label_windows(vectors, labeled_events, window=args.window_secs)
-    predictions = [r["anomalous"] for r in scored]
+    predictions = [anomalous for _, _, anomalous in scored]
     metrics = feats.evaluate(predictions, labels)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)

@@ -8,7 +8,8 @@ class ChaintraceError(Exception):
 # --- event model ---
 
 class MalformedLine(ChaintraceError):
-    """A raw log line (or a ground-truth line) does not match its grammar."""
+    """A raw log line (or a ground-truth or scored line) does not match its
+    grammar."""
 
 
 class DecodeError(ChaintraceError):
@@ -86,9 +87,9 @@ class UnknownInputKind(ChaintraceError):
 # --- kill chain ---
 
 class SchemaError(ChaintraceError):
-    """A JSON input document (rules, kill chain, config, vault) is not
-    UTF-8 JSON, or a kill-chain model or sequence-rule document violates
-    its schema."""
+    """A JSON input document (rules, kill chain, config, vault, store
+    index) is not UTF-8 JSON, or a kill-chain model, sequence-rule
+    document or store index violates its schema."""
 
 
 class UnknownSequenceType(ChaintraceError):
@@ -110,7 +111,7 @@ class DimensionMismatch(ChaintraceError):
 
 
 class BadHyperparameters(ChaintraceError):
-    """nu outside (0, 1) or gamma <= 0."""
+    """nu outside (0, 1), gamma not finite and > 0, or infeasible alphas."""
 
 
 class DidNotConverge(ChaintraceError):

@@ -40,12 +40,6 @@ class LogEvent:
     actor: str
     attributes: dict[str, str] = field(default_factory=dict)
 
-    def validate(self) -> None:
-        if self.ts <= 0:
-            raise ValueError(f"ts must be > 0, got {self.ts}")
-        if self.event_type not in EVENT_TYPES:
-            raise ValueError(f"unknown event_type {self.event_type!r}")
-
 
 @dataclass(frozen=True)
 class RawLine:
@@ -100,7 +94,11 @@ def _parse(text: str):
 
 
 def decode_event(text: str) -> LogEvent:
-    """Inverse of :func:`encode_event`; raises DecodeError with byte offset."""
+    """Inverse of :func:`encode_event`; raises DecodeError with byte offset.
+
+    Its checks are what makes an event valid: integer id, ts > 0, a known
+    type, string host and actor, and string attribute values.
+    """
     obj = _parse(text)
     if type(obj) is not dict:
         raise DecodeError("record is not an object", 0)
@@ -111,7 +109,6 @@ def decode_event(text: str) -> LogEvent:
         raise DecodeError(f"missing member {exc.args[0]!r}", 0) from None
     if type(eid) is not int or type(ts) is not int:  # bool is not an integer here
         raise DecodeError("id and ts must be integers", 0)
-    # the checks of LogEvent.validate
     if ts <= 0:
         raise DecodeError(f"ts must be > 0, got {ts}", 0)
     if type(etype) is not str or etype not in EVENT_TYPES:

@@ -62,7 +62,6 @@ class ExtractionStats:
 def extract_features(
     events: Iterable[LogEvent],
     window: int = 3600,
-    users: set[str] | None = None,
     stats: ExtractionStats | None = None,
 ) -> list[FeatureVector]:
     """One vector per (user, window) holding at least one relevant event.
@@ -91,8 +90,6 @@ def extract_features(
 
     for e in events:
         if e.event_type not in _RELEVANT:
-            continue
-        if users is not None and e.actor not in users:
             continue
         key = cell(e.actor, e.ts)
         v = acc[key]
@@ -168,11 +165,6 @@ def standardize(
     else:
         means, stds = stats
     return (X - means) / stds, (means, stds)
-
-
-def destandardize(Z: np.ndarray, stats: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    means, stds = stats
-    return Z * stds + means
 
 
 def evaluate(predictions: list[bool], labels: list[bool]) -> dict:

@@ -30,9 +30,6 @@ from .events import EVENT_TYPES, LogEvent, load_json
 
 NS = 1_000_000_000
 
-NODE_KINDS = ("host", "user", "event", "sequence", "kc_element", "adversary")
-EDGE_KINDS = ("caused_by", "next", "member_of", "matches", "connects_to")
-
 GROUP_FIELDS = ("source_host", "actor", "dst_ip")
 
 
@@ -57,7 +54,6 @@ class PropertyGraph:
     def __init__(self):
         self.nodes: dict[str, Node] = {}
         self._edge_set: set[Edge] = set()
-        self.event_count = 0
         self.rule_skips = 0
 
     def add_node(self, node: Node) -> Node:
@@ -114,8 +110,6 @@ def build_graph(events: Iterable[LogEvent]) -> PropertyGraph:
     prev_event_per_host: dict[str, str] = {}
 
     for e in _in_order(events):
-        g.event_count += 1
-
         host = g.add_node(Node(_host_id(e.source_host), "host", e.source_host))
         user = g.add_node(Node(_user_id(e.actor), "user", e.actor))
         dst_ip = e.attributes.get("dst_ip")
@@ -231,42 +225,6 @@ class SeqItem:
     ref: int | str  # LogEvent id or sequence node id
 
 
-def _take_window(
-    buf: deque[SeqItem], window_ns: int, min_count: int, max_count: int | None
-) -> list[SeqItem] | None:
-    """Pop the window anchored at the head of ``buf``.
-
-    Returns its members when at least ``min_count`` fall within
-    ``window_ns`` of the head (at most ``max_count``); otherwise drops the
-    head alone and returns None.
-    """
-    head_ts = buf[0].ts
-    count = 0
-    for item in buf:
-        if item.ts - head_ts > window_ns:
-            break
-        count += 1
-        if max_count is not None and count >= max_count:
-            break
-    if count < min_count:
-        buf.popleft()
-        return None
-    return [buf.popleft() for _ in range(count)]
-
-
-def greedy_windows(
-    items: list[SeqItem], window_ns: int, min_count: int, max_count: int | None
-) -> list[list[SeqItem]]:
-    """Earliest-start, non-overlapping window aggregation with loop cap."""
-    buf = deque(items)
-    out: list[list[SeqItem]] = []
-    while buf:
-        members = _take_window(buf, window_ns, min_count, max_count)
-        if members is not None:
-            out.append(members)
-    return out
-
-
 class _Windower:
     """The greedy windows of one rule over items offered in ts order, one
     deque per group key. A head window is closed once an offered item
@@ -299,10 +257,22 @@ class _Windower:
             self._close(key, buf)
 
     def _close(self, key: tuple[str, ...], buf: deque[SeqItem]) -> None:
-        members = _take_window(buf, self.window_ns, self.rule.min_count,
-                               self.rule.max_count)
-        if members is not None:
-            self.windows.append((key, members))
+        """Pop the window anchored at the head of ``buf``: its members if at
+        least ``min_count`` fall within the window (at most ``max_count``),
+        else the head alone."""
+        window_ns, max_count = self.window_ns, self.rule.max_count
+        head_ts = buf[0].ts
+        count = 0
+        for item in buf:
+            if item.ts - head_ts > window_ns:
+                break
+            count += 1
+            if max_count is not None and count >= max_count:
+                break
+        if count < self.rule.min_count:
+            buf.popleft()
+        else:
+            self.windows.append((key, [buf.popleft() for _ in range(count)]))
 
     def flush(self) -> list[tuple[tuple[str, ...], list[SeqItem]]]:
         """Every window of the rule, as (group key, members)."""
@@ -420,7 +390,7 @@ def apply_rules(
     return graph
 
 
-# --- export / import ---
+# --- export ---
 
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')
@@ -476,17 +446,3 @@ def export_graph(graph: PropertyGraph, fmt: str) -> str:
         return ET.tostring(root, encoding="unicode") + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
 
-
-def import_graphml(text: str) -> PropertyGraph:
-    """Re-import an exported GraphML document (kind/label/edges only)."""
-    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
-    root = ET.fromstring(text)
-    g = PropertyGraph()
-    gel = root.find("g:graph", ns)
-    for nel in gel.findall("g:node", ns):
-        data = {d.get("key"): d.text or "" for d in nel.findall("g:data", ns)}
-        g.add_node(Node(nel.get("id"), data.get("d0", ""), data.get("d1", "")))
-    for eel in gel.findall("g:edge", ns):
-        data = {d.get("key"): d.text or "" for d in eel.findall("g:data", ns)}
-        g.add_edge(eel.get("source"), eel.get("target"), data.get("d2", ""))
-    return g

@@ -30,7 +30,7 @@ from .errors import (
     EmptyTrainingSet,
     ModelFormatError,
 )
-from .features import FEATURE_NAMES, SOURCE_SETS, standardize
+from .features import FEATURE_NAMES, N_FEATURES, SOURCE_SETS, standardize
 
 TOL = 1e-6  # KKT gap at which the solver stops
 MAX_ITER = 10**6
@@ -164,6 +164,15 @@ def _smo_solve(row, g: np.ndarray, alpha: np.ndarray, C: float) -> tuple[int, fl
     return it, float(gap)
 
 
+def _full_matrix(X: np.ndarray) -> np.ndarray:
+    """``X`` as floats, if it has the ``N_FEATURES`` columns of ``matrix_of``."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != N_FEATURES:
+        raise DimensionMismatch(
+            f"expected a matrix of {N_FEATURES} feature columns, got shape {X.shape}")
+    return X
+
+
 def default_gamma(X_std: np.ndarray) -> float:
     """1 / (d * var) over the standardized training matrix."""
     var = float(X_std.var())
@@ -194,30 +203,23 @@ class OneClassSvmModel:
     def check_feasible(self, full_alpha: np.ndarray | None = None) -> None:
         C = 1.0 / (self.nu * self.l)
         a = full_alpha if full_alpha is not None else self.alpha
-        if abs(float(a.sum()) - 1.0) > 1e-9:
+        if not abs(float(a.sum()) - 1.0) <= 1e-9:  # a NaN sum fails too
             raise BadHyperparameters(f"sum(alpha) = {a.sum()} != 1")
         if (a < -1e-12).any() or (a > C + 1e-12).any():
             raise BadHyperparameters("alpha outside [0, 1/(nu*l)]")
 
     # --- scoring ---
 
-    def _standardize(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] == len(FEATURE_NAMES) and len(self.feature_indices) != X.shape[1]:
-            X = X[:, list(self.feature_indices)]
-        if X.shape[1] != self.support_vectors.shape[1]:
-            raise DimensionMismatch(
-                f"expected {self.support_vectors.shape[1]} features, got {X.shape[1]}"
-            )
-        return (X - self.feature_means) / self.feature_stds
-
     def decision(self, X: np.ndarray) -> np.ndarray:
-        """f(x) per row of unstandardized features; anomalous iff f(x) < 0."""
-        Z = self._standardize(X)
+        """f(x) per row of a full feature matrix (``features.matrix_of``);
+        anomalous iff f(x) < 0."""
+        X = _full_matrix(X)
+        # A column selection is a column-major copy, and the kernel's last
+        # bits follow the layout: the full set is scored as given.
+        if len(self.feature_indices) != N_FEATURES:
+            X = X[:, list(self.feature_indices)]
+        Z, _ = standardize(X, (self.feature_means, self.feature_stds))
         return rbf_matrix(Z, self.support_vectors, self.gamma) @ self.alpha - self.rho
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.decision(X) < 0
 
     # --- persistence ---
 
@@ -262,6 +264,12 @@ class OneClassSvmModel:
                 feature_indices=indices,
                 l=payload["l"],
             )
+            k = len(indices)
+            if not (0.0 < model.gamma < math.inf) \
+                    or model.support_vectors.shape != (len(model.alpha), k) \
+                    or model.feature_means.shape != (k,) \
+                    or model.feature_stds.shape != (k,):
+                raise ValueError("gamma or array shapes do not fit the model")
             model.check_feasible()
         except ModelFormatError:
             raise
@@ -289,8 +297,8 @@ def train_ocsvm(
         raise EmptyTrainingSet(f"need at least 2 vectors, got {l}")
     if not (0.0 < nu < 1.0):
         raise BadHyperparameters(f"nu must be in (0, 1), got {nu}")
-    if gamma <= 0.0:
-        raise BadHyperparameters(f"gamma must be > 0, got {gamma}")
+    if not (0.0 < gamma < math.inf):  # NaN fails too
+        raise BadHyperparameters(f"gamma must be finite and > 0, got {gamma}")
 
     C = 1.0 / (nu * l)
 
@@ -328,18 +336,11 @@ def fit(
     source_set: str = "combined",
     stats: SolverStats | None = None,
 ) -> OneClassSvmModel:
-    """Standardize, pick gamma if unset, train, and package the model;
-    ``stats`` goes to :func:`train_ocsvm`."""
+    """Standardize the ``source_set`` columns of a full feature matrix
+    (``features.matrix_of``), pick gamma if unset, train, and package the
+    model; ``stats`` goes to :func:`train_ocsvm`."""
     indices = SOURCE_SETS[source_set]
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch("expected a 2-d matrix")
-    if X.shape[1] == len(FEATURE_NAMES):
-        X = X[:, list(indices)]
-    elif X.shape[1] != len(indices):
-        raise DimensionMismatch(
-            f"expected {len(FEATURE_NAMES)} or {len(indices)} columns"
-        )
+    X = _full_matrix(X)[:, list(indices)]
     Z, (means, stds) = standardize(X)
     if gamma is None:
         gamma = default_gamma(Z)

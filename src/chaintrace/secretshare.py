@@ -104,12 +104,12 @@ def reconstruct_secret(
     shares: list[ShamirShare], threshold: int | None = None
 ) -> bytes:
     """Lagrange-interpolate at x=0, byte by byte."""
-    if not shares:
-        raise InsufficientShares("no shares supplied")
     if threshold is not None and len(shares) < threshold:
         raise InsufficientShares(
             f"need {threshold} shares, got {len(shares)}"
         )
+    if not shares:
+        raise InsufficientShares("no shares supplied")
     xs = [s.x for s in shares]
     if len(set(xs)) != len(xs):
         raise InconsistentShares("duplicate share x coordinates")
@@ -151,8 +151,11 @@ def write_share_file(path: str, share: ShamirShare) -> None:
 
 
 def read_share_file(path: str) -> ShamirShare:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise InconsistentShares(f"{path}: not a share file (not UTF-8)") from None
     if not lines or lines[0] != _SHARE_MAGIC:
         raise InconsistentShares(f"{path}: not a share file")
     fields = dict(ln.split(": ", 1) for ln in lines[1:] if ": " in ln)
@@ -160,8 +163,9 @@ def read_share_file(path: str) -> ShamirShare:
         x = int(fields["x"], 16)
         y = bytes.fromhex(fields["y"])
         digest = fields["sha256"]
+        armored = bytes([x]) + y  # ValueError unless 0 <= x <= 255
     except (KeyError, ValueError) as exc:
         raise InconsistentShares(f"{path}: malformed share file") from exc
-    if hashlib.sha256(bytes([x]) + y).hexdigest() != digest:
+    if hashlib.sha256(armored).hexdigest() != digest:
         raise InconsistentShares(f"{path}: checksum mismatch")
     return ShamirShare(x=x, y=y)

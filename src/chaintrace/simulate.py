@@ -11,7 +11,7 @@ Identical configs produce byte-identical event streams.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -88,9 +88,6 @@ class SimConfig:
             raise BadConfig(f"unknown truncate_after step {self.truncate_after!r}")
         if any(r < 0 for r in self.rates.values()):
             raise BadConfig("rates must be non-negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":

@@ -16,8 +16,8 @@ from dataclasses import dataclass, asdict
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .errors import IoFailure, OutOfOrder
-from .events import LogEvent, decode_event, encode_event, utf8_fault
+from .errors import IoFailure, OutOfOrder, SchemaError
+from .events import LogEvent, decode_event, encode_event, load_json, utf8_fault
 
 DEFAULT_SEGMENT_EVENTS = 1 << 20
 
@@ -68,9 +68,17 @@ class EventStore:
         path = self._index_path()
         if not os.path.exists(path):
             return
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        self.segments = [StoreSegment(**seg) for seg in raw["segments"]]
+        raw = load_json(path, "store index")
+        try:
+            self.segments = [StoreSegment(**seg) for seg in raw["segments"]]
+            for seg in self.segments:
+                counts = (seg.min_ts, seg.max_ts, seg.min_id, seg.max_id, seg.count)
+                if not (type(seg.path) is str and type(seg.sealed) is bool
+                        and all(type(v) is int for v in counts) and seg.count >= 0
+                        and (seg.bytes is None or type(seg.bytes) is int)):
+                    raise TypeError(f"a member of {seg} is out of range")
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"store index {path}: malformed: {exc}") from None
         if self.segments and not self.segments[-1].sealed:
             self._active = self.segments[-1]
 
@@ -178,12 +186,9 @@ class EventStore:
         self,
         t0: int,
         t1: int,
-        event_types: set[str] | None = None,
-        source_hosts: set[str] | None = None,
-        actors: set[str] | None = None,
         prefilter: Callable[[str], bool] | None = None,
     ) -> Iterator[LogEvent]:
-        """Stream stored events with t0 <= ts < t1 passing every filter.
+        """Stream stored events with t0 <= ts < t1.
 
         ``prefilter`` sees each raw line first; a line it rejects is
         counted and skipped without being decoded.
@@ -213,12 +218,6 @@ class EventStore:
                             continue
                         if e.ts >= t1:
                             return
-                        if event_types is not None and e.event_type not in event_types:
-                            continue
-                        if source_hosts is not None and e.source_host not in source_hosts:
-                            continue
-                        if actors is not None and e.actor not in actors:
-                            continue
                         yield e
         except UnicodeDecodeError:
             raise utf8_fault(path) from None
@@ -226,8 +225,9 @@ class EventStore:
             self.rows_scanned += scanned
             self.rows_skipped += skipped
 
-    def query_all(self, **filters) -> Iterator[LogEvent]:
+    def query_all(self, prefilter: Callable[[str], bool] | None = None
+                  ) -> Iterator[LogEvent]:
         """Full-range query convenience wrapper."""
         if self.count() == 0:
             return iter(())
-        return self.query(1, self.last_ts + 1, **filters)
+        return self.query(1, self.last_ts + 1, prefilter)

@@ -19,7 +19,6 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
 from .errors import (
-    InsufficientShares,
     IntegrityFailure,
     TokenCollision,
     UnknownToken,
@@ -120,8 +119,6 @@ class PseudonymVault:
         entry = self.entries.get(token)
         if entry is None:
             raise UnknownToken(token)
-        if len(shares) < self.k:
-            raise InsufficientShares(f"need {self.k} shares, got {len(shares)}")
         der = reconstruct_secret(shares, threshold=self.k)
         try:
             priv = serialization.load_der_private_key(der, password=None)
@@ -168,7 +165,7 @@ class PseudonymVault:
             raise VaultFormatError(
                 f"{path}: unsupported primitive {payload.get('primitive')}")
         try:
-            return cls(
+            vault = cls(
                 token_key=bytes.fromhex(payload["token_key"]),
                 public_key_pem=payload["public_key"].encode(),
                 k=payload["k"],
@@ -177,6 +174,12 @@ class PseudonymVault:
                 identity_fields=payload["identity_fields"],
                 read_only=read_only,
             )
+            if not (type(vault.k) is int and type(vault.n) is int
+                    and all(type(c) is str for c in vault.identity_fields.values())
+                    and all(type(e["h"]) is str and type(e["c"]) is str
+                            for e in vault.entries.values())):
+                raise TypeError("k, n, identity fields or entries of the wrong type")
+            return vault
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise VaultFormatError(f"{path}: malformed vault file: {exc!r}") from exc
 

@@ -172,7 +172,7 @@ def test_acceptance_07_svm_detects_anomalous_windows(capfd):
             labeled_events = [e for e in events if e.id in labeled_ids]
             labels = label_windows(vectors, labeled_events, window=window)
             assert sum(labels) >= 0.05 * len(labels)
-            preds = list(model.predict(matrix_of(vectors)))
+            preds = list(model.decision(matrix_of(vectors)) < 0)
             m = evaluate(preds, labels)
             accs.append(m["accuracy"])
             recalls.append(m["recall"])

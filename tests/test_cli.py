@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import shutil
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from chaintrace.cli import EXIT_ERROR, main
 from chaintrace.events import decode_event
@@ -545,3 +550,164 @@ def test_garbled_truth_file_is_error(workdir, capsys, line):
                  "--truth", "truth.tsv", "--out", "m.out",
                  "--window-secs", "1200"]) == EXIT_ERROR
     assert "truth.tsv: line 4:" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("line", ["not json", "[1, 2]",
+                                  '{"user": "u000", "anomalous": true}',
+                                  '{"user": "u000", "window_start": "0", "anomalous": true}'],
+                         ids=["not-json", "not-object", "no-window-start", "string-start"])
+def test_garbled_scored_line_is_error(workdir, capsys, line):
+    _simulate(workdir)
+    assert main(["train", "--events", "events.jsonl", "--out", "m.json",
+                 "--window-secs", "1200"]) == 0
+    assert main(["score", "--events", "events.jsonl", "--model", "m.json",
+                 "--out", "s.jsonl", "--window-secs", "1200"]) == 0
+    scored = workdir / "s.jsonl"
+    lines = scored.read_text().splitlines()
+    lines.insert(3, line)
+    scored.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["metrics", "--scored", "s.jsonl", "--events", "events.jsonl",
+                 "--truth", "truth.tsv", "--out", "m.out",
+                 "--window-secs", "1200"]) == EXIT_ERROR
+    assert "s.jsonl: line 4:" in _one_line_error(capsys)
+    assert not (workdir / "m.out").exists()
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf", "0"])
+def test_train_gamma_must_be_finite_and_positive(workdir, capsys, gamma):
+    _simulate(workdir)
+    capsys.readouterr()
+    assert main(["train", "--events", "events.jsonl", "--out", "m.json",
+                 f"--gamma={gamma}"]) == EXIT_ERROR
+    assert "gamma" in _one_line_error(capsys)
+    assert not (workdir / "m.json").exists()
+
+
+# --- fuzz gate: a damaged input file never lets an exception out of main() ---
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """One valid input file of each kind the commands read, and the reveal
+    token; a fuzz example damages a copy of one of them."""
+    root = tmp_path_factory.mktemp("pristine")
+
+    def run(*argv):
+        assert main([str(a) for a in argv]) == 0, argv
+
+    (root / "cfg.json").write_text(json.dumps({"users": 8, "duration": 600}))
+    for name in ("default_rules.json", "default_killchain.json"):
+        (root / name).write_text(
+            (resources.files("chaintrace.data") / name).read_text())
+    run("simulate", "--seed", 42, "--config", root / "cfg.json",
+        "--out", root / "events.jsonl", "--truth", root / "truth.tsv",
+        "--raw", root / "raw.log")
+    run("ingest", "--store", root / "store", "--events", root / "events.jsonl")
+    run("pseudonymize", "--events", root / "events.jsonl", "--out", root / "pseudo.jsonl",
+        "--vault", root / "vault.json", "--shares-dir", root / "shares", "-k", 2, "-n", 2)
+    run("train", "--events", root / "events.jsonl", "--out", root / "model.json",
+        "--window-secs", 600)
+    run("score", "--events", root / "events.jsonl", "--model", root / "model.json",
+        "--out", root / "scored.jsonl", "--window-secs", 600)
+    token = sorted(json.loads((root / "vault.json").read_text())["entries"])[0]
+    return root, token
+
+
+# Each command with its argv (inputs relative to the copy, outputs under
+# ``out/``) and the input files a fuzz example may damage.
+_EVENTS_IN = ["--events", "events.jsonl"]
+_STORE_IN = ["--store", "store"]
+_STORE_FILES = ("store/index.json", "store/000000.seg")
+_FUZZ_COMMANDS = {
+    "simulate": (["simulate", "--config", "cfg.json", "--out", "out/e.jsonl",
+                  "--truth", "out/t.tsv"], ("cfg.json",)),
+    "ingest": (["ingest", "--store", "store", "--events", "pseudo.jsonl"],
+               ("pseudo.jsonl",) + _STORE_FILES),
+    "ingest --format raw": (["ingest", "--store", "out/store", "--events", "raw.log",
+                             "--format", "raw"], ("raw.log",)),
+    "pseudonymize": (["pseudonymize", *_EVENTS_IN, "--out", "out/p.jsonl",
+                      "--vault", "vault.json"], ("events.jsonl", "vault.json")),
+    "detect --events": (["detect", *_EVENTS_IN, "--rules", "default_rules.json",
+                         "--killchain", "default_killchain.json", "--out", "out/r.jsonl"],
+                        ("events.jsonl", "default_rules.json", "default_killchain.json")),
+    "detect --store": (["detect", *_STORE_IN, "--out", "out/r.jsonl"], _STORE_FILES),
+    "train": (["train", *_STORE_IN, "--out", "out/m.json", "--window-secs", "600"],
+              _STORE_FILES),
+    "score": (["score", *_EVENTS_IN, "--model", "model.json", "--out", "out/s.jsonl",
+               "--window-secs", "600"], ("events.jsonl", "model.json")),
+    "metrics": (["metrics", "--scored", "scored.jsonl", *_EVENTS_IN, "--truth", "truth.tsv",
+                 "--out", "out/m.json", "--window-secs", "600"],
+                ("scored.jsonl", "events.jsonl", "truth.tsv")),
+    "reveal": (["reveal", "--vault", "vault.json", "--token", "TOKEN",
+                "--share", "shares/share-001.txt", "--share", "shares/share-002.txt"],
+               ("vault.json", "shares/share-001.txt")),
+    "export": (["export", *_EVENTS_IN, "--rules", "default_rules.json",
+                "--out", "out/g.dot"], ("events.jsonl", "default_rules.json")),
+}
+_FUZZ_CASES = [(command, path) for command, (_, paths) in _FUZZ_COMMANDS.items()
+               for path in paths]
+
+
+def _damage(data: bytes, how) -> bytes:
+    """``data`` cut at, or with one byte replaced at, a position taken
+    modulo its length (negative counts from the end); the document of
+    another JSON kind; or nothing."""
+    kind, *arg = how
+    if kind == "empty" or not data:
+        return b""
+    if kind == "kind":
+        return arg[0].encode() + b"\n"
+    at = arg[0] % len(data)
+    if kind == "truncate":
+        return data[:at]
+    return data[:at] + bytes([arg[1]]) + data[at + 1:]
+
+
+_damages = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(-(1 << 20), 1 << 20)),
+    st.tuples(st.just("flip"), st.integers(-(1 << 20), 1 << 20), st.integers(0, 255)),
+    st.tuples(st.just("kind"), st.sampled_from(["[]", "{}", '"x"', "0", "null", "true"])),
+    st.just(("empty",)),
+)
+
+
+@given(case=st.sampled_from(_FUZZ_CASES), how=_damages)
+@example(case=("metrics", "scored.jsonl"), how=("flip", 0, ord("x")))  # not JSON
+@example(case=("metrics", "scored.jsonl"), how=("kind", "[]"))  # not an object
+@example(case=("metrics", "scored.jsonl"), how=("flip", -25, ord("T")))  # window_starT
+@example(case=("reveal", "shares/share-001.txt"), how=("flip", 23, ord("-")))  # x: -1
+@example(case=("reveal", "shares/share-001.txt"), how=("flip", 0, 0xFF))
+@example(case=("detect --store", "store/index.json"), how=("flip", 0, ord("x")))
+@example(case=("detect --store", "store/index.json"), how=("flip", 0, 0xFF))
+@example(case=("detect --store", "store/index.json"), how=("flip", 16, ord("q")))  # "qath"
+@example(case=("ingest", "store/index.json"), how=("kind", "[]"))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_damaged_input_never_escapes_main(pristine, case, how):
+    root, token = pristine
+    command, damaged = case
+    argv, _ = _FUZZ_COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = os.path.join(tmp, "w")
+        shutil.copytree(root, work)
+        os.mkdir(os.path.join(work, "out"))
+        target = os.path.join(work, damaged)
+        with open(target, "rb") as fh:
+            data = fh.read()
+        with open(target, "wb") as fh:
+            fh.write(_damage(data, how))
+        argv = [token if a == "TOKEN" else os.path.join(work, a)
+                if a.startswith("out/") or os.path.exists(os.path.join(work, a))
+                else a for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse
+                rc = exc.code
+    lines = err.getvalue().splitlines()
+    if rc in (EXIT_ERROR, EXIT_ERROR + 1):
+        prefix = "error: " if rc == EXIT_ERROR else "io error: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    else:
+        assert rc in (0, 2, 3, 4), (rc, lines)

@@ -7,7 +7,6 @@ from chaintrace.features import (
     FEATURE_NAMES,
     SOURCE_SETS,
     ExtractionStats,
-    destandardize,
     evaluate,
     extract_features,
     label_windows,
@@ -93,15 +92,6 @@ def test_irrelevant_events_emit_nothing():
     assert extract_features(events) == []
 
 
-def test_user_filter():
-    events = [
-        _ev(1, 0, "logon", actor="alice", session_id="S1"),
-        _ev(2, 1, "logon", actor="bob", session_id="S2"),
-    ]
-    vectors = extract_features(events, users={"bob"})
-    assert [v.user for v in vectors] == ["bob"]
-
-
 def test_vectors_sorted_by_user_then_window():
     events = [
         _ev(1, 0, "logon", actor="zed", session_id="S1"),
@@ -124,10 +114,9 @@ def test_matrix_of_shape(case_study):
 def test_standardize_roundtrip():
     rng = np.random.default_rng(0)
     X = rng.normal(5.0, 3.0, size=(40, 10))
-    Z, stats = standardize(X)
+    Z, _ = standardize(X)
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(Z.std(axis=0), 1.0, atol=1e-12)
-    assert np.allclose(destandardize(Z, stats), X, atol=1e-12)
 
 
 def test_standardize_zero_variance_dimension():

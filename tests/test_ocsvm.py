@@ -268,10 +268,18 @@ def test_bad_hyperparameters():
         train_ocsvm(X, 0.0, 0.5)
     with pytest.raises(BadHyperparameters):
         train_ocsvm(X, 1.0, 0.5)
-    with pytest.raises(BadHyperparameters):
-        train_ocsvm(X, 0.5, 0.0)
+    for gamma in (0.0, float("nan"), float("inf")):
+        with pytest.raises(BadHyperparameters):
+            train_ocsvm(X, 0.5, gamma)
     with pytest.raises(EmptyTrainingSet):
         train_ocsvm(X[:1], 0.5, 0.5)
+
+
+def test_nan_alpha_is_infeasible():
+    model = fit(_cloud(20, d=10, seed=3), nu=0.2)
+    model.alpha[0] = np.nan
+    with pytest.raises(BadHyperparameters):
+        model.check_feasible()
 
 
 def test_fit_dimension_checks():
@@ -296,10 +304,10 @@ def test_fit_flags_planted_outliers():
     X = np.zeros((120, 10))
     X[:, :] = rng.normal(0.0, 1.0, size=(120, 10))
     model = fit(X, nu=0.1)
-    inliers = model.predict(X)
-    assert inliers.mean() <= 0.2  # most training points accepted
+    outliers = model.decision(X) < 0
+    assert outliers.mean() <= 0.2  # most training points accepted
     far = X + 25.0
-    assert model.predict(far).all()
+    assert (model.decision(far) < 0).all()
 
 
 def test_source_set_projection():
@@ -307,10 +315,12 @@ def test_source_set_projection():
     X = rng.normal(0.0, 1.0, size=(80, 10))
     model = fit(X, nu=0.1, source_set="firewall")
     assert model.support_vectors.shape[1] == 4
-    # scoring accepts both full and projected rows
-    f_full = model.decision(X)
-    f_proj = model.decision(X[:, [4, 5, 6, 7]])
-    assert np.allclose(f_full, f_proj)
+    # scoring reads the firewall columns of the full matrix
+    f = model.decision(X)
+    assert f.shape == (80,)
+    shuffled = X.copy()
+    shuffled[:, [0, 1, 2, 3, 8, 9]] = rng.normal(size=(80, 6))
+    assert np.array_equal(model.decision(shuffled), f)
 
 
 def test_model_save_load_roundtrip(tmp_path):
@@ -334,6 +344,21 @@ def test_model_load_rejects_tampered_schema(tmp_path):
     payload["feature_indices"] = [0, 1]
     json.dump(payload, open(path, "w"))
     with pytest.raises(ValueError):
+        OneClassSvmModel.load(path)
+
+
+@pytest.mark.parametrize("member", ["gamma", "support_vectors", "feature_means"])
+def test_model_load_rejects_members_that_do_not_fit(tmp_path, member):
+    import json
+    model = fit(_cloud(40, d=10, seed=21), nu=0.2)
+    path = str(tmp_path / "model.json")
+    model.save(path)
+    payload = json.load(open(path))
+    payload[member] = {"gamma": float("nan"),
+                       "support_vectors": [row[:-1] for row in payload["support_vectors"]],
+                       "feature_means": payload["feature_means"][:-1]}[member]
+    json.dump(payload, open(path, "w"))
+    with pytest.raises(ModelFormatError):
         OneClassSvmModel.load(path)
 
 

@@ -173,6 +173,17 @@ def test_share_file_tamper_detected(tmp_path):
         read_share_file(path)
 
 
+@pytest.mark.parametrize("text,damaged", [("x: 07", "x: 1ff"), ("x: 07", "x: -1"),
+                                          ("y: 00", "y: \xff")])
+def test_share_file_garbled_is_inconsistent(tmp_path, text, damaged):
+    path = tmp_path / "share.txt"
+    write_share_file(str(path), ShamirShare(7, bytes(range(32))))
+    data = path.read_text().replace(text, damaged).encode("latin-1")
+    path.write_bytes(data)
+    with pytest.raises(InconsistentShares):
+        read_share_file(str(path))
+
+
 def test_share_file_bad_magic(tmp_path):
     path = str(tmp_path / "nope.txt")
     open(path, "w").write("hello\n")

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import pytest
 
 from chaintrace.errors import BadConfig
@@ -112,7 +114,7 @@ def test_bad_configs_rejected():
 
 def test_config_roundtrip():
     cfg = SimConfig(seed=11, users=7, jpeg_count=4)
-    assert SimConfig.from_dict(cfg.to_dict()) == cfg
+    assert SimConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(BadConfig):
         SimConfig.from_dict({"seeed": 1})
 

@@ -4,7 +4,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from chaintrace.errors import IoFailure, OutOfOrder
+from chaintrace.errors import IoFailure, OutOfOrder, SchemaError
 from chaintrace.events import LogEvent, encode_event
 from chaintrace.graph import SequenceRule, line_prefilter
 from chaintrace.simulate import SimConfig, simulate
@@ -87,41 +87,6 @@ def test_split_point_concatenation(tmp_path, sample_events):
         assert left + right == whole
 
 
-@given(
-    etypes=st.sets(st.sampled_from(["logon", "logoff", "fw_conn", "http_request"])),
-    hosts=st.sets(st.sampled_from(["ws000", "ws001", "proxy"])),
-)
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_filter_equals_postfilter(tmp_path_factory, sample_events, etypes, hosts):
-    # the store and fixture are read-only here, so reuse across examples is fine
-    root = tmp_path_factory.mktemp("s")
-    store = EventStore(str(root))
-    store.append(sample_events)
-    t0, t1 = sample_events[0].ts, sample_events[-1].ts + 1
-    filtered = list(store.query(
-        t0, t1,
-        event_types=etypes or None,
-        source_hosts=hosts or None,
-    ))
-    expected = [
-        e for e in store.query(t0, t1)
-        if (not etypes or e.event_type in etypes)
-        and (not hosts or e.source_host in hosts)
-    ]
-    assert filtered == expected
-
-
-def test_actor_filter(tmp_path, sample_events):
-    store = EventStore(str(tmp_path / "s"))
-    store.append(sample_events)
-    out = list(store.query_all(actors={"u003"}))
-    assert out and all(e.actor == "u003" for e in out)
-
-
 def test_reopen_durability(tmp_path, sample_events):
     root = str(tmp_path / "s")
     store = EventStore(root, segment_events=200)
@@ -182,6 +147,24 @@ def test_index_without_byte_lengths_loads(tmp_path):
     again = EventStore(root)
     again.append([_mk(3, 30)])
     assert _ids(again) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff", b"[]", b'{"segments": 5}',
+                                     b'{"segments": [{"x": 1}]}', "count", "path"])
+def test_damaged_index_is_schema_error(tmp_path, content):
+    root = tmp_path / "s"
+    store = EventStore(str(root))
+    store.append([_mk(1, 10), _mk(2, 20)])
+    store.close()
+    index = root / "index.json"
+    if isinstance(content, str):  # one segment member of the wrong type
+        payload = json.loads(index.read_text())
+        payload["segments"][0][content] = {"count": -2, "path": 7}[content]
+        content = json.dumps(payload).encode()
+    index.write_bytes(content)
+    for create in (True, False):
+        with pytest.raises(SchemaError, match="store index"):
+            EventStore(str(root), create=create)
 
 
 class _Crash(Exception):
