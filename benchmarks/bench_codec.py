@@ -7,6 +7,8 @@ events per second (kev/s):
 
 - ``encode`` and ``decode``: ``encode_event`` over the first CODEC_EVENTS
   events and ``decode_event`` over their lines, best of REPEATS passes;
+- ``raw_render`` and ``raw_parse``: ``render_raw_line`` over the same
+  events and ``parse_raw_line`` over their raw lines, best of REPEATS;
 - ``store_append``: ``EventStore.append`` of all STORE_EVENTS events in
   batches of BATCH_EVENTS (only the append calls are timed);
 - ``store_scan``: a full ``query_all`` of that store, best of SCANS.
@@ -48,7 +50,8 @@ def _best_rate(n: int, fn, repeats: int) -> float:
 
 
 def measure() -> dict:
-    from chaintrace.events import decode_event, encode_event
+    from chaintrace.events import (decode_event, encode_event, parse_raw_line,
+                                   render_raw_line)
     from chaintrace.simulate import SimConfig, expand_with_noise, simulate
     from chaintrace.store import EventStore
 
@@ -83,10 +86,22 @@ def measure() -> dict:
             for line in lines:
                 decode_event(line)
 
+        raws = [render_raw_line(e) for e in codec]
+
+        def render() -> None:
+            for e in codec:
+                render_raw_line(e)
+
+        def parse() -> None:
+            for raw in raws:
+                parse_raw_line(raw)
+
         gc.collect()
         encode_rate = _best_rate(len(codec), encode, REPEATS)
         decode_rate = _best_rate(len(lines), decode, REPEATS)
-        del codec, lines
+        render_rate = _best_rate(len(codec), render, REPEATS)
+        parse_rate = _best_rate(len(raws), parse, REPEATS)
+        del codec, lines, raws
         gc.collect()
 
         reader = EventStore(os.path.join(root, "store"), create=False)
@@ -103,6 +118,8 @@ def measure() -> dict:
     return {
         "encode_kev_s": round(encode_rate, 1),
         "decode_kev_s": round(decode_rate, 1),
+        "raw_render_kev_s": round(render_rate, 1),
+        "raw_parse_kev_s": round(parse_rate, 1),
         "store_append_kev_s": round(appended / append_s / 1e3, 1),
         "store_scan_kev_s": round(scan_rate, 1),
         "store_events": appended,

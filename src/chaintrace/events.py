@@ -12,21 +12,34 @@ from dataclasses import dataclass, field
 
 from .errors import DecodeError, MalformedLine, SchemaError
 
-EVENT_TYPES = frozenset({
-    "logon",
-    "logoff",
-    "logon_failed",
-    "email_received",
-    "process_start",
-    "exploit_signature",
-    "fw_conn",
-    "http_request",
-    "file_read",
-    "file_write",
-    "usb_insert",
-})
+# The raw source grammars, one row per event type: its source kind, its
+# Windows code or file-audit op, and its attribute columns in line order.
+# Every raw line is tab-separated and starts with the epoch-ns timestamp
+# and the host; then come the user and the code or op (a Windows code
+# before the user, a file-audit op after it), the attribute columns, and
+# extra columns, which are kept as the attributes x0, x1, ...
+#   windows:   ts  host  code  user  <columns>
+#   fileaudit: ts  host  user  op  <columns>
+#   firewall, proxy, email:  ts  host  user  <columns>
+_GRAMMARS: dict[str, tuple[str, str, tuple[str, ...]]] = {
+    "logon": ("windows", "4624", ("session_id",)),
+    "logoff": ("windows", "4634", ("session_id",)),
+    "logon_failed": ("windows", "4625", ("session_id",)),
+    "process_start": ("windows", "4688", ("image", "parent")),
+    "usb_insert": ("windows", "6416", ("device",)),
+    "exploit_signature": ("windows", "1116", ("signature",)),
+    "fw_conn": ("firewall", "", ("verdict", "dst_ip", "dst_port", "bytes_out")),
+    "http_request": ("proxy", "", ("method", "dst_ip", "dst_port", "via", "bytes_out")),
+    "file_read": ("fileaudit", "READ", ("path",)),
+    "file_write": ("fileaudit", "WRITE", ("path",)),
+    "email_received": ("email", "", ("email_from", "attachment_ext")),
+}
 
-RAW_SOURCE_KINDS = frozenset({"windows", "firewall", "proxy", "fileaudit", "email"})
+EVENT_TYPES = frozenset(_GRAMMARS)
+
+RAW_SOURCE_KINDS = frozenset(kind for kind, _, _ in _GRAMMARS.values())
+
+NS = 1_000_000_000  # LogEvent.ts ticks per second
 
 
 @dataclass
@@ -146,45 +159,30 @@ def load_json(path: str, what: str):
         raise SchemaError(f"{what} {path}: not a UTF-8 JSON document: {exc}") from None
 
 
-# --- raw source grammars ---
-#
-# All raw lines are tab-separated with the epoch-ns timestamp first.
-# Grammars (extra trailing columns are preserved as x0, x1, ...):
-#   windows:   ts  host  code  user  <code-specific columns>
-#   firewall:  ts  host  user  verdict  dst_ip  dst_port  bytes_out
-#   proxy:     ts  host  user  method  dst_ip  dst_port  via  bytes_out
-#   fileaudit: ts  host  user  op  path
-#   email:     ts  host  user  from  attachment_ext
-#
-# A "-" in an optional column means the attribute is absent.
+# --- raw source lines ---
 
-_WIN_CODES: dict[str, tuple[str, tuple[str, ...]]] = {
-    "4624": ("logon", ("session_id",)),
-    "4634": ("logoff", ("session_id",)),
-    "4625": ("logon_failed", ("session_id",)),
-    "4688": ("process_start", ("image", "parent")),
-    "6416": ("usb_insert", ("device",)),
-    "1116": ("exploit_signature", ("signature",)),
-}
-
-
-def _split(line: RawLine, minimum: int) -> list[str]:
-    cols = line.text.rstrip("\n").split("\t")
-    if len(cols) < minimum:
-        raise MalformedLine(
-            f"{line.source_kind}: expected >= {minimum} columns, got {len(cols)}"
-        )
-    return cols
+def _parse_table() -> dict:
+    """The parser's view of the grammar table: source kind -> (user column,
+    code or op column (0: none), what the code or op is called, {code or
+    op: (event type, column count, required columns, optional columns)}).
+    Attribute columns are (attribute, column) pairs in event order."""
+    table: dict = {}
+    for etype, (kind, key, names) in _GRAMMARS.items():
+        first = 4 if key else 3
+        pairs = [(name, first + i) for i, name in enumerate(names)]
+        if kind in ("firewall", "proxy"):  # events hold these first, as simulated
+            pairs.sort(key=lambda p: p[0] not in ("dst_ip", "dst_port"))
+        # "-" means absent in a Windows column and in the mail attachment column
+        optional = tuple(p for p in pairs if kind == "windows" or p[0] == "attachment_ext")
+        user_at, key_at = (3, 2) if kind == "windows" else (2, 3 if key else 0)
+        what = "event code" if kind == "windows" else "op"
+        rows = table.setdefault(kind, (user_at, key_at, what, {}))[3]
+        rows[key] = (etype, first + len(names),
+                     tuple(p for p in pairs if p not in optional), optional)
+    return table
 
 
-def _parse_ts(raw: str, line: RawLine) -> int:
-    try:
-        ts = int(raw, 10)
-    except ValueError as exc:
-        raise MalformedLine(f"{line.source_kind}: bad timestamp {raw!r}") from exc
-    if ts <= 0:
-        raise MalformedLine(f"{line.source_kind}: non-positive timestamp {ts}")
-    return ts
+_PARSE = _parse_table()
 
 
 def _extension(path: str) -> str:
@@ -196,125 +194,63 @@ def _extension(path: str) -> str:
 
 def parse_raw_line(line: RawLine, event_id: int = 0) -> LogEvent:
     """Normalize one raw source line; the id is assigned by the caller."""
-    if line.source_kind not in RAW_SOURCE_KINDS:
-        raise MalformedLine(f"unknown source_kind {line.source_kind!r}")
-    if not line.text.strip():
-        raise MalformedLine(f"{line.source_kind}: empty line")
+    kind = line.source_kind
+    grammar = _PARSE.get(kind)
+    if grammar is None:
+        raise MalformedLine(f"unknown source_kind {kind!r}")
+    text = line.text
+    if not text.strip():
+        raise MalformedLine(f"{kind}: empty line")
+    cols = text.rstrip("\n").split("\t")
+    try:
+        ts = int(cols[0], 10)
+    except ValueError:
+        raise MalformedLine(f"{kind}: bad timestamp {cols[0]!r}") from None
+    if ts <= 0:
+        raise MalformedLine(f"{kind}: non-positive timestamp {ts}")
+    user_at, key_at, what, rows = grammar
+    try:
+        etype, width, pairs, optional = rows[cols[key_at]] if key_at else rows[""]
+    except IndexError:
+        raise MalformedLine(f"{kind}: no {what} column") from None
+    except KeyError:
+        raise MalformedLine(f"{kind}: unknown {what} {cols[key_at]!r}") from None
+    if len(cols) < width:
+        raise MalformedLine(f"{kind}: expected >= {width} columns, got {len(cols)}")
 
-    attrs: dict[str, str] = {}
-
-    if line.source_kind == "windows":
-        cols = _split(line, 4)
-        ts = _parse_ts(cols[0], line)
-        host, code, user = cols[1], cols[2], cols[3]
-        if code not in _WIN_CODES:
-            raise MalformedLine(f"windows: unknown event code {code!r}")
-        event_type, names = _WIN_CODES[code]
-        rest = cols[4:]
-        if len(rest) < len(names):
-            raise MalformedLine(f"windows: code {code} needs {len(names)} extra columns")
-        for name, value in zip(names, rest):
-            if value != "-":
-                attrs[name] = value
-        extra = rest[len(names):]
-    elif line.source_kind == "firewall":
-        cols = _split(line, 7)
-        ts = _parse_ts(cols[0], line)
-        host, user = cols[1], cols[2]
-        event_type = "fw_conn"
-        attrs["dst_ip"] = cols[4]
-        attrs["dst_port"] = cols[5]
-        attrs["verdict"] = cols[3].lower()
-        attrs["bytes_out"] = cols[6]
-        extra = cols[7:]
-    elif line.source_kind == "proxy":
-        cols = _split(line, 8)
-        ts = _parse_ts(cols[0], line)
-        host, user = cols[1], cols[2]
-        event_type = "http_request"
-        attrs["dst_ip"] = cols[4]
-        attrs["dst_port"] = cols[5]
-        attrs["method"] = cols[3]
-        attrs["via"] = cols[6]
-        attrs["bytes_out"] = cols[7]
-        extra = cols[8:]
-    elif line.source_kind == "fileaudit":
-        cols = _split(line, 5)
-        ts = _parse_ts(cols[0], line)
-        host, user, op, path = cols[1], cols[2], cols[3], cols[4]
-        if op == "READ":
-            event_type = "file_read"
-        elif op == "WRITE":
-            event_type = "file_write"
-        else:
-            raise MalformedLine(f"fileaudit: unknown op {op!r}")
-        attrs["path"] = path
-        attrs["ext"] = _extension(path)
-        extra = cols[5:]
-    else:  # email
-        cols = _split(line, 5)
-        ts = _parse_ts(cols[0], line)
-        host, user = cols[1], cols[2]
-        event_type = "email_received"
-        attrs["email_from"] = cols[3]
-        if cols[4] != "-":
-            attrs["attachment_ext"] = cols[4]
-        extra = cols[5:]
-
-    for i, value in enumerate(extra):
+    attrs = {name: cols[i] for name, i in pairs}
+    for name, i in optional:
+        if cols[i] != "-":
+            attrs[name] = cols[i]
+    if kind == "firewall":
+        attrs["verdict"] = attrs["verdict"].lower()
+    elif kind == "fileaudit":
+        attrs["ext"] = _extension(attrs["path"])
+    for i, value in enumerate(cols[width:]):
         attrs[f"x{i}"] = value
-
-    return LogEvent(
-        id=event_id,
-        ts=ts,
-        source_host=host,
-        event_type=event_type,
-        actor=user,
-        attributes=attrs,
-    )
+    return LogEvent(event_id, ts, cols[1], etype, cols[user_at], attrs)
 
 
 def render_raw_line(e: LogEvent) -> RawLine:
     """Render a normalized event back to its raw source line.
 
-    Inverse of :func:`parse_raw_line` for events using the canonical
-    per-type attribute schema (simulator output); x0.. spill columns are
-    appended last.
+    Inverse of :func:`parse_raw_line` for an event that holds its type's
+    attribute columns in event order (simulator output); a column whose
+    attribute the event lacks is written as "-", and x0.. spill columns
+    are appended last.
     """
+    try:
+        kind, key, names = _GRAMMARS[e.event_type]
+    except KeyError:
+        raise ValueError(f"unknown event_type {e.event_type!r}") from None
     a = e.attributes
-    extras = [a[k] for k in a if k.startswith("x") and k[1:].isdigit()]
-    if e.event_type in ("logon", "logoff", "logon_failed"):
-        code = {"logon": "4624", "logoff": "4634", "logon_failed": "4625"}[e.event_type]
-        cols = [str(e.ts), e.source_host, code, e.actor, a.get("session_id", "-")]
-        kind = "windows"
-    elif e.event_type == "process_start":
-        cols = [str(e.ts), e.source_host, "4688", e.actor,
-                a.get("image", "-"), a.get("parent", "-")]
-        kind = "windows"
-    elif e.event_type == "usb_insert":
-        cols = [str(e.ts), e.source_host, "6416", e.actor, a.get("device", "-")]
-        kind = "windows"
-    elif e.event_type == "exploit_signature":
-        cols = [str(e.ts), e.source_host, "1116", e.actor, a.get("signature", "-")]
-        kind = "windows"
-    elif e.event_type == "fw_conn":
-        cols = [str(e.ts), e.source_host, e.actor, a.get("verdict", "allow").upper(),
-                a.get("dst_ip", "-"), a.get("dst_port", "0"), a.get("bytes_out", "0")]
-        kind = "firewall"
-    elif e.event_type == "http_request":
-        cols = [str(e.ts), e.source_host, e.actor, a.get("method", "GET"),
-                a.get("dst_ip", "-"), a.get("dst_port", "0"),
-                a.get("via", "proxy"), a.get("bytes_out", "0")]
-        kind = "proxy"
-    elif e.event_type in ("file_read", "file_write"):
-        op = "READ" if e.event_type == "file_read" else "WRITE"
-        cols = [str(e.ts), e.source_host, e.actor, op, a.get("path", "-")]
-        kind = "fileaudit"
-    elif e.event_type == "email_received":
-        cols = [str(e.ts), e.source_host, e.actor, a.get("email_from", "-"),
-                a.get("attachment_ext", "-")]
-        kind = "email"
-    else:
-        raise ValueError(f"unknown event_type {e.event_type!r}")
-    cols.extend(extras)
-    return RawLine(source_kind=kind, text="\t".join(cols))
+    cols = [str(e.ts), e.source_host, e.actor]
+    if kind == "windows":
+        cols.insert(2, key)
+    elif key:
+        cols.append(key)
+    cols += [a.get(name, "-") for name in names]
+    if kind == "firewall":
+        cols[3] = cols[3].upper()  # the verdict column
+    cols += [a[k] for k in a if k.startswith("x") and k[1:].isdigit()]
+    return RawLine(kind, "\t".join(cols))

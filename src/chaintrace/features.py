@@ -13,9 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyInput, EmptyTrainingSet, LengthMismatch
-from .events import LogEvent
-
-NS = 1_000_000_000
+from .events import NS, LogEvent
 
 FEATURE_NAMES = (
     "logon_count",

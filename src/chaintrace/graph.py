@@ -26,9 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import RuleCycle, SchemaError, UnknownInputKind, UnsortedInput
-from .events import EVENT_TYPES, LogEvent, load_json
-
-NS = 1_000_000_000
+from .events import EVENT_TYPES, NS, LogEvent, load_json
 
 GROUP_FIELDS = ("source_host", "actor", "dst_ip")
 
@@ -175,6 +173,8 @@ class SequenceRule:
                 emit=data["emit"],
                 max_count=data.get("max_count"),
             )
+            if not all(type(v) is str for v in (rule.id, rule.input_kind, rule.emit)):
+                raise TypeError("id, input_kind and emit must be strings")
             rule.validate()
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed sequence rule: {exc}") from exc

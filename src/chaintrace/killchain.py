@@ -84,7 +84,11 @@ def model_from_dict(data: dict) -> KillChainModel:
             for el in data["elements"]
         ]
         threshold = float(data.get("alert_threshold", DEFAULT_ALERT_THRESHOLD))
-    except (KeyError, TypeError) as exc:
+        names = [s for e in elements for s in (e.id, e.name)]
+        names += [s for e in elements for v in e.variants for s in (v.id, *v.accepts)]
+        if not all(type(s) is str for s in names):
+            raise TypeError("element ids and names, variant ids and accepts must be strings")
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed kill-chain document: {exc}") from exc
     return KillChainModel(elements=elements, alert_threshold=threshold)
 

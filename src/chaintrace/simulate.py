@@ -10,6 +10,7 @@ Identical configs produce byte-identical event streams.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -17,9 +18,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BadConfig, MalformedLine
-from .events import LogEvent, utf8_fault
-
-NS = 1_000_000_000
+from .events import NS, LogEvent, utf8_fault
 
 SCENARIOS = ("cooltype_jpeg_exfil", "usb_jpeg_exfil")
 
@@ -86,15 +85,26 @@ class SimConfig:
             raise BadConfig("more victims than users")
         if self.truncate_after is not None and self.truncate_after not in STEP_ORDER:
             raise BadConfig(f"unknown truncate_after step {self.truncate_after!r}")
-        if any(r < 0 for r in self.rates.values()):
-            raise BadConfig("rates must be non-negative")
+        if not all(0 <= r < math.inf for r in self.rates.values()):
+            raise BadConfig("rates must be finite and non-negative")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        """The config a JSON document states; each key must be a field and
+        hold a value of its default's type (truncate_after a string or
+        null), and rates must give a number for every rate name."""
+        defaults = cls()
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise BadConfig(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            want = getattr(defaults, key)
+            if not (type(value) is type(want) or key == "truncate_after" and type(value) is str):
+                raise BadConfig(f"config {key}: expected {type(want).__name__}, got {value!r}")
+        rates = data.get("rates", DEFAULT_RATES)
+        if set(rates) != set(DEFAULT_RATES) or any(type(r) not in (int, float)
+                                                   for r in rates.values()):
+            raise BadConfig(f"config rates: expected a number for each of {sorted(DEFAULT_RATES)}")
         return cls(**data)
 
 

@@ -88,17 +88,20 @@ def test_detect_clean_exit_zero(workdir):
 
 
 def test_raw_ingest_matches_canonical(workdir):
-    _simulate(workdir, extra=("--raw", "raw.log"))
-    main(["ingest", "--store", "store-canon", "--events", "events.jsonl"])
-    main(["ingest", "--store", "store-raw", "--events", "raw.log",
-          "--format", "raw"])
-    canon = sorted(p for p in os.listdir("store-canon") if p.endswith(".seg"))
-    raw = sorted(p for p in os.listdir("store-raw") if p.endswith(".seg"))
-    assert canon == raw
-    for name in canon:
-        a = (workdir / "store-canon" / name).read_bytes()
-        b = (workdir / "store-raw" / name).read_bytes()
-        assert a == b
+    # usb_insert appears only in the USB scenario
+    for scenario in ("cooltype_jpeg_exfil", "usb_jpeg_exfil"):
+        (workdir / "cfg.json").write_text(json.dumps({"scenario": scenario}))
+        _simulate(workdir, extra=("--config", "cfg.json", "--raw", "raw.log"))
+        canon_dir, raw_dir = f"store-canon-{scenario}", f"store-raw-{scenario}"
+        main(["ingest", "--store", canon_dir, "--events", "events.jsonl"])
+        main(["ingest", "--store", raw_dir, "--events", "raw.log", "--format", "raw"])
+        canon = sorted(p for p in os.listdir(canon_dir) if p.endswith(".seg"))
+        raw = sorted(p for p in os.listdir(raw_dir) if p.endswith(".seg"))
+        assert canon == raw
+        for name in canon:
+            a = (workdir / canon_dir / name).read_bytes()
+            b = (workdir / raw_dir / name).read_bytes()
+            assert a == b
 
 
 def test_pseudonymize_and_reveal(workdir):
@@ -210,6 +213,39 @@ def test_bad_config_is_error(workdir, capsys):
     rc = main(["simulate", "--config", str(cfg),
                "--out", "x.jsonl", "--truth", "t.tsv"])
     assert rc == EXIT_ERROR
+
+
+@pytest.mark.parametrize("config", [{"users": "5"}, {"rates": {"session": "x"}},
+                                    {"users": 1.5}, {"rates": {}}],
+                         ids=["users-string", "rate-string", "users-float", "rates-empty"])
+def test_config_value_of_wrong_type_is_error(workdir, capsys, config):
+    (workdir / "cfg.json").write_text(json.dumps(config))
+    rc = main(["simulate", "--config", "cfg.json", "--out", "x.jsonl", "--truth", "t.tsv"])
+    assert rc == EXIT_ERROR
+    assert "config" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flag,keys,value", [
+    ("--rules", (0, "emit"), ["x"]),
+    ("--rules", (0, "id"), 7),
+    ("--killchain", ("elements", 0, "id"), ["x"]),
+    ("--killchain", ("elements", 0, "variants", 0, "accepts"), [["x"]]),
+    ("--killchain", ("alert_threshold",), "high"),
+], ids=["rule-emit-list", "rule-id-int", "element-id-list", "accepts-entry-list",
+        "threshold-word"])
+def test_document_member_of_wrong_type_is_error(workdir, capsys, flag, keys, value):
+    _simulate(workdir)
+    name = {"--rules": "default_rules.json", "--killchain": "default_killchain.json"}[flag]
+    doc = json.loads((resources.files("chaintrace.data") / name).read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    (workdir / "input.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["detect", "--events", "events.jsonl", "--out", "out", flag, "input.json"])
+    assert rc == EXIT_ERROR
+    assert "malformed" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("argv", [

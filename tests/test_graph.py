@@ -4,9 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chaintrace.errors import RuleCycle, UnknownInputKind, UnsortedInput
-from chaintrace.events import LogEvent
+from chaintrace.events import NS, LogEvent
 from chaintrace.graph import (
-    NS,
     PropertyGraph,
     SequenceRule,
     apply_rules,

@@ -5,6 +5,7 @@ import pytest
 from chaintrace.errors import BadConfig
 from chaintrace.events import EVENT_TYPES, encode_event
 from chaintrace.simulate import (
+    DEFAULT_RATES,
     SimConfig,
     expand_with_noise,
     read_truth_file,
@@ -110,6 +111,13 @@ def test_bad_configs_rejected():
     with pytest.raises(BadConfig):
         # too many victims for the window
         simulate(SimConfig(users=20, duration=600, victims=5))
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_rates_must_be_finite(rate):
+    # the Poisson sampler never returns for either
+    with pytest.raises(BadConfig):
+        SimConfig(rates=dict(DEFAULT_RATES, session=rate)).validate()
 
 
 def test_config_roundtrip():
