@@ -17,8 +17,6 @@ import sys
 import time
 from importlib import resources
 
-from . import features as feats
-from . import ocsvm
 from .errors import ChaintraceError, MalformedLine, SchemaError
 from .events import (RawLine, decode_event, encode_event, load_json,
                      parse_raw_line, render_raw_line, utf8_fault)
@@ -37,17 +35,10 @@ from .killchain import (
     match_killchain,
     reconstruct_attack,
 )
-from .secretshare import read_share_file, write_share_file
-from .simulate import (
-    GroundTruth,
-    SimConfig,
-    expand_with_noise,
-    read_truth_file,
-    simulate,
-    write_truth_file,
-)
 from .store import EventStore
-from .vault import PseudonymVault, create_vault
+
+# features, ocsvm and simulate load numpy, vault loads cryptography: each
+# is imported by the commands that use it, so the others start without them.
 
 EXIT_ERROR = 64
 
@@ -90,7 +81,9 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
     os.replace(tmp, path)
 
 
-def _load_config(args: argparse.Namespace) -> SimConfig:
+def _load_config(args: argparse.Namespace):
+    from .simulate import SimConfig
+
     data = load_json(args.config, "config") if getattr(args, "config", None) else {}
     if not isinstance(data, dict):
         raise SchemaError(f"config {args.config}: expected a JSON object")
@@ -150,6 +143,8 @@ def _input_events(args: argparse.Namespace, prefilter=None):
 # --- subcommands ---
 
 def cmd_simulate(args) -> int:
+    from .simulate import GroundTruth, expand_with_noise, simulate, write_truth_file
+
     cfg = _load_config(args)
     events, truth = simulate(cfg)
     if args.expand_factor > 1:
@@ -201,6 +196,9 @@ def cmd_pseudonymize(args) -> int:
     """Tokenize into a temporary file; only once the whole input has been
     read are a new vault's key shares, the vault and ``--out`` written, so
     a failing input leaves none of them behind."""
+    from .secretshare import write_share_file
+    from .vault import PseudonymVault, create_vault
+
     shares = []
     if os.path.exists(args.vault):
         vault = PseudonymVault.load(args.vault)
@@ -275,8 +273,10 @@ def cmd_detect(args) -> int:
 
 
 def _vectors_from_args(args):
-    """Feature vectors of the input; fills ``args.counters`` with what the
-    scan and the extraction saw."""
+    """Feature vectors of the input and their matrix; fills
+    ``args.counters`` with what the scan and the extraction saw."""
+    from . import features as feats
+
     events, source = _input_events(args)
     stats = feats.ExtractionStats()
     vectors = feats.extract_features(events, window=args.window_secs, stats=stats)
@@ -287,12 +287,13 @@ def _vectors_from_args(args):
         "unmatched_logoffs": stats.unmatched_logoffs,
         "bad_numeric_attrs": stats.bad_numeric_attrs,
     }
-    return vectors
+    return vectors, feats.matrix_of(vectors)
 
 
 def cmd_train(args) -> int:
-    vectors = _vectors_from_args(args)
-    X = feats.matrix_of(vectors)
+    from . import ocsvm
+
+    vectors, X = _vectors_from_args(args)
     solver = ocsvm.SolverStats()
     model = ocsvm.fit(
         X, nu=args.nu, gamma=args.gamma, source_set=args.source_set, stats=solver
@@ -310,9 +311,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from . import ocsvm
+
     model = ocsvm.OneClassSvmModel.load(args.model)
-    vectors = _vectors_from_args(args)
-    X = feats.matrix_of(vectors)
+    vectors, X = _vectors_from_args(args)
     decisions = model.decision(X)
     args.counters["anomalous"] = int((decisions < 0).sum())
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -350,6 +352,9 @@ def _read_scored(path: str) -> list[tuple[str, int, bool]]:
 
 
 def cmd_metrics(args) -> int:
+    from . import features as feats
+    from .simulate import read_truth_file
+
     truth = read_truth_file(args.truth)
     labeled_ids = truth.labeled_ids()
     labeled_events = [
@@ -368,6 +373,9 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_reveal(args) -> int:
+    from .secretshare import read_share_file
+    from .vault import PseudonymVault
+
     vault = PseudonymVault.load(args.vault, read_only=True)
     shares = [read_share_file(p) for p in args.share]
     plaintext = vault.reveal(args.token, shares)
@@ -453,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--nu", type=float, default=0.05)
     sp.add_argument("--gamma", type=float, default=None)
     sp.add_argument("--window-secs", type=_window_secs, default=3600)
-    sp.add_argument("--source-set", choices=sorted(feats.SOURCE_SETS),
-                    default="combined")
+    # sorted(features.SOURCE_SETS), stated here so parsing loads no numpy
+    sp.add_argument("--source-set", default="combined",
+                    choices=("combined", "fileaudit", "firewall", "windows"))
     sp.set_defaults(func=cmd_train, outputs=("out",))
 
     sp = sub.add_parser("score", help="score user windows against a model")

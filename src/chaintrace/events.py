@@ -67,12 +67,28 @@ class RawLine:
 # One encoder and one decoder for every line: json.dumps and json.loads
 # would build or wrap them again on each call.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
+_quote = json.encoder.encode_basestring_ascii  # the C quoter where available
 _scan_once = json.JSONDecoder().scan_once  # the C scanner where available
 _JSON_WS = " \t\n\r"
 
 
 def encode_event(e: LogEvent) -> str:
-    """Serialize one event to its canonical single-line JSON form."""
+    """Serialize one event to its canonical single-line JSON form.
+
+    An event of int id and ts and a dict of string attributes is written
+    directly, each string quoted as ``_ENCODER`` quotes it; ``_quote``
+    raises TypeError on anything but a string. Every other event goes
+    through ``_ENCODER``, so its output and its exceptions are json's.
+    """
+    eid, ts, attrs = e.id, e.ts, e.attributes
+    if type(eid) is int and type(ts) is int and type(attrs) is dict:
+        try:
+            members = ",".join([f"{_quote(k)}:{_quote(v)}" for k, v in attrs.items()])
+            return (f'{{"id":{eid},"ts":{ts},"host":{_quote(e.source_host)},'
+                    f'"type":{_quote(e.event_type)},"actor":{_quote(e.actor)},'
+                    f'"attrs":{{{members}}}}}')
+        except TypeError:
+            pass
     return _ENCODER.encode({
         "id": e.id,
         "ts": e.ts,

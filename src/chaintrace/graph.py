@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -425,6 +424,8 @@ def export_graph(graph: PropertyGraph, fmt: str) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "graphml":
+        import xml.etree.ElementTree as ET  # loaded only for this export
+
         root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
         for key_id, attr in (("d0", "kind"), ("d1", "label")):
             ET.SubElement(root, "key", id=key_id, attrib={

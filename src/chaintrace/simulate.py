@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -329,6 +330,7 @@ def simulate(cfg: SimConfig) -> tuple[list[LogEvent], GroundTruth]:
     return events, truth
 
 
+_NOISE_CHUNK = 1 << 16  # noise events converted to Python ints at once
 _NOISE_TYPES = (
     "http_request", "fw_conn", "file_read", "file_write",
     "logon", "logoff", "logon_failed", "email_received",
@@ -366,11 +368,16 @@ def expand_with_noise(
     aux = rng.integers(0, 1 << 30, size=n_noise)
 
     def noise_iter() -> Iterator[LogEvent]:
-        for i in range(n_noise):
-            etype = _NOISE_TYPES[type_idx[i]]
-            user = f"n{user_idx[i]:04d}"
-            host = f"nws{user_idx[i]:04d}"
-            a = int(aux[i])
+        # Python ints, converted a chunk of each array at a time: indexing
+        # numpy arrays and formatting their scalars per event costs more,
+        # and whole-array lists would hold about 100 B per noise event
+        rows = chain.from_iterable(
+            zip(*(x[lo:lo + _NOISE_CHUNK].tolist() for x in (ts_arr, type_idx, user_idx, aux)))
+            for lo in range(0, n_noise, _NOISE_CHUNK))
+        for ts, ti, u, a in rows:
+            etype = _NOISE_TYPES[ti]
+            user = f"n{u:04d}"
+            host = f"nws{u:04d}"
             if etype == "http_request":
                 attrs = {
                     "dst_ip": _EXTERNAL_IPS[a % len(_EXTERNAL_IPS)],
@@ -398,9 +405,9 @@ def expand_with_noise(
             elif etype == "logon_failed":
                 attrs = {}
             else:  # logon / logoff
-                attrs = {"session_id": f"N{user_idx[i]:04d}-{a % 97}"}
+                attrs = {"session_id": f"N{u:04d}-{a % 97}"}
             yield LogEvent(
-                id=0, ts=int(ts_arr[i]), source_host=host,
+                id=0, ts=ts, source_host=host,
                 event_type=etype, actor=user, attributes=attrs,
             )
 

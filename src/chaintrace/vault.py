@@ -61,6 +61,10 @@ class PseudonymVault:
     entries: dict[str, dict[str, str]] = field(default_factory=dict)
     identity_fields: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_IDENTITY_FIELDS))
     read_only: bool = False
+    # (field class, plaintext) -> token of each registration this process
+    # made; not saved, compared or shown
+    _tokens: dict[tuple[str, str], str] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # --- token derivation ---
 
@@ -74,23 +78,29 @@ class PseudonymVault:
     # --- mutation ---
 
     def _register(self, field_class: str, plaintext: str) -> str:
+        """The token of ``plaintext``, added to the vault if new. A pair
+        is hashed and checked once per process: ``_tokens`` keeps each
+        successful registration."""
+        token = self._tokens.get((field_class, plaintext))
+        if token is not None:
+            return token
         full = self._full_hash(field_class, plaintext)
         token = _TOKEN_PREFIX + full[:16].hex()
         existing = self.entries.get(token)
-        if existing is not None:
-            if existing["h"] != full.hex():
-                raise TokenCollision(
-                    f"token {token} already bound to a different plaintext"
-                )
-            return token
-        if self.read_only:
-            raise VaultSealed(f"vault is read-only; cannot add token {token}")
-        pub = serialization.load_pem_public_key(self.public_key_pem)
-        ciphertext = pub.encrypt(plaintext.encode(), _oaep())
-        self.entries[token] = {
-            "h": full.hex(),
-            "c": base64.b64encode(ciphertext).decode(),
-        }
+        if existing is None:
+            if self.read_only:
+                raise VaultSealed(f"vault is read-only; cannot add token {token}")
+            pub = serialization.load_pem_public_key(self.public_key_pem)
+            ciphertext = pub.encrypt(plaintext.encode(), _oaep())
+            self.entries[token] = {
+                "h": full.hex(),
+                "c": base64.b64encode(ciphertext).decode(),
+            }
+        elif existing["h"] != full.hex():
+            raise TokenCollision(
+                f"token {token} already bound to a different plaintext"
+            )
+        self._tokens[(field_class, plaintext)] = token
         return token
 
     def pseudonymize_event(self, e: LogEvent) -> LogEvent:

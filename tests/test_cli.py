@@ -1,17 +1,21 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from chaintrace.cli import EXIT_ERROR, main
+import chaintrace
+from chaintrace.cli import EXIT_ERROR, build_parser, main
 from chaintrace.events import decode_event
-from chaintrace.features import ExtractionStats, extract_features
+from chaintrace.features import SOURCE_SETS, ExtractionStats, extract_features
 
 
 @pytest.fixture
@@ -122,6 +126,46 @@ def test_pseudonymize_and_reveal(workdir):
         "--share", f"shares/{shares[0]}", "--share", f"shares/{shares[1]}",
     ])
     assert rc == 0
+
+
+# Runs commands through main in a fresh interpreter and prints, after
+# each group, which of the heavy modules it has loaded.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+from chaintrace.cli import main
+heavy = ("numpy", "cryptography", "xml.etree.ElementTree")
+for group in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [main(argv) for argv in group]
+    print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
+"""
+
+
+def test_commands_load_only_what_they_run(workdir):
+    _simulate(workdir, extra=("--raw", "raw.tsv"))
+    groups = [
+        [["ingest", "--store", "store", "--events", "raw.tsv", "--format", "raw"],
+         ["detect", "--store", "store", "--out", "report.jsonl"],
+         ["detect", "--events", "events.jsonl", "--out", "report2.jsonl"]],
+        [["pseudonymize", "--events", "events.jsonl", "--out", "pseudo.jsonl",
+          "--vault", "vault.json", "-k", "2", "-n", "3"]],
+    ]
+    src = os.path.dirname(os.path.dirname(chaintrace.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(groups)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True).stdout.splitlines()
+    assert [json.loads(line) for line in out] == [
+        [[0, 4, 4], []],
+        [[0], ["cryptography"]],
+    ]
+
+
+def test_source_set_choices_are_the_feature_sets():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    opt = next(a for a in sub.choices["train"]._actions if a.dest == "source_set")
+    assert list(opt.choices) == sorted(SOURCE_SETS)
 
 
 def test_reveal_too_few_shares_errors(workdir, capsys):

@@ -1,5 +1,7 @@
 import json
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import RefDecodeError, decode_event_ref
@@ -310,4 +312,36 @@ def test_decode_matches_reference(line):
 @settings(max_examples=300)
 def test_encode_equals_json_dumps(e):
     assert encode_event(e) == _compact(_as_dict(e))
+
+
+class _Str(str):
+    pass
+
+
+_JSON = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
+
+
+@pytest.mark.parametrize("member, value", [
+    ("id", True), ("ts", False), ("id", 7.0),
+    ("id", np.int64(7)), ("ts", np.int32(5)),
+    ("attrs", {1: "v"}), ("attrs", {None: "v"}), ("attrs", {1.5: "v", True: "w"}),
+    ("attrs", {"k": 5}), ("attrs", {"k": None}), ("attrs", {"k": ["v"]}),
+    ("attrs", {"k": np.str_("v")}), ("attrs", {"k": b"v"}),
+    ("attrs", OrderedDict(k="v")), ("attrs", [("k", "v")]),
+    ("host", _Str("h\u00e9")), ("actor", _Str('"a"')), ("type", 5),
+    ("attrs", {_Str("k\n"): _Str("v\ud800")}),
+    ("host", None), ("actor", b"a"),
+])
+def test_encode_off_fast_path_matches_json(member, value):
+    """Events that the fast path does not cover encode, or fail, as json does."""
+    obj = {"id": 1, "ts": 5, "host": "h", "type": "logon", "actor": "a",
+           "attrs": {"k": "v"}} | {member: value}
+    e = LogEvent(*obj.values())
+    try:
+        want = _JSON.encode(obj)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            encode_event(e)
+        return
+    assert encode_event(e) == want
 

@@ -159,3 +159,63 @@ def test_load_rejects_damaged_vault(tmp_path, payload):
     path.write_text(json.dumps(payload))
     with pytest.raises(VaultFormatError):
         PseudonymVault.load(str(path))
+
+
+# --- the per-process token memo ---
+
+def _fresh(vault):
+    """An empty vault under the same keys, without a new RSA key pair."""
+    return PseudonymVault(vault.token_key, vault.public_key_pem, vault.k, vault.n)
+
+
+_MEMO_EVENTS = [_email_event(i, f"s{i % 3}@x.example", actor=f"u{i % 4}")
+                for i in range(24)]
+
+
+def test_memo_tokens_equal_token_for(vault_and_shares):
+    memo, plain = _fresh(vault_and_shares[0]), _fresh(vault_and_shares[0])
+    for e in _MEMO_EVENTS:
+        got = memo.pseudonymize_event(e)
+        plain._tokens.clear()  # every registration hashes and checks again
+        assert plain.pseudonymize_event(e) == got
+        assert got.actor == memo.token_for("user", e.actor)
+        assert got.attributes["email_from"] == memo.token_for(
+            "email", e.attributes["email_from"])
+    assert len(memo._tokens) == 4 + 3
+    assert {t: v["h"] for t, v in memo.entries.items()} \
+        == {t: v["h"] for t, v in plain.entries.items()}
+
+
+def test_memo_never_holds_a_sealed_refusal(vault_and_shares, tmp_path):
+    path = str(tmp_path / "vault.json")
+    _fresh(vault_and_shares[0]).save(path)
+    sealed = PseudonymVault.load(path, read_only=True)
+    for _ in range(3):
+        with pytest.raises(VaultSealed):
+            sealed.pseudonymize_event(_email_event(1, "s@x.example"))
+    assert sealed._tokens == {} and sealed.entries == {}
+
+
+def test_memo_keeps_no_collision(vault_and_shares):
+    vault = _fresh(vault_and_shares[0])
+    token = vault.token_for("user", "mallory")
+    vault.entries[token] = {"h": "00" * 32, "c": ""}
+    e = LogEvent(1, 10, "WS01", "logon", "mallory", {"session_id": "S"})
+    for _ in range(2):
+        with pytest.raises(TokenCollision):
+            vault.pseudonymize_event(e)
+    assert vault._tokens == {}
+
+
+def test_memo_is_not_saved_compared_or_shown(vault_and_shares, tmp_path):
+    vault = _fresh(vault_and_shares[0])
+    for e in _MEMO_EVENTS:
+        vault.pseudonymize_event(e)
+    path = tmp_path / "vault.json"
+    vault.save(str(path))
+    saved = json.loads(path.read_text())
+    assert set(saved) == {"magic", "version", "primitive", "k", "n", "token_key",
+                          "public_key", "identity_fields", "entries"}
+    again = PseudonymVault.load(str(path))
+    assert again._tokens == {} and again == vault
+    assert "_tokens" not in repr(vault)
