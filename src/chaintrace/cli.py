@@ -17,7 +17,7 @@ import sys
 import time
 from importlib import resources
 
-from .errors import ChaintraceError, MalformedLine, SchemaError
+from .errors import ChaintraceError, MalformedLine
 from .events import (RawLine, decode_event, encode_event, load_json,
                      parse_raw_line, render_raw_line, utf8_fault)
 from .graph import (
@@ -81,20 +81,6 @@ def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
     os.replace(tmp, path)
 
 
-def _load_config(args: argparse.Namespace):
-    from .simulate import SimConfig
-
-    data = load_json(args.config, "config") if getattr(args, "config", None) else {}
-    if not isinstance(data, dict):
-        raise SchemaError(f"config {args.config}: expected a JSON object")
-    cfg = SimConfig.from_dict(data)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "attack", None) is not None:
-        cfg.attack = args.attack
-    return cfg
-
-
 def _write_events(path: str, events) -> int:
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
@@ -143,9 +129,13 @@ def _input_events(args: argparse.Namespace, prefilter=None):
 # --- subcommands ---
 
 def cmd_simulate(args) -> int:
-    from .simulate import GroundTruth, expand_with_noise, simulate, write_truth_file
+    from .simulate import GroundTruth, SimConfig, expand_with_noise, simulate, write_truth_file
 
-    cfg = _load_config(args)
+    cfg = SimConfig.from_dict(load_json(args.config, "config") if args.config else {})
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.attack is not None:
+        cfg.attack = args.attack
     events, truth = simulate(cfg)
     if args.expand_factor > 1:
         id_map: dict[int, int] = {}

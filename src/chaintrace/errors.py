@@ -87,9 +87,7 @@ class UnknownInputKind(ChaintraceError):
 # --- kill chain ---
 
 class SchemaError(ChaintraceError):
-    """A JSON input document (rules, kill chain, config, vault, store
-    index) is not UTF-8 JSON, or a kill-chain model, sequence-rule
-    document or store index violates its schema."""
+    """A JSON input document is not UTF-8 JSON or does not fit its schema."""
 
 
 class UnknownSequenceType(ChaintraceError):

@@ -8,7 +8,11 @@ all values are strings, no floating-point members anywhere).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import DecodeError, MalformedLine, SchemaError
 
@@ -164,15 +168,64 @@ def utf8_fault(path: str) -> DecodeError:
     return DecodeError(f"{path}: not UTF-8")
 
 
-def load_json(path: str, what: str):
-    """The JSON document in the file ``path``. A file that is not UTF-8 or
-    not JSON is a SchemaError naming ``what`` and ``path``; a file that
-    cannot be opened stays an OSError."""
+def load_json(path: str, what: str, tp=None, error: type[Exception] = SchemaError):
+    """The JSON document in the file ``path``, read as the annotation ``tp``
+    (see from_json) if one is given. A file that is not UTF-8 JSON, or a
+    document that does not fit ``tp``, is an ``error`` naming ``what`` and
+    ``path``; a file that cannot be opened stays an OSError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise SchemaError(f"{what} {path}: not a UTF-8 JSON document: {exc}") from None
+        raise error(f"{what} {path}: not a UTF-8 JSON document: {exc}") from None
+    try:
+        return doc if tp is None else from_json(tp, doc)
+    except ValueError as exc:
+        raise error(f"{what} {path}: malformed: {exc}") from None
+
+
+@cache
+def _fields(cls) -> dict:
+    """Field name -> (annotation, required) of the dataclass ``cls``."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def from_json(tp, value, at: str = ""):
+    """``value``, a parsed JSON value, as the annotation ``tp`` reads it.
+
+    ``tp`` is str, int (not bool), float (finite; a JSON integer reads as
+    that number), bool, ``X | None``, ``list[T]``, ``dict[str, T]`` or a
+    dataclass, built from an object whose members name its fields; only a
+    field with a default may be omitted. Nothing else is converted. A value
+    that does not fit is a ValueError naming its path ``at``, as in
+    ``elements[1].required: expected bool, got 'false'``.
+    """
+    if is_dataclass(tp) and type(value) is dict:
+        members, prefix = _fields(tp), f"{at}." if at else ""
+        unknown = value.keys() - members.keys()
+        if unknown:
+            raise ValueError(f"{prefix}{min(unknown)}: unknown member")
+        for name, (_, required) in members.items():
+            if required and name not in value:
+                raise ValueError(f"{prefix}{name}: missing")
+        return tp(**{k: from_json(members[k][0], v, prefix + k) for k, v in value.items()})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        return None if value is None else from_json(args[0], value, at)
+    if origin is list and type(value) is list:
+        return [from_json(args[0], v, f"{at}[{i}]") for i, v in enumerate(value)]
+    if origin is dict and type(value) is dict:  # JSON object keys are strings
+        return {k: from_json(args[1], v, f"{at}.{k}") for k, v in value.items()}
+    if tp is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is tp:  # a bool is not an int
+        return value
+    want = ("object" if is_dataclass(tp) else "finite float" if tp is float
+            else getattr(tp, "__name__", tp))
+    raise ValueError(f"{at + ': ' if at else ''}expected {want}, got {value!r:.40}")
 
 
 # --- raw source lines ---

@@ -24,7 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import RuleCycle, SchemaError, UnknownInputKind, UnsortedInput
+from .errors import RuleCycle, UnknownInputKind, UnsortedInput
 from .events import EVENT_TYPES, NS, LogEvent, load_json
 
 GROUP_FIELDS = ("source_host", "actor", "dst_ip")
@@ -132,11 +132,11 @@ class SequenceRule:
     id: str
     layer: int
     input_kind: str  # event type (layer 1) or lower-layer sequence type
-    where: dict[str, str]
-    group_by: list[str]
     window: float  # seconds
     min_count: int
     emit: str
+    where: dict[str, str] = field(default_factory=dict)
+    group_by: list[str] = field(default_factory=list)
     max_count: int | None = None
 
     def validate(self) -> None:
@@ -158,33 +158,10 @@ class SequenceRule:
                 f"got {self.input_kind!r}"
             )
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SequenceRule":
-        try:
-            rule = cls(
-                id=data["id"],
-                layer=data["layer"],
-                input_kind=data["input_kind"],
-                where=dict(data.get("where", {})),
-                group_by=list(data.get("group_by", [])),
-                window=float(data["window"]),
-                min_count=int(data["min_count"]),
-                emit=data["emit"],
-                max_count=data.get("max_count"),
-            )
-            if not all(type(v) is str for v in (rule.id, rule.input_kind, rule.emit)):
-                raise TypeError("id, input_kind and emit must be strings")
-            rule.validate()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed sequence rule: {exc}") from exc
-        return rule
-
 
 def load_rules(path: str) -> list[SequenceRule]:
-    raw = load_json(path, "rules")
-    if not isinstance(raw, list):
-        raise SchemaError(f"rules {path}: expected a list of rules")
-    return validate_rules([SequenceRule.from_dict(r) for r in raw])
+    """The rules of the JSON list in the file ``path``, validated."""
+    return validate_rules(load_json(path, "rules", list[SequenceRule]))
 
 
 def validate_rules(rules: list[SequenceRule]) -> list[SequenceRule]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NoNetworkElementMatched, SchemaError, UnknownSequenceType
-from .events import load_json
+from .events import from_json, load_json
 from .graph import Node, PropertyGraph, SequenceRule
 
 DEFAULT_ALERT_THRESHOLD = 0.4
@@ -71,26 +71,9 @@ class KillChainModel:
 
 def model_from_dict(data: dict) -> KillChainModel:
     try:
-        elements = [
-            Element(
-                id=el["id"],
-                name=el["name"],
-                required=bool(el["required"]),
-                variants=[
-                    Variant(id=v["id"], accepts=list(v["accepts"]))
-                    for v in el["variants"]
-                ],
-            )
-            for el in data["elements"]
-        ]
-        threshold = float(data.get("alert_threshold", DEFAULT_ALERT_THRESHOLD))
-        names = [s for e in elements for s in (e.id, e.name)]
-        names += [s for e in elements for v in e.variants for s in (v.id, *v.accepts)]
-        if not all(type(s) is str for s in names):
-            raise TypeError("element ids and names, variant ids and accepts must be strings")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed kill-chain document: {exc}") from exc
-    return KillChainModel(elements=elements, alert_threshold=threshold)
+        return from_json(KillChainModel, data)
+    except ValueError as exc:
+        raise SchemaError(f"malformed kill-chain document: {exc}") from None
 
 
 def load_killchain(path: str, rules: list[SequenceRule] | None = None) -> KillChainModel:

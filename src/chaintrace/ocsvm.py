@@ -19,7 +19,7 @@ import json
 import math
 import os
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
     EmptyTrainingSet,
     ModelFormatError,
 )
+from .events import load_json
 from .features import FEATURE_NAMES, N_FEATURES, SOURCE_SETS, standardize
 
 TOL = 1e-6  # KKT gap at which the solver stops
@@ -224,58 +225,60 @@ class OneClassSvmModel:
     # --- persistence ---
 
     def save(self, path: str) -> None:
-        payload = {
-            "magic": _MODEL_MAGIC,
-            "version": _MODEL_VERSION,
-            "nu": self.nu,
-            "gamma": self.gamma,
-            "rho": self.rho,
-            "l": self.l,
-            "alpha": [float(a) for a in self.alpha],
-            "support_vectors": [[float(v) for v in row] for row in self.support_vectors],
-            "feature_means": [float(v) for v in self.feature_means],
-            "feature_stds": [float(v) for v in self.feature_stds],
-            "feature_indices": list(self.feature_indices),
-            "feature_schema_hash": feature_schema_hash(self.feature_indices),
-        }
+        doc = _ModelFile(
+            magic=_MODEL_MAGIC, version=_MODEL_VERSION, nu=self.nu, gamma=self.gamma,
+            rho=self.rho, l=self.l, alpha=self.alpha.tolist(),
+            support_vectors=self.support_vectors.tolist(),
+            feature_means=self.feature_means.tolist(), feature_stds=self.feature_stds.tolist(),
+            feature_indices=list(self.feature_indices),
+            feature_schema_hash=feature_schema_hash(self.feature_indices))
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            json.dump(asdict(doc), fh, sort_keys=True)
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "OneClassSvmModel":
+        doc = load_json(path, "model", _ModelFile, ModelFormatError)
+        if (doc.magic, doc.version) != (_MODEL_MAGIC, _MODEL_VERSION):
+            raise ModelFormatError(f"{path}: not a version {_MODEL_VERSION} model file")
+        indices = tuple(doc.feature_indices)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)  # JSONDecodeError is a ValueError
-            if not isinstance(payload, dict) or payload.get("magic") != _MODEL_MAGIC:
-                raise ModelFormatError(f"{path}: not a model file")
-            indices = tuple(payload["feature_indices"])
-            if payload.get("feature_schema_hash") != feature_schema_hash(indices):
-                raise ModelFormatError(f"{path}: feature schema hash mismatch")
-            model = cls(
-                nu=payload["nu"],
-                gamma=payload["gamma"],
-                rho=payload["rho"],
-                alpha=np.array(payload["alpha"], dtype=np.float64),
-                support_vectors=np.array(payload["support_vectors"], dtype=np.float64),
-                feature_means=np.array(payload["feature_means"], dtype=np.float64),
-                feature_stds=np.array(payload["feature_stds"], dtype=np.float64),
-                feature_indices=indices,
-                l=payload["l"],
-            )
+            if doc.feature_schema_hash != feature_schema_hash(indices):
+                raise ValueError("feature schema hash mismatch")
+            # lists of Python floats, so each array is float64
+            model = cls(nu=doc.nu, gamma=doc.gamma, rho=doc.rho, alpha=np.array(doc.alpha),
+                        support_vectors=np.array(doc.support_vectors),
+                        feature_means=np.array(doc.feature_means),
+                        feature_stds=np.array(doc.feature_stds), feature_indices=indices, l=doc.l)
             k = len(indices)
-            if not (0.0 < model.gamma < math.inf) \
+            if not (doc.gamma > 0 and (model.feature_stds > 0).all()) \
                     or model.support_vectors.shape != (len(model.alpha), k) \
                     or model.feature_means.shape != (k,) \
                     or model.feature_stds.shape != (k,):
-                raise ValueError("gamma or array shapes do not fit the model")
+                raise ValueError("gamma, feature_stds or array shapes do not fit the model")
             model.check_feasible()
-        except ModelFormatError:
-            raise
-        except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-            raise ModelFormatError(f"{path}: malformed model file: {exc!r}") from exc
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise ModelFormatError(f"model {path}: malformed: {exc}") from None
         return model
+
+
+@dataclass
+class _ModelFile:
+    """The members of a model file, as ``OneClassSvmModel.save`` writes them."""
+
+    magic: str
+    version: int
+    nu: float
+    gamma: float
+    rho: float
+    l: int
+    alpha: list[float]
+    support_vectors: list[list[float]]
+    feature_means: list[float]
+    feature_stds: list[float]
+    feature_indices: list[int]
+    feature_schema_hash: str
 
 
 def train_ocsvm(

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BadConfig, MalformedLine
-from .events import NS, LogEvent, utf8_fault
+from .events import NS, LogEvent, from_json, utf8_fault
 
 SCENARIOS = ("cooltype_jpeg_exfil", "usb_jpeg_exfil")
 
@@ -91,22 +91,15 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimConfig":
-        """The config a JSON document states; each key must be a field and
-        hold a value of its default's type (truncate_after a string or
-        null), and rates must give a number for every rate name."""
-        defaults = cls()
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise BadConfig(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            want = getattr(defaults, key)
-            if not (type(value) is type(want) or key == "truncate_after" and type(value) is str):
-                raise BadConfig(f"config {key}: expected {type(want).__name__}, got {value!r}")
-        rates = data.get("rates", DEFAULT_RATES)
-        if set(rates) != set(DEFAULT_RATES) or any(type(r) not in (int, float)
-                                                   for r in rates.values()):
+        """The config a JSON document states (see ``events.from_json``);
+        rates must give a number for every rate name."""
+        try:
+            cfg = from_json(cls, data)
+        except ValueError as exc:
+            raise BadConfig(f"config {exc}") from None
+        if set(cfg.rates) != set(DEFAULT_RATES):
             raise BadConfig(f"config rates: expected a number for each of {sorted(DEFAULT_RATES)}")
-        return cls(**data)
+        return cfg
 
 
 @dataclass

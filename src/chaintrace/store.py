@@ -36,6 +36,13 @@ class StoreSegment:
     bytes: int | None = None  # committed length; None in older indexes
 
 
+@dataclass
+class _Index:
+    """The members of ``index.json``."""
+
+    segments: list[StoreSegment]
+
+
 class EventStore:
     """Segmented append-only store with (min_ts, max_ts) segment index."""
 
@@ -68,22 +75,16 @@ class EventStore:
         path = self._index_path()
         if not os.path.exists(path):
             return
-        raw = load_json(path, "store index")
-        try:
-            self.segments = [StoreSegment(**seg) for seg in raw["segments"]]
-            for seg in self.segments:
-                counts = (seg.min_ts, seg.max_ts, seg.min_id, seg.max_id, seg.count)
-                if not (type(seg.path) is str and type(seg.sealed) is bool
-                        and all(type(v) is int for v in counts) and seg.count >= 0
-                        and (seg.bytes is None or type(seg.bytes) is int)):
-                    raise TypeError(f"a member of {seg} is out of range")
-        except (KeyError, TypeError) as exc:
-            raise SchemaError(f"store index {path}: malformed: {exc}") from None
+        self.segments = load_json(path, "store index", _Index).segments
+        for i, seg in enumerate(self.segments):
+            if seg.count < 0:
+                raise SchemaError(f"store index {path}: malformed: "
+                                  f"segments[{i}].count: must be >= 0, got {seg.count}")
         if self.segments and not self.segments[-1].sealed:
             self._active = self.segments[-1]
 
     def _write_index(self) -> None:
-        payload = {"segments": [asdict(seg) for seg in self.segments]}
+        payload = asdict(_Index(self.segments))
         tmp = self._index_path() + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)

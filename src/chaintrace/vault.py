@@ -13,7 +13,7 @@ import hashlib
 import hmac
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -150,48 +150,49 @@ class PseudonymVault:
     # --- persistence ---
 
     def save(self, path: str) -> None:
-        payload = {
-            "magic": _VAULT_MAGIC,
-            "version": _VAULT_VERSION,
-            "primitive": _PRIMITIVE,
-            "k": self.k,
-            "n": self.n,
-            "token_key": self.token_key.hex(),
-            "public_key": self.public_key_pem.decode(),
-            "identity_fields": self.identity_fields,
-            "entries": self.entries,
-        }
+        doc = _VaultFile(
+            magic=_VAULT_MAGIC, version=_VAULT_VERSION, primitive=_PRIMITIVE, k=self.k,
+            n=self.n, token_key=self.token_key.hex(), public_key=self.public_key_pem.decode(),
+            identity_fields=self.identity_fields,
+            entries={token: _Entry(**entry) for token, entry in self.entries.items()})
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=0, sort_keys=True)
+            json.dump(asdict(doc), fh, indent=0, sort_keys=True)
         os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str, read_only: bool = False) -> "PseudonymVault":
-        payload = load_json(path, "vault")
-        if not isinstance(payload, dict) or payload.get("magic") != _VAULT_MAGIC:
-            raise VaultFormatError(f"{path}: not a vault file")
-        if payload.get("primitive") != _PRIMITIVE:
-            raise VaultFormatError(
-                f"{path}: unsupported primitive {payload.get('primitive')}")
+        doc = load_json(path, "vault", _VaultFile, VaultFormatError)
+        if (doc.magic, doc.version, doc.primitive) != (_VAULT_MAGIC, _VAULT_VERSION, _PRIMITIVE):
+            raise VaultFormatError(f"{path}: not a version {_VAULT_VERSION} {_PRIMITIVE} vault")
         try:
-            vault = cls(
-                token_key=bytes.fromhex(payload["token_key"]),
-                public_key_pem=payload["public_key"].encode(),
-                k=payload["k"],
-                n=payload["n"],
-                entries=payload["entries"],
-                identity_fields=payload["identity_fields"],
-                read_only=read_only,
-            )
-            if not (type(vault.k) is int and type(vault.n) is int
-                    and all(type(c) is str for c in vault.identity_fields.values())
-                    and all(type(e["h"]) is str and type(e["c"]) is str
-                            for e in vault.entries.values())):
-                raise TypeError("k, n, identity fields or entries of the wrong type")
-            return vault
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise VaultFormatError(f"{path}: malformed vault file: {exc!r}") from exc
+            return cls(token_key=bytes.fromhex(doc.token_key),
+                       public_key_pem=doc.public_key.encode(), k=doc.k, n=doc.n,
+                       entries={token: vars(entry) for token, entry in doc.entries.items()},
+                       identity_fields=doc.identity_fields, read_only=read_only)
+        except ValueError as exc:  # bad hex, or a lone surrogate in the key
+            raise VaultFormatError(f"vault {path}: malformed: {exc}") from None
+
+
+@dataclass
+class _Entry:
+    h: str  # the full keyed hash, hex
+    c: str  # the ciphertext, base64
+
+
+@dataclass
+class _VaultFile:
+    """The members of a vault file, as ``PseudonymVault.save`` writes them."""
+
+    magic: str
+    version: int
+    primitive: str
+    k: int
+    n: int
+    token_key: str  # hex
+    public_key: str  # PEM
+    identity_fields: dict[str, str]
+    entries: dict[str, _Entry]
 
 
 def create_vault(k: int, n: int) -> tuple[PseudonymVault, list[ShamirShare]]:

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import tempfile
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import chaintrace
 from chaintrace.cli import EXIT_ERROR, build_parser, main
@@ -275,8 +276,18 @@ def test_config_value_of_wrong_type_is_error(workdir, capsys, config):
     ("--killchain", ("elements", 0, "id"), ["x"]),
     ("--killchain", ("elements", 0, "variants", 0, "accepts"), [["x"]]),
     ("--killchain", ("alert_threshold",), "high"),
+    ("--rules", (0, "where", "attachment_ext"), 5),
+    ("--rules", (0, "where"), [["attachment_ext", "pdf"]]),
+    ("--killchain", ("elements", 1, "required"), "false"),
+    ("--rules", (0, "min_count"), 1.7),
+    ("--rules", (0, "layer"), True),
+    ("--rules", (0, "window"), True),
+    ("--killchain", ("alert_threshold",), "0.5"),
+    ("--rules", (0, "max_cuont"), 1),
 ], ids=["rule-emit-list", "rule-id-int", "element-id-list", "accepts-entry-list",
-        "threshold-word"])
+        "threshold-word", "where-value-int", "where-pair-list", "required-string",
+        "min-count-float", "layer-bool", "window-bool", "threshold-string",
+        "rule-unknown-member"])
 def test_document_member_of_wrong_type_is_error(workdir, capsys, flag, keys, value):
     _simulate(workdir)
     name = {"--rules": "default_rules.json", "--killchain": "default_killchain.json"}[flag]
@@ -529,7 +540,7 @@ def test_number_out_of_range_is_usage_error(workdir, capsys, model_file,
     assert not any((workdir / name).exists() for name in ("m2.json", "s2.jsonl"))
 
 
-@pytest.mark.parametrize("window", ["nan", "inf", 1e300, -60, 0])
+@pytest.mark.parametrize("window", [math.nan, math.inf, 1e300, -60, 0])
 def test_rule_window_out_of_range_is_error(workdir, capsys, window):
     _simulate(workdir)
     rules = json.loads(
@@ -540,7 +551,10 @@ def test_rule_window_out_of_range_is_error(workdir, capsys, window):
     rc = main(["detect", "--events", "events.jsonl", "--rules", "rules.json",
                "--out", "r.jsonl"])
     assert rc == EXIT_ERROR
-    assert "file_sweep: window must be finite and > 0" in _one_line_error(capsys)
+    # the loader refuses JSON's NaN and Infinity, the rule's range check the rest
+    fault = ("file_sweep: window must be finite and > 0" if math.isfinite(window)
+             else f"window: expected finite float, got {window}")
+    assert fault in _one_line_error(capsys)
     assert not (workdir / "r.jsonl").exists()
 
 
@@ -743,11 +757,49 @@ def _damage(data: bytes, how) -> bytes:
     return data[:at] + bytes([arg[1]]) + data[at + 1:]
 
 
+# One value of each JSON kind.
+_KINDS = ["[]", "{}", '"x"', "0", "null", "true"]
+_JSON_DOCUMENTS = {"cfg.json", "default_rules.json", "default_killchain.json",
+                   "vault.json", "model.json", "store/index.json"}
+# The members a swap to null leaves valid: (member, null) is allowed for
+# these nullable members only.
+_NULLABLE = {"max_count", "bytes"}
+
+
+def _paths(doc, path=()):
+    """The path of every member and array entry of ``doc``, at any depth."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from _paths(value, path + (key,))
+
+
+def _swap(data: bytes, at, kind: str):
+    """``data``, a JSON document, with the member at ``at`` (a path, or an
+    index into ``_paths`` taken modulo their number) replaced by the value
+    ``kind``, or by the next one in ``_KINDS`` if the member holds that
+    JSON kind already; and the member's name and its new value."""
+    doc = json.loads(data)
+    if not isinstance(at, tuple):
+        paths = list(_paths(doc))
+        at = paths[at % len(paths)]
+    parent = doc
+    for key in at[:-1]:
+        parent = parent[key]
+    old = {list: "[]", dict: "{}", str: '"x"', int: "0", float: "0",
+           type(None): "null", bool: "true"}[type(parent[at[-1]])]
+    if old == kind:
+        kind = _KINDS[(_KINDS.index(kind) + 1) % len(_KINDS)]
+    parent[at[-1]] = json.loads(kind)
+    return json.dumps(doc).encode(), at[-1], parent[at[-1]]
+
+
 _damages = st.one_of(
     st.tuples(st.just("truncate"), st.integers(-(1 << 20), 1 << 20)),
     st.tuples(st.just("flip"), st.integers(-(1 << 20), 1 << 20), st.integers(0, 255)),
-    st.tuples(st.just("kind"), st.sampled_from(["[]", "{}", '"x"', "0", "null", "true"])),
+    st.tuples(st.just("kind"), st.sampled_from(_KINDS)),
     st.just(("empty",)),
+    st.tuples(st.just("swap"), st.integers(0, 1 << 20), st.sampled_from(_KINDS)),
 )
 
 
@@ -761,11 +813,26 @@ _damages = st.one_of(
 @example(case=("detect --store", "store/index.json"), how=("flip", 0, 0xFF))
 @example(case=("detect --store", "store/index.json"), how=("flip", 16, ord("q")))  # "qath"
 @example(case=("ingest", "store/index.json"), how=("kind", "[]"))
+# a member of another JSON kind once loaded as a different document
+@example(case=("detect --events", "default_rules.json"),
+         how=("swap", (0, "where", "attachment_ext"), "0"))  # a rule that never fires
+@example(case=("detect --events", "default_rules.json"), how=("swap", (0, "layer"), "true"))
+@example(case=("export", "default_rules.json"), how=("swap", (6, "window"), "true"))
+@example(case=("detect --events", "default_killchain.json"),
+         how=("swap", ("elements", 1, "required"), '"x"'))  # read as true
+@example(case=("score", "model.json"), how=("swap", ("rho",), "null"))  # a traceback
+@example(case=("score", "model.json"), how=("swap", ("l",), "true"))
+@example(case=("score", "model.json"),
+         how=("swap", ("feature_means", 0), "null"))  # every decision NaN, exit 0
+@example(case=("reveal", "vault.json"), how=("swap", ("version",), '"x"'))
+@example(case=("detect --store", "store/index.json"),
+         how=("swap", ("segments", 0, "bytes"), "null"))  # nullable: still a store
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_damaged_input_never_escapes_main(pristine, case, how):
     root, token = pristine
     command, damaged = case
+    assume(how[0] != "swap" or damaged in _JSON_DOCUMENTS)
     argv, _ = _FUZZ_COMMANDS[command]
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.join(tmp, "w")
@@ -774,8 +841,12 @@ def test_damaged_input_never_escapes_main(pristine, case, how):
         target = os.path.join(work, damaged)
         with open(target, "rb") as fh:
             data = fh.read()
+        if how[0] == "swap":
+            data, member, value = _swap(data, *how[1:])
+        else:
+            data = _damage(data, how)
         with open(target, "wb") as fh:
-            fh.write(_damage(data, how))
+            fh.write(data)
         argv = [token if a == "TOKEN" else os.path.join(work, a)
                 if a.startswith("out/") or os.path.exists(os.path.join(work, a))
                 else a for a in argv]
@@ -786,7 +857,11 @@ def test_damaged_input_never_escapes_main(pristine, case, how):
             except SystemExit as exc:  # argparse
                 rc = exc.code
     lines = err.getvalue().splitlines()
-    if rc in (EXIT_ERROR, EXIT_ERROR + 1):
+    if how[0] == "swap" and not (value is None and member in _NULLABLE):
+        # the loader refuses a member its field's type does not allow
+        assert rc == EXIT_ERROR and len(lines) == 1 and lines[0].startswith("error: "), \
+            (rc, lines)
+    elif rc in (EXIT_ERROR, EXIT_ERROR + 1):
         prefix = "error: " if rc == EXIT_ERROR else "io error: "
         assert len(lines) == 1 and lines[0].startswith(prefix), lines
     else:

@@ -347,16 +347,36 @@ def test_model_load_rejects_tampered_schema(tmp_path):
         OneClassSvmModel.load(path)
 
 
-@pytest.mark.parametrize("member", ["gamma", "support_vectors", "feature_means"])
-def test_model_load_rejects_members_that_do_not_fit(tmp_path, member):
+def _null_first(rows):
+    """``rows`` with its first number, at any depth, replaced by None."""
+    head = rows[0]
+    return [_null_first(head) if isinstance(head, list) else None, *rows[1:]]
+
+
+@pytest.mark.parametrize("member,damage", [
+    pytest.param("gamma", lambda p: float("nan"), id="gamma"),
+    pytest.param("support_vectors", lambda p: [row[:-1] for row in p["support_vectors"]],
+                 id="support_vectors"),
+    pytest.param("feature_means", lambda p: p["feature_means"][:-1], id="feature_means"),
+    pytest.param("rho", lambda p: None, id="rho-null"),
+    pytest.param("rho", lambda p: "0.1", id="rho-string"),
+    pytest.param("l", lambda p: True, id="l-bool"),
+    pytest.param("gamma", lambda p: True, id="gamma-bool"),
+    pytest.param("l", lambda p: 1.5, id="l-float"),
+    pytest.param("feature_means", lambda p: _null_first(p["feature_means"]),
+                 id="feature_means-null-entry"),
+    pytest.param("support_vectors", lambda p: _null_first(p["support_vectors"]),
+                 id="support_vectors-null-entry"),
+    pytest.param("version", lambda p: "x", id="version-string"),
+    pytest.param("feature_stds", lambda p: [0.0, *p["feature_stds"][1:]], id="feature_stds-zero"),
+])
+def test_model_load_rejects_members_that_do_not_fit(tmp_path, member, damage):
     import json
     model = fit(_cloud(40, d=10, seed=21), nu=0.2)
     path = str(tmp_path / "model.json")
     model.save(path)
     payload = json.load(open(path))
-    payload[member] = {"gamma": float("nan"),
-                       "support_vectors": [row[:-1] for row in payload["support_vectors"]],
-                       "feature_means": payload["feature_means"][:-1]}[member]
+    payload[member] = damage(payload)
     json.dump(payload, open(path, "w"))
     with pytest.raises(ModelFormatError):
         OneClassSvmModel.load(path)

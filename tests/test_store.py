@@ -167,6 +167,25 @@ def test_damaged_index_is_schema_error(tmp_path, content):
             EventStore(str(root), create=create)
 
 
+@pytest.mark.parametrize("member,value", [("count", -2), ("count", "2"), ("path", 7),
+                                          ("sealed", 0), ("bytes", True)])
+def test_damaged_index_error_names_the_member(tmp_path, member, value):
+    root = tmp_path / "s"
+    store = EventStore(str(root))
+    store.append([_mk(1, 10), _mk(2, 20)])
+    store._seal_active()
+    store.append([_mk(3, 30)])
+    store.close()
+    index = root / "index.json"
+    payload = json.loads(index.read_text())
+    payload["segments"][1][member] = value
+    index.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError) as exc:
+        EventStore(str(root))
+    assert f"segments[1].{member}:" in str(exc.value)
+    assert "StoreSegment" not in str(exc.value)
+
+
 class _Crash(Exception):
     pass
 

@@ -142,17 +142,18 @@ def test_load_rejects_foreign_file(tmp_path):
 
 
 @pytest.mark.parametrize("payload", [
-    {"magic": "chaintrace-vault", "primitive": "rsa-2048-oaep-sha256"},
-    {"magic": "chaintrace-vault", "primitive": "rsa-2048-oaep-sha256",
+    {"magic": "chaintrace-vault", "version": 1, "primitive": "rsa-2048-oaep-sha256"},
+    {"magic": "chaintrace-vault", "version": 1, "primitive": "rsa-2048-oaep-sha256",
      "token_key": "not hex", "public_key": "", "k": 2, "n": 3, "entries": {},
      "identity_fields": {}},
     ["chaintrace-vault"],
-    *({"magic": "chaintrace-vault", "primitive": "rsa-2048-oaep-sha256",
+    *({"magic": "chaintrace-vault", "version": 1, "primitive": "rsa-2048-oaep-sha256",
        "token_key": "00", "public_key": "", "k": 2, "n": 3,
        "entries": {"pn:1": {"h": "ab", "c": ""}},
        "identity_fields": {"actor": "user"}, **damage}
       for damage in ({"entries": {"pn:1": {"hh": "ab", "c": ""}}},
-                     {"k": "2"}, {"identity_fields": ["actor"]})),
+                     {"k": "2"}, {"identity_fields": ["actor"]},
+                     {"version": "x"}, {"version": 2}, {"version": True})),
 ])
 def test_load_rejects_damaged_vault(tmp_path, payload):
     path = tmp_path / "vault.json"
