@@ -267,9 +267,10 @@ def _vectors_from_args(args):
     ``args.counters`` with what the scan and the extraction saw."""
     from . import features as feats
 
-    events, source = _input_events(args)
+    # a store is read in parts, one per usable CPU; an --events file in one
+    source = _input_events(args)[1]
     stats = feats.ExtractionStats()
-    vectors = feats.extract_features(events, window=args.window_secs, stats=stats)
+    vectors = feats.extract_features(source, window=args.window_secs, stats=stats)
     args.counters = {
         "rows_scanned": source.rows_scanned,
         "events_decoded": source.rows_scanned - source.rows_skipped,

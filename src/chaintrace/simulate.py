@@ -76,6 +76,8 @@ class SimConfig:
             raise BadConfig("users must be >= 1")
         if self.duration <= 0:
             raise BadConfig("duration must be > 0")
+        if self.start_ts <= 0:  # every reader refuses an event with ts <= 0
+            raise BadConfig("start_ts must be > 0")
         if self.scenario not in SCENARIOS:
             raise BadConfig(f"unknown scenario {self.scenario!r}")
         if self.jpeg_count < 1:

@@ -11,6 +11,7 @@ it, dropping whatever a torn append left behind.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 from itertools import islice
@@ -57,6 +58,7 @@ class EventStore:
         self._fh = None
         self.rows_scanned = 0  # lines read by queries
         self.rows_skipped = 0  # of those, lines a prefilter left undecoded
+        self.stopped = False  # the last query met a line with ts >= t1
         try:
             if create:
                 os.makedirs(root, exist_ok=True)
@@ -183,25 +185,43 @@ class EventStore:
 
     # --- reader side ---
 
+    def _selected(self, t0: int, t1: int) -> list[StoreSegment]:
+        """The segments a query of [t0, t1) reads, in order."""
+        return [seg for seg in self.segments
+                if seg.count and seg.max_ts >= t0 and seg.min_ts < t1]
+
     def query(
         self,
         t0: int,
         t1: int,
         prefilter: Callable[[str], bool] | None = None,
+        lines: range | None = None,
     ) -> Iterator[LogEvent]:
         """Stream stored events with t0 <= ts < t1.
 
         ``prefilter`` sees each raw line first; a line it rejects is
-        counted and skipped without being decoded.
+        counted and skipped without being decoded. ``lines`` keeps to
+        that range of the lines the query reads, numbered from 0 across
+        its segments; lines before the range are read past, neither
+        decoded nor counted. Queries of consecutive ranges yield the
+        events, and count the rows, of one query, up to the first that
+        sets ``stopped``: it met a line with ``ts >= t1``, and one query
+        would have read no further.
         """
         if t0 >= t1:
             raise ValueError(f"require t0 < t1, got [{t0}, {t1})")
+        lo, hi = (0, math.inf) if lines is None else (lines.start, lines.stop)
+        self.stopped = False
         scanned = skipped = 0
         path = self.root
+        end = 0  # number of the line after the segment
         try:
-            for seg in self.segments:
-                if seg.count == 0 or seg.max_ts < t0 or seg.min_ts >= t1:
+            for seg in self._selected(t0, t1):
+                start, end = end, end + seg.count
+                if end <= lo:
                     continue
+                if start >= hi:
+                    break
                 path = os.path.join(self.root, seg.path)
                 try:
                     fh = open(path, "r", encoding="utf-8")
@@ -209,7 +229,7 @@ class EventStore:
                     raise IoFailure(str(exc)) from exc
                 with fh:
                     # rows flushed after this query began are not read
-                    for line in islice(fh, seg.count):
+                    for line in islice(fh, max(lo - start, 0), min(hi, end) - start):
                         scanned += 1
                         if prefilter is not None and not prefilter(line):
                             skipped += 1
@@ -218,6 +238,7 @@ class EventStore:
                         if e.ts < t0:
                             continue
                         if e.ts >= t1:
+                            self.stopped = True
                             return
                         yield e
         except UnicodeDecodeError:
@@ -226,9 +247,15 @@ class EventStore:
             self.rows_scanned += scanned
             self.rows_skipped += skipped
 
-    def query_all(self, prefilter: Callable[[str], bool] | None = None
-                  ) -> Iterator[LogEvent]:
+    def query_all(self, prefilter: Callable[[str], bool] | None = None,
+                  lines: range | None = None) -> Iterator[LogEvent]:
         """Full-range query convenience wrapper."""
         if self.count() == 0:
             return iter(())
-        return self.query(1, self.last_ts + 1, prefilter)
+        return self.query(1, self.last_ts + 1, prefilter, lines)
+
+    def line_count(self) -> int:
+        """The number of lines ``query_all`` reads."""
+        if self.count() == 0:
+            return 0
+        return sum(seg.count for seg in self._selected(1, self.last_ts + 1))

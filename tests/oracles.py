@@ -7,7 +7,8 @@ quadratic scan, and GF(2^8) multiplication is schoolbook polynomial
 arithmetic with long-division reduction, the canonical event decoder
 is ``json.loads`` followed by explicit member checks, and kill-chain
 binding scans every sequence for each element instead of keeping sorted
-per-victim lists.
+per-victim lists, and feature extraction is one serial replay of the
+stream with a single table of open sessions.
 """
 
 from __future__ import annotations
@@ -199,6 +200,59 @@ def decode_event_ref(text: str, event_types) -> tuple:
     if not ok:
         raise RefDecodeError(0)
     return eid, ts, host, etype, actor, attrs
+
+
+# --- feature extraction reference ---
+
+def extract_features_ref(events, window_ns: int):
+    """``({(user, window start): 10 floats}, unmatched logoffs, bad numbers)``.
+
+    One pass in stream order: a logon opens its (user, session) and a
+    logoff closes it; ``bytes_out`` sums as an exact integer, skipping
+    values that are not decimal or fall outside the signed 64-bit range.
+    """
+    rows, open_at, spans, dsts = {}, {}, {}, {}
+    unmatched = bad = 0
+    column = {"logon": 0, "logon_failed": 1, "logoff": 2, "file_read": 8,
+              "file_write": 9}
+    for e in events:
+        if e.event_type not in column and e.event_type not in ("fw_conn", "http_request"):
+            continue
+        cell = (e.actor, e.ts - e.ts % window_ns)
+        row = rows.setdefault(cell, [0] * 10)
+        sid = e.attributes.get("session_id")
+        if e.event_type in column:
+            row[column[e.event_type]] += 1
+        if e.event_type == "logon" and sid:
+            open_at[(e.actor, sid)] = e.ts
+        elif e.event_type == "logoff":
+            t0 = open_at.pop((e.actor, sid), None) if sid else None
+            if t0 is None:
+                unmatched += 1
+            else:
+                spans.setdefault(cell, []).append((e.ts - t0) / 1e9)
+        elif e.event_type in ("fw_conn", "http_request"):
+            if e.event_type == "fw_conn":
+                row[5 if e.attributes.get("verdict") == "deny" else 4] += 1
+            if "bytes_out" in e.attributes:
+                try:
+                    n = int(e.attributes["bytes_out"], 10)
+                except ValueError:
+                    n = 1 << 63
+                if -(1 << 63) <= n < 1 << 63:
+                    row[6] += n
+                else:
+                    bad += 1
+            if e.attributes.get("dst_ip"):
+                dsts.setdefault(cell, set()).add(e.attributes["dst_ip"])
+    out = {}
+    for cell, row in rows.items():
+        values = [float(n) for n in row]
+        if cell in spans:
+            values[3] = float(np.mean(spans[cell]))
+        values[7] = float(len(dsts.get(cell, ())))
+        out[cell] = values
+    return out, unmatched, bad
 
 
 # --- kill-chain binding reference ---

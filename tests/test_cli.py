@@ -5,17 +5,19 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import chaintrace
 from chaintrace.cli import EXIT_ERROR, build_parser, main
-from chaintrace.events import decode_event
+from chaintrace.events import decode_event, encode_event
 from chaintrace.features import SOURCE_SETS, ExtractionStats, extract_features
 
 
@@ -258,6 +260,15 @@ def test_bad_config_is_error(workdir, capsys):
     rc = main(["simulate", "--config", str(cfg),
                "--out", "x.jsonl", "--truth", "t.tsv"])
     assert rc == EXIT_ERROR
+
+
+def test_non_positive_start_ts_is_error(workdir, capsys):
+    (workdir / "cfg.json").write_text(json.dumps({"start_ts": -1000000000000000,
+                                                  "users": 3}))
+    rc = main(["simulate", "--config", "cfg.json", "--out", "x.jsonl", "--truth", "t.tsv"])
+    assert rc == EXIT_ERROR
+    assert "start_ts" in _one_line_error(capsys)
+    assert not (workdir / "x.jsonl").exists()
 
 
 @pytest.mark.parametrize("config", [{"users": "5"}, {"rates": {"session": "x"}},
@@ -676,6 +687,148 @@ def test_train_gamma_must_be_finite_and_positive(workdir, capsys, gamma):
                  f"--gamma={gamma}"]) == EXIT_ERROR
     assert "gamma" in _one_line_error(capsys)
     assert not (workdir / "m.json").exists()
+
+
+def test_huge_bytes_out_is_a_bad_numeric_attr(workdir, model_file):
+    lines = (workdir / "clean.jsonl").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"bytes_out":"' in line)
+    e = decode_event(lines[at])
+    e.attributes["bytes_out"] = "9" * 401
+    lines[at] = encode_event(e)
+    (workdir / "events.jsonl").write_text("\n".join(lines) + "\n")
+    assert main(["train", "--events", "events.jsonl", "--out", "m.json"]) == 0
+    counters = json.loads((workdir / "manifest.train.json").read_text())["counters"]
+    assert counters["bad_numeric_attrs"] == 1
+
+
+# --- train and score read a store in parts, one per usable CPU ---
+
+@pytest.fixture(scope="module")
+def parts_store(tmp_path_factory):
+    """A clean 811-event store and the train and score outputs of one pass."""
+    root = tmp_path_factory.mktemp("parts")
+    (root / "cfg.json").write_text(json.dumps({"users": 10, "duration": 3600}))
+    for argv in (["simulate", "--seed", "1", "--config", root / "cfg.json",
+                  "--attack", "false", "--out", root / "events.jsonl",
+                  "--truth", root / "truth.tsv"],
+                 ["ingest", "--store", root / "store", "--events", root / "events.jsonl"]):
+        assert main([str(a) for a in argv]) == 0
+    return root, _train_and_score(root / "store", root / "one")
+
+
+def _train_and_score(store, out):
+    """(exit status, stderr, output bytes and manifest counters) of train,
+    then of score if train succeeded."""
+    os.makedirs(out)
+    runs = []
+    for argv in (["train", "--store", store, "--out", out / "model.json"],
+                 ["score", "--store", store, "--model", out / "model.json",
+                  "--out", out / "scored.jsonl"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([str(a) for a in argv + ["--window-secs", "600"]])
+        result = [rc, err.getvalue()]
+        if rc == 0:
+            result.append(Path(argv[-1]).read_bytes())
+            manifest = json.loads((out / f"manifest.{argv[0]}.json").read_text())
+            result.append(manifest["counters"])
+        runs.append(result)
+        if rc:
+            break
+    with pytest.raises(ChildProcessError):  # no worker is left behind
+        os.waitpid(-1, os.WNOHANG)
+    return runs
+
+
+@pytest.fixture
+def four_parts(monkeypatch):
+    from chaintrace import features
+
+    monkeypatch.setattr(features, "MIN_PART_LINES", 100)
+    monkeypatch.setattr(features, "_usable_cpus", lambda: 4)
+
+
+def _damaged_copy(root, tmp_path, edits):
+    """A copy of the store with ``edits`` ({line number: new line}) made."""
+    store = tmp_path / "store"
+    shutil.copytree(root / "store", store)
+    seg = store / "000000.seg"
+    lines = seg.read_text().splitlines()
+    for at, line in edits.items():
+        lines[at] = line
+    seg.write_text("\n".join(lines) + "\n")
+    return store
+
+
+def test_parts_give_the_outputs_of_one_pass(parts_store, tmp_path, four_parts):
+    root, one = parts_store
+    assert [rc for rc, *_ in one] == [0, 0]
+    assert _train_and_score(root / "store", tmp_path / "four") == one
+
+
+@pytest.mark.parametrize("fork", ["missing", "fails after one worker"])
+def test_parts_without_a_worker_are_read_in_order(parts_store, tmp_path, four_parts,
+                                                  monkeypatch, fork):
+    root, one = parts_store
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        real, forked = os.fork, []
+
+        def fork_once():
+            if forked:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forked.append(True)
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+    assert _train_and_score(root / "store", tmp_path / "four") == one
+
+
+def test_killed_worker_part_is_read_again(parts_store, tmp_path, four_parts, monkeypatch):
+    from chaintrace import store as store_module
+
+    root, one = parts_store
+    parent, decode = os.getpid(), store_module.decode_event
+    # line 500 is in part 2: only its worker decodes it, halfway through
+    target = (root / "store" / "000000.seg").read_text().splitlines(True)[500]
+
+    def dies_in_worker(line):
+        if line == target and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return decode(line)
+
+    monkeypatch.setattr(store_module, "decode_event", dies_in_worker)
+    assert _train_and_score(root / "store", tmp_path / "four") == one
+
+
+def _bad_ts(line, ts):
+    e = decode_event(line)
+    e.ts = ts
+    return encode_event(e)
+
+
+@pytest.mark.parametrize("damage", ["later part", "two parts", "past t1 hides"])
+def test_parts_fail_as_one_pass(parts_store, tmp_path, request, damage):
+    root, _ = parts_store
+    lines = (root / "store" / "000000.seg").read_text().splitlines()
+    # with four parts of about 200 lines: part 0 is lines 0-201, part 2 from 405
+    edits = {
+        "later part": {500: "{bad"},
+        "two parts": {300: _bad_ts(lines[300], -5), 700: "{bad"},
+        "past t1 hides": {100: _bad_ts(lines[100], 1 << 62), 300: "{bad"},
+    }[damage]
+    store = _damaged_copy(root, tmp_path, edits)
+    one = _train_and_score(store, tmp_path / "one")
+    request.getfixturevalue("four_parts")
+    assert _train_and_score(store, tmp_path / "four") == one
+    if damage == "past t1 hides":
+        assert [rc for rc, *_ in one] == [0, 0]
+        assert one[0][3]["rows_scanned"] == 101
+    else:
+        assert one[0][0] == EXIT_ERROR
+        assert one[0][1].startswith("error: ") and one[0][1].count("\n") == 1
+        assert ("ts must be > 0" in one[0][1]) == (damage == "two parts")
 
 
 # --- fuzz gate: a damaged input file never lets an exception out of main() ---

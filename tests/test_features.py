@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaintrace.errors import EmptyInput, EmptyTrainingSet, LengthMismatch
 from chaintrace.events import LogEvent
@@ -7,12 +8,15 @@ from chaintrace.features import (
     FEATURE_NAMES,
     SOURCE_SETS,
     ExtractionStats,
+    accumulate_part,
     evaluate,
     extract_features,
     label_windows,
     matrix_of,
+    merge_parts,
     standardize,
 )
+from oracles import extract_features_ref
 
 NS = 1_000_000_000
 
@@ -85,6 +89,25 @@ def test_bad_numeric_attr_counted():
     )
     assert stats.bad_numeric_attrs == 1
     assert vectors[0].values[6] == 0
+
+
+@pytest.mark.parametrize("values,total,bad", [
+    # each addend rounded to float would lose both 1s
+    ([2**53, 1, 1], float(2**53 + 2), 0),
+    ([2**63 - 1, -(2**63)], -1.0, 0),
+    ([2**63, 5], 5.0, 1),
+    ([-(2**63) - 1, 5], 5.0, 1),
+    (["9" * 401, 7], 7.0, 1),  # once an OverflowError out of the sum
+    (["9" * 5000, 7], 7.0, 1),  # past the int-string digit limit
+    (["12x", "", 3], 3.0, 2),
+])
+def test_bytes_out_summed_exactly(values, total, bad):
+    stats = ExtractionStats()
+    events = [_ev(i, i, "http_request", dst_ip="1.1.1.1", bytes_out=v)
+              for i, v in enumerate(values)]
+    (vector,) = extract_features(events, stats=stats)
+    assert vector.values[6] == total
+    assert stats.bad_numeric_attrs == bad
 
 
 def test_irrelevant_events_emit_nothing():
@@ -173,3 +196,93 @@ def test_label_windows():
     labels = label_windows(vectors, hot)
     by_user = dict(zip((v.user for v in vectors), labels))
     assert by_user == {"alice": True, "bob": False}
+
+
+# --- parts: any cut of a stream merges to the vectors of one pass ---
+
+_BYTES = st.one_of(st.integers(-5, 10**6).map(str),
+                   st.sampled_from(["oops", "", str(2**53), str(2**63), "9" * 401]))
+
+
+def _stream(steps):
+    """Events of (ns after the previous one, type, user, session id, dst_ip,
+    bytes_out, deny) steps."""
+    events, ts = [], NS
+    for i, (gap, kind, user, sid, dst, nbytes, deny) in enumerate(steps):
+        ts += gap
+        attrs = {}
+        if kind in ("logon", "logoff", "logon_failed") and sid:
+            attrs["session_id"] = sid
+        if kind in ("fw_conn", "http_request"):
+            attrs["bytes_out"] = nbytes
+            if dst:
+                attrs["dst_ip"] = dst
+            if kind == "fw_conn":
+                attrs["verdict"] = "deny" if deny else "allow"
+        events.append(LogEvent(i + 1, ts, "ws000", kind, user, attrs))
+    return events
+
+
+def _sessions(*steps):
+    """A stream of (ns after the previous one, type, session id) for one user."""
+    return _stream([(gap, kind, "amy", sid, None, "0", False) for gap, kind, sid in steps])
+
+
+@st.composite
+def _streams(draw):
+    """Time-ordered events of two users over a few windows: sessions that
+    repeat a logon or end twice, logoffs with no logon, net events with
+    and without ``dst_ip``, bad and huge ``bytes_out``."""
+    kinds = st.sampled_from(["logon", "logoff", "fw_conn", "http_request"] * 2 + [
+        "logon_failed", "file_read", "file_write", "email_received"])
+    return _stream(draw(st.lists(st.tuples(
+        st.integers(0, 40 * NS), kinds, st.sampled_from(["amy", "amy", "bob"]),
+        st.sampled_from(["S1", "S2"] * 2 + [""]), st.sampled_from(["1.1.1.1", "2.2.2.2", None]),
+        _BYTES, st.booleans()), min_size=5, max_size=80)))
+
+
+@st.composite
+def _session_streams(draw):
+    """Logons and logoffs of one user's two sessions."""
+    return _sessions(*draw(st.lists(st.tuples(
+        st.integers(0, 100 * NS), st.sampled_from(["logon", "logoff"]),
+        st.sampled_from(["S1", "S2"])), max_size=30)))
+
+
+def _bits(vectors):
+    return [(v.user, v.window_start, v.values.tobytes()) for v in vectors]
+
+
+@given(events=st.one_of(_streams(), _session_streams()),
+       cuts=st.lists(st.integers(0, 1000), max_size=3))
+# a session the first part opens, the second reopens and ends, and the third
+# ends again: that logoff finds no logon
+@example(events=_sessions((0, "logon", "S1"), (NS, "logon", "S1"), (NS, "logoff", "S1"),
+                          (NS, "logoff", "S1")), cuts=[250, 750])
+@example(events=_sessions((0, "logon", "S1"), (NS, "logon", "S1"), (NS, "logoff", "S1"),
+                          (NS, "logoff", "S1")), cuts=[250])
+# the durations of a window, mean taken in stream order: one ended in the
+# first part falls between two the second part ends
+@example(events=_sessions((0, "logon", "S1"), (30725892447, "logon", "S2"),
+                          (48940995156, "logoff", "S2"), (42094582642, "logoff", "S1"),
+                          (12607248969, "logon", "S2"), (25249540062, "logoff", "S2")),
+         cuts=[200])
+# a window whose destinations two parts share out
+@example(events=_stream([(0, "fw_conn", "amy", "", "1.1.1.1", "1", False),
+                          (NS, "http_request", "amy", "", "2.2.2.2", "2", False)]),
+         cuts=[500])
+@settings(max_examples=300, deadline=None)
+def test_parts_merge_to_one_pass(events, cuts):
+    window = 600
+    cuts = [0, *sorted(c * len(events) // 1000 for c in cuts), len(events)]
+    one, parts = ExtractionStats(), ExtractionStats()
+    whole = merge_parts([accumulate_part(events, window)], one)
+    split = merge_parts([accumulate_part(events[a:b], window)
+                         for a, b in zip(cuts, cuts[1:])], parts)
+    # compared first, so that a failing example is not diffed while it shrinks
+    same_bits = _bits(split) == _bits(whole)
+    assert same_bits and parts == one
+    cells, unmatched, bad = extract_features_ref(events, window * NS)
+    same_values = [(v.user, v.window_start, list(v.values)) for v in whole] == \
+        [(user, w, cells[(user, w)]) for user, w in sorted(cells)]
+    assert same_values and (one.unmatched_logoffs, one.bad_numeric_attrs) == (unmatched, bad)

@@ -113,6 +113,13 @@ def test_bad_configs_rejected():
         simulate(SimConfig(users=20, duration=600, victims=5))
 
 
+@pytest.mark.parametrize("start_ts", [0, -1_000_000_000_000_000])
+def test_start_ts_must_be_positive(start_ts):
+    # the stream would hold events that every reader refuses
+    with pytest.raises(BadConfig, match="start_ts"):
+        SimConfig(start_ts=start_ts).validate()
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
 def test_rates_must_be_finite(rate):
     # the Poisson sampler never returns for either

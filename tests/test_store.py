@@ -316,3 +316,27 @@ def test_query_counts_a_consumer_that_stops_early(tmp_path):
     assert [e.id for e in store.query(200, 500)] == [2, 3, 4]
     # the query stops at the first row past t1, in the second segment
     assert (store.rows_scanned, store.rows_skipped) == (5 + 5, 1)
+
+
+@pytest.mark.parametrize("cuts", [[], [3], [3, 7], [1, 2, 9], [0, 10], [6, 6]])
+def test_line_ranges_concatenate_to_one_query(tmp_path, cuts):
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    store.append(_mk(i, 100 * i) for i in range(1, 11))
+    store.close()
+    assert store.line_count() == 10
+    bounds = [0, *cuts, store.line_count()]
+    got = [e.id for a, b in zip(bounds, bounds[1:])
+           for e in store.query_all(lines=range(a, b))]
+    assert got == list(range(1, 11))
+    assert (store.rows_scanned, store.stopped) == (10, False)
+
+
+def test_line_range_stops_past_t1(tmp_path):
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    store.append(_mk(i, 100 * i) for i in range(1, 11))
+    store.close()
+    # rows 4-9 hold ts 400-900: the range stops at the row of ts 600
+    assert [e.id for e in store.query(1, 600, lines=range(3, 9))] == [4, 5]
+    assert (store.rows_scanned, store.stopped) == (3, True)
+    assert [e.id for e in store.query(1, 600, lines=range(0, 3))] == [1, 2, 3]
+    assert store.stopped is False
