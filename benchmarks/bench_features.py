@@ -7,6 +7,10 @@ one part and once with its parts spread over the usable CPUs
 (``features.MIN_PART_LINES`` as shipped), interleaved, RUNS times each;
 the medians are recorded as thousands of store lines per second (kev/s).
 
+The serial tail of a two-part read: the pickled bytes of the second
+part, as a worker sends it, and the median time in ms the parent takes
+to unpickle it, over RUNS loads.
+
 The crossover table times the first N lines of the same stream, each
 in its own store, as one part and as two parts (no minimum part size),
 interleaved, RUNS times each, and records the median seconds. A part
@@ -25,6 +29,7 @@ import argparse
 import gc
 import json
 import os
+import pickle
 import platform
 import shutil
 import statistics
@@ -72,6 +77,17 @@ def measure() -> dict:
                     times[i].append(seconds(n, *settings[i]))
             return [statistics.median(t) for t in times]
 
+        store = EventStore(os.path.join(root, str(total)), create=False)
+        worker_part = features.accumulate_part(
+            store.query_all(lines=range(total // 2, total)), WINDOW)
+        sent = pickle.dumps(worker_part, pickle.HIGHEST_PROTOCOL)
+        del worker_part
+        loads = []
+        for _ in range(RUNS):
+            t0 = time.perf_counter()
+            pickle.loads(sent)
+            loads.append(time.perf_counter() - t0)
+
         try:
             cpus = shipped_cpus()
             one, many = interleaved(total, [(1, shipped_min), (cpus, shipped_min)])
@@ -90,6 +106,8 @@ def measure() -> dict:
         "min_part_lines": shipped_min,
         "one_part_kev_s": round(total / one / 1e3, 1),
         "parts_kev_s": round(total / many / 1e3, 1),
+        "worker_part_bytes": len(sent),
+        "unpickle_ms": round(statistics.median(loads) * 1e3, 1),
         "crossover": crossover,
     }
 

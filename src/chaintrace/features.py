@@ -76,20 +76,16 @@ MIN_PART_LINES = 10_000
 class FeaturePart:
     """What one contiguous part of an event stream adds to the features.
 
-    Parts merge in stream order (``merge_parts``). A part does not know the
-    sessions open when it starts, so a logoff whose session it has not seen
-    stays unresolved until the merge.
+    Parts merge in stream order (``merge_parts``), which pairs the logons
+    and logoffs of all parts into sessions.
     """
 
     cells: dict[tuple[str, int], list[int]]  # (user, window) -> counts; [6] sums bytes_out
     dsts: dict[tuple[str, int], set[str]]
-    # per cell, in stream order: the seconds of each session the part
-    # ended, or (session, logoff ts) for a logoff of a session it had not seen
-    durations: dict[tuple[str, int], list[float | tuple[tuple[str, str], int]]]
-    # each session the part logged on or off: its logon ts if the part
-    # leaves it open, else None
-    sessions: dict[tuple[str, str], int | None]
-    unmatched_logoffs: int = 0
+    # each logon and logoff with a session id, in stream order:
+    # (user, window, session id, ts, is_logon)
+    sessions: list[tuple[str, int, str, int, bool]]
+    unmatched_logoffs: int = 0  # logoffs without a session id
     bad_numeric_attrs: int = 0
     rows_scanned: int = 0  # store lines read (store parts only)
     stopped: bool = False  # the part ended at a line past the store's last ts
@@ -100,10 +96,8 @@ def accumulate_part(events: Iterable[LogEvent], window: int = 3600) -> FeaturePa
     window_ns = window * NS
     cells: dict[tuple[str, int], list[int]] = {}
     dsts: dict[tuple[str, int], set[str]] = {}
-    durations: dict[tuple[str, int], list] = {}
-    sessions: dict[tuple[str, str], int] = {}  # (user, session_id) -> logon ts
-    touched: set[tuple[str, str]] = set()  # sessions logged on or off in this part
-    names: dict[str, str] = {}
+    sessions: list[tuple[str, int, str, int, bool]] = []
+    names: dict[str, str] = {}  # one object per string, pickled once
     unmatched = bad = 0
     for e in events:
         et = e.event_type
@@ -114,28 +108,17 @@ def accumulate_part(events: Iterable[LogEvent], window: int = 3600) -> FeaturePa
         c = cells.get(key)
         if c is None:
             c = cells[key] = [0] * N_FEATURES
-        if et == "logon":
-            c[0] += 1
+        if et == "logon" or et == "logoff":
+            logon = et == "logon"
+            c[0 if logon else 2] += 1
             sid = e.attributes.get("session_id")
             if sid:
-                session = (e.actor, sid)
-                sessions[session] = ts
-                touched.add(session)
+                sessions.append((names.setdefault(e.actor, e.actor), key[1],
+                                 names.setdefault(sid, sid), ts, logon))
+            elif not logon:  # no logon can match it
+                unmatched += 1
         elif et == "logon_failed":
             c[1] += 1
-        elif et == "logoff":
-            c[2] += 1
-            sid = e.attributes.get("session_id")
-            session = (e.actor, sid)
-            if not sid:
-                unmatched += 1
-            elif session in sessions:
-                durations.setdefault(key, []).append((ts - sessions.pop(session)) / NS)
-            elif session in touched:  # its logon was ended here already
-                unmatched += 1
-            else:  # a logon before this part may have opened it
-                durations.setdefault(key, []).append((session, ts))
-                touched.add(session)
         elif et == "file_read":
             c[8] += 1
         elif et == "file_write":
@@ -156,32 +139,31 @@ def accumulate_part(events: Iterable[LogEvent], window: int = 3600) -> FeaturePa
                     bad += 1
             dst = attrs.get("dst_ip")
             if dst:
-                dst = names.setdefault(dst, dst)  # one object per address
+                dst = names.setdefault(dst, dst)
                 d = dsts.get(key)
                 if d is None:
                     dsts[key] = {dst}
                 else:
                     d.add(dst)
-    return FeaturePart(cells, dsts, durations,
-                       {s: sessions.get(s) for s in touched}, unmatched, bad)
+    return FeaturePart(cells, dsts, sessions, unmatched, bad)
 
 
 def merge_parts(parts: Iterable[FeaturePart],
                 stats: ExtractionStats | None = None) -> list[FeatureVector]:
     """The vectors of the stream the ``parts`` cut, in stream order, make up.
 
-    A logoff of a session its part had not seen ends the session that the
-    parts before it left open, if any. Session seconds are attributed to
-    the window of the logoff; each window's reach ``np.mean`` in stream
-    order, so the result is bit for bit that of one part. The parts are
-    left as they were.
+    Sessions pair here, in stream order: a logon opens (or reopens) its
+    (user, session id), and a logoff ends the open one and adds its
+    seconds to the logoff's window; any other logoff is unmatched. Each
+    window's seconds reach ``np.mean`` in stream order, so the result is
+    bit for bit that of one part. The parts are left as they were.
     """
     if stats is None:
         stats = ExtractionStats()
     cells: dict[tuple[str, int], list[int]] = {}
     dsts: dict[tuple[str, int], set[str]] = {}
     durations: dict[tuple[str, int], list[float]] = {}
-    sessions: dict[tuple[str, str], int] = {}  # left open by the parts so far
+    logons: dict[tuple[str, str], int] = {}  # open session -> logon ts
     for part in parts:
         stats.unmatched_logoffs += part.unmatched_logoffs
         stats.bad_numeric_attrs += part.bad_numeric_attrs
@@ -191,29 +173,20 @@ def merge_parts(parts: Iterable[FeaturePart],
         for key, d in part.dsts.items():
             have = dsts.get(key)
             dsts[key] = d if have is None else have | d
-        for key, ds in part.durations.items():
-            into = durations.setdefault(key, [])
-            for d in ds:
-                # a logoff of a session the part had not seen; a part holds
-                # at most one per session, so the cells' order does not matter
-                if type(d) is tuple:
-                    session, ts = d
-                    t0 = sessions.pop(session, None)
-                    if t0 is None:
-                        stats.unmatched_logoffs += 1
-                        continue
-                    d = (ts - t0) / NS
-                into.append(d)
-        for session, logon in part.sessions.items():
-            if logon is None:
-                sessions.pop(session, None)
+        for user, w, sid, ts, is_logon in part.sessions:
+            if is_logon:
+                logons[(user, sid)] = ts
+                continue
+            t0 = logons.pop((user, sid), None)
+            if t0 is None:
+                stats.unmatched_logoffs += 1
             else:
-                sessions[session] = logon
+                durations.setdefault((user, w), []).append((ts - t0) / NS)
 
     out: list[FeatureVector] = []
     for key in sorted(cells):
         v = np.array([float(n) for n in cells[key]], dtype=np.float64)
-        if durations.get(key):
+        if key in durations:
             v[3] = float(np.mean(durations[key]))
         v[7] = len(dsts.get(key, ()))
         out.append(FeatureVector(user=key[0], window_start=key[1], values=v))
@@ -227,9 +200,9 @@ def extract_features(
 ) -> list[FeatureVector]:
     """One vector per (user, window) holding at least one relevant event.
 
-    Session seconds are attributed to the window of the logoff event;
-    logoffs without a matching logon count as zero and are tallied in
-    ``stats``. Cells sum ``bytes_out`` exactly and round the sum once.
+    Sessions pair as ``merge_parts`` pairs them; unmatched logoffs are
+    tallied in ``stats``. Cells sum ``bytes_out`` exactly and round the
+    sum once.
 
     An ``EventStore`` is read as ``query_all()`` reads it, in contiguous
     parts: one per usable CPU, each of at least ``MIN_PART_LINES`` lines.

@@ -128,18 +128,18 @@ def _host_name(i: int) -> str:
     return f"ws{i:03d}"
 
 
-# internal pre-id event record: (ts_ns, seq, type, host, user, attrs, label)
-_Rec = tuple[int, int, str, str, str, dict[str, str], str | None]
+# internal pre-id event record: (ts_ns, type, host, user, attrs, label)
+_Rec = tuple[int, str, str, str, dict[str, str], str | None]
 
 
-def _benign_records(cfg: SimConfig, counter: Iterator[int]) -> list[_Rec]:
+def _benign_records(cfg: SimConfig) -> list[_Rec]:
     rng = random.Random(f"{cfg.seed}:benign")
     hours = cfg.duration / 3600.0
     out: list[_Rec] = []
 
     def emit(t: float, etype: str, host: str, user: str, attrs: dict[str, str]) -> None:
         ts = cfg.start_ts + int(t * NS)
-        out.append((ts, next(counter), etype, host, user, attrs, None))
+        out.append((ts, etype, host, user, attrs, None))
 
     def poisson_times(rate_per_hour: float) -> list[float]:
         n = _poisson(rng, rate_per_hour * hours)
@@ -212,9 +212,7 @@ def _poisson(rng: random.Random, lam: float) -> int:
         n += 1
 
 
-def scenario_events(
-    cfg: SimConfig, victim_index: int, t_start: float, counter: Iterator[int]
-) -> list[_Rec]:
+def scenario_events(cfg: SimConfig, victim_index: int, t_start: float) -> list[_Rec]:
     """Emit one scripted intrusion on the given victim, labelled by step."""
     rng = random.Random(f"{cfg.seed}:attack:{victim_index}")
     user = _user_name(victim_index)
@@ -224,7 +222,7 @@ def scenario_events(
     def emit(t: float, etype: str, attrs: dict[str, str], label: str,
              src_host: str | None = None) -> None:
         ts = cfg.start_ts + int(t * NS)
-        out.append((ts, next(counter), etype, src_host or host, user, attrs, label))
+        out.append((ts, etype, src_host or host, user, attrs, label))
 
     steps_wanted = STEP_ORDER
     if cfg.truncate_after is not None:
@@ -305,17 +303,16 @@ def _attack_start_times(cfg: SimConfig) -> list[float]:
 def simulate(cfg: SimConfig) -> tuple[list[LogEvent], GroundTruth]:
     """Run one simulation; returns the sorted stream and its ground truth."""
     cfg.validate()
-    counter = iter(range(1, 1 << 62))
-    records = _benign_records(cfg, counter)
+    records = _benign_records(cfg)
     truth = GroundTruth(attacker_ip=cfg.attacker_ip)
     if cfg.attack:
         for vi, t0 in enumerate(_attack_start_times(cfg)):
-            records.extend(scenario_events(cfg, vi, t0, counter))
+            records.extend(scenario_events(cfg, vi, t0))
             truth.victim_hosts.append(_host_name(vi))
 
-    records.sort(key=lambda r: (r[0], r[1]))
+    records.sort(key=lambda r: r[0])  # stable: ties keep the order made
     events: list[LogEvent] = []
-    for new_id, (ts, _seq, etype, host, user, attrs, label) in enumerate(records, 1):
+    for new_id, (ts, etype, host, user, attrs, label) in enumerate(records, 1):
         events.append(LogEvent(
             id=new_id, ts=ts, source_host=host, event_type=etype,
             actor=user, attributes=attrs,

@@ -2,8 +2,8 @@
 
 These deliberately avoid the library's own code paths: the dual solver
 oracles are projected-gradient descent and an SMO over a full Gram
-matrix built by broadcasting, window aggregation is an explicit
-quadratic scan, and GF(2^8) multiplication is schoolbook polynomial
+matrix built a row at a time by broadcasting, window aggregation is an
+explicit quadratic scan, and GF(2^8) multiplication is schoolbook polynomial
 arithmetic with long-division reduction, the canonical event decoder
 is ``json.loads`` followed by explicit member checks, and kill-chain
 binding scans every sequence for each element instead of keeping sorted
@@ -114,13 +114,18 @@ def ocsvm_dual_pgd(
 def ocsvm_smo_ref(X: np.ndarray, nu: float, gamma: float) -> tuple[np.ndarray, float, int]:
     """The library's SMO (maximal-violating pair, the first index among
     gradients within 1e-12 of the extreme, stop at a KKT gap of 1e-6, the
-    same feasible start) run on the whole Gram matrix, built at once by
-    broadcasting ||x||^2 + ||y||^2 - 2 x.y. Returns (alpha, rho,
+    same feasible start) run on the whole Gram matrix. Row i is built by
+    broadcasting ||x_i||^2 + ||y||^2 - 2 x_i.y with one vector-matrix
+    product, as a solver that computes rows on demand builds it: a
+    matrix-matrix product rounds x_i.y in other last bits, the distance's
+    cancellation takes that to a few 1e-15 in K, and the maintained
+    gradient carries it through every step. Returns (alpha, rho,
     iterations), with rho from a fresh K @ alpha."""
     X = np.asarray(X, dtype=np.float64)
     l = len(X)
     sq = (X * X).sum(axis=1)
-    K = np.exp(-gamma * np.maximum(sq[:, None] + sq[None, :] - 2.0 * (X @ X.T), 0.0))
+    K = np.array([np.exp(-gamma * np.maximum(sq[i] + sq - 2.0 * (X[i] @ X.T), 0.0))
+                  for i in range(l)])
     C = 1.0 / (nu * l)
     alpha = np.zeros(l)
     n_full = int(nu * l)

@@ -261,6 +261,10 @@ def _bits(vectors):
                           (NS, "logoff", "S1")), cuts=[250, 750])
 @example(events=_sessions((0, "logon", "S1"), (NS, "logon", "S1"), (NS, "logoff", "S1"),
                           (NS, "logoff", "S1")), cuts=[250])
+# a session the first of four parts opens and the last ends, the middle two
+# not touching it; its second logoff finds no logon
+@example(events=_sessions((0, "logon", "S1"), (NS, "logon", "S2"), (NS, "logoff", "S2"),
+                          (NS, "logoff", "S1"), (NS, "logoff", "S1")), cuts=[200, 400, 600])
 # the durations of a window, mean taken in stream order: one ended in the
 # first part falls between two the second part ends
 @example(events=_sessions((0, "logon", "S1"), (30725892447, "logon", "S2"),
