@@ -4,7 +4,7 @@ The store holds the attacked stream of the ``anomaly`` benchmark:
 ``SimConfig(seed=SEED, users=100, duration=72_000, victims=70)``, about
 154k events. ``extract_features(store, window=1200)`` reads it once as
 one part and once with its parts spread over the usable CPUs
-(``features.MIN_PART_LINES`` as shipped), interleaved, RUNS times each;
+(``store.MIN_PART_LINES`` as shipped), interleaved, RUNS times each;
 the medians are recorded as thousands of store lines per second (kev/s).
 
 The serial tail of a two-part read: the pickled bytes of the second
@@ -26,6 +26,7 @@ under ``runs[NAME]``, keeping the other labels already there.
 """
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -44,7 +45,7 @@ CROSSOVER_LINES = (2_500, 5_000, 10_000, 20_000, 40_000, 80_000)
 
 
 def measure() -> dict:
-    from chaintrace import features
+    from chaintrace import features, store as store_module
     from chaintrace.simulate import SimConfig, simulate
     from chaintrace.store import EventStore
 
@@ -59,11 +60,14 @@ def measure() -> dict:
         total = len(events)
         del events
         gc.collect()
-        shipped_min, shipped_cpus = features.MIN_PART_LINES, features._usable_cpus
+        shipped_min, shipped_cpus = store_module.MIN_PART_LINES, store_module._usable_cpus
+
+        def split(cpus: int, min_lines: int) -> None:
+            store_module.MIN_PART_LINES = min_lines
+            store_module._usable_cpus = lambda: cpus
 
         def seconds(n: int, cpus: int, min_lines: int) -> float:
-            features.MIN_PART_LINES = min_lines
-            features._usable_cpus = lambda: cpus
+            split(cpus, min_lines)
             store = EventStore(os.path.join(root, str(n)), create=False)
             t0 = time.perf_counter()
             features.extract_features(store, window=WINDOW)
@@ -77,18 +81,19 @@ def measure() -> dict:
                     times[i].append(seconds(n, *settings[i]))
             return [statistics.median(t) for t in times]
 
-        store = EventStore(os.path.join(root, str(total)), create=False)
-        worker_part = features.accumulate_part(
-            store.query_all(lines=range(total // 2, total)), WINDOW)
-        sent = pickle.dumps(worker_part, pickle.HIGHEST_PROTOCOL)
-        del worker_part
-        loads = []
-        for _ in range(RUNS):
-            t0 = time.perf_counter()
-            pickle.loads(sent)
-            loads.append(time.perf_counter() - t0)
-
         try:
+            split(2, 1)
+            store = EventStore(os.path.join(root, str(total)), create=False)
+            worker_part = store.map_parts(
+                functools.partial(features.accumulate_part, window=WINDOW))[1]
+            sent = pickle.dumps(worker_part, pickle.HIGHEST_PROTOCOL)
+            del worker_part
+            loads = []
+            for _ in range(RUNS):
+                t0 = time.perf_counter()
+                pickle.loads(sent)
+                loads.append(time.perf_counter() - t0)
+
             cpus = shipped_cpus()
             one, many = interleaved(total, [(1, shipped_min), (cpus, shipped_min)])
             crossover = {}
@@ -96,7 +101,8 @@ def measure() -> dict:
                 a, b = interleaved(n, [(1, 1), (2, 1)])
                 crossover[str(n)] = {"one_part_s": round(a, 4), "two_parts_s": round(b, 4)}
         finally:
-            features.MIN_PART_LINES, features._usable_cpus = shipped_min, shipped_cpus
+            store_module.MIN_PART_LINES = shipped_min
+            store_module._usable_cpus = shipped_cpus
     finally:
         shutil.rmtree(root)
     return {

@@ -55,14 +55,14 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(command: str, args: argparse.Namespace, outputs: list[str],
-                    t0: float, status: int) -> None:
+def _write_manifest(command: str, argv: list[str], args: argparse.Namespace,
+                    outputs: list[str], t0: float, status: int) -> None:
     primary = next((p for p in outputs if p and os.path.exists(p)), None)
     if primary is None:
         return
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": argv,
         "seed": getattr(args, "seed", None),
         "outputs": {
             p: _sha256_file(p) for p in outputs if p and os.path.isfile(p)
@@ -490,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
@@ -501,7 +502,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_ERROR + 1
     outputs = [getattr(args, name) for name in args.outputs]
-    _write_manifest(args.command, args, [o for o in outputs if o], t0, status)
+    _write_manifest(args.command, argv, args, [o for o in outputs if o], t0, status)
     return status
 
 

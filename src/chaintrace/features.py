@@ -7,10 +7,8 @@ audit counts. Windows with no relevant event emit nothing.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -65,12 +63,6 @@ class ExtractionStats:
 # attribute and is not added.
 _BYTES_MIN, _BYTES_END = -(1 << 63), 1 << 63
 
-# A store is read in parts, one per usable CPU, each of at least this many
-# lines: a smaller part gains little or loses, since a worker's fork, the
-# lines it reads past and its pickled result cost about what its core
-# saves (benchmarks/BENCH_features.json).
-MIN_PART_LINES = 10_000
-
 
 @dataclass
 class FeaturePart:
@@ -87,8 +79,6 @@ class FeaturePart:
     sessions: list[tuple[str, int, str, int, bool]]
     unmatched_logoffs: int = 0  # logoffs without a session id
     bad_numeric_attrs: int = 0
-    rows_scanned: int = 0  # store lines read (store parts only)
-    stopped: bool = False  # the part ended at a line past the store's last ts
 
 
 def accumulate_part(events: Iterable[LogEvent], window: int = 3600) -> FeaturePart:
@@ -204,120 +194,18 @@ def extract_features(
     tallied in ``stats``. Cells sum ``bytes_out`` exactly and round the
     sum once.
 
-    An ``EventStore`` is read as ``query_all()`` reads it, in contiguous
-    parts: one per usable CPU, each of at least ``MIN_PART_LINES`` lines.
-    Forked workers read the parts after the first. The vectors, ``stats``
-    and the store's row counts are those of one pass, whatever the number
-    of parts; an error is raised as one pass raises it.
+    An ``EventStore`` is read in the contiguous parts of its
+    ``map_parts``; the vectors and ``stats`` are those of one pass,
+    whatever the number of parts.
     """
     if window <= 0:
         raise ValueError("window must be > 0")
+    count = partial(accumulate_part, window=window)
     if isinstance(events, EventStore):
-        parts = _store_parts(events, window)
+        parts = events.map_parts(count)
     else:
-        parts = [accumulate_part(events, window)]
+        parts = [count(events)]
     return merge_parts(parts, stats)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _store_parts(store: EventStore, window: int) -> list[FeaturePart]:
-    """The parts of ``store.query_all()`` up to the first that stopped.
-
-    Part 0 is read here while forked workers read the others. A part
-    whose worker failed or died is read here in its turn, so its error,
-    if any, is raised where one pass would raise it.
-    """
-    lines = store.line_count()
-    n = max(1, min(_usable_cpus(), lines // MIN_PART_LINES))
-    cuts = [lines * i // n for i in range(n + 1)]
-    ranges = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-
-    def read(part_lines: range) -> FeaturePart:
-        before = store.rows_scanned
-        part = accumulate_part(store.query_all(lines=part_lines), window)
-        part.rows_scanned = store.rows_scanned - before
-        part.stopped = store.stopped
-        return part
-
-    workers: list[_Worker] = []
-    parts: list[FeaturePart] = []
-    try:
-        for part_lines in ranges[1:] if hasattr(os, "fork") else ():
-            try:
-                workers.append(_Worker(read, part_lines))
-            except OSError:  # no process to spare: the rest are read here
-                break
-        for i, part_lines in enumerate(ranges):
-            part = workers[i - 1].result() if 0 < i <= len(workers) else None
-            if part is None:
-                part = read(part_lines)
-            else:
-                store.rows_scanned += part.rows_scanned
-            parts.append(part)
-            if part.stopped:  # one pass would read no further
-                break
-    finally:
-        for w in workers:
-            w.close()
-    return parts
-
-
-class _Worker:
-    """``fn(arg)`` run in a forked child, its result pickled back through
-    a pipe; the child always ends in ``os._exit`` and prints nothing.
-
-    Forked, not spawned: a spawned child would start an interpreter and
-    import chaintrace and numpy again, about 0.3 s, most of what a second
-    part saves on a 150k-line store. The child runs Python code only
-    (decode, count, pickle), so it takes no lock that another thread of
-    the parent, such as a BLAS thread, may have held at the fork.
-    """
-
-    def __init__(self, fn, arg):
-        rfd, wfd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(rfd)
-            os.close(wfd)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(rfd)
-                with open(wfd, "wb") as fh:
-                    pickle.dump(fn(arg), fh, pickle.HIGHEST_PROTOCOL)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(wfd)
-        self.pid, self.fd = pid, rfd
-
-    def result(self):
-        """The child's result, or None if it failed or died first."""
-        with open(self.fd, "rb") as fh:
-            self.fd = None
-            data = fh.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        # a child exits 0 only once it has written its whole result
-        return pickle.loads(data) if status == 0 else None
-
-    def close(self) -> None:
-        """Stop and reap the child if it is still there."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
 
 
 def matrix_of(vectors: list[FeatureVector]) -> np.ndarray:

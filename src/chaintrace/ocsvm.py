@@ -38,8 +38,7 @@ MAX_ITER = 10**6
 # gradients closer than this tie when the solver picks its pair
 _TIE = 1e-12
 
-# rows per block of rbf_matrix's elementwise pass and of the solver's
-# initial gradient
+# rows per block of rbf_matrix's elementwise pass
 _KERNEL_BLOCK_ROWS = 256
 
 # bytes of kernel rows the solver keeps between iterations
@@ -91,7 +90,7 @@ class _KernelRows:
     but never fewer than the two rows of a working pair.
 
     ``computed`` counts every row computed, recomputations after an
-    eviction and the rows of :meth:`weighted_sum` included.
+    eviction included.
     """
 
     def __init__(self, Z: np.ndarray, gamma: float, budget: int):
@@ -113,17 +112,6 @@ class _KernelRows:
             self.cache.popitem(last=False)
         self.cache[i] = row
         return row
-
-    def weighted_sum(self, w: np.ndarray) -> np.ndarray:
-        """sum_k w[k] * row(k) over the non-zero w, a block of
-        ``_KERNEL_BLOCK_ROWS`` rows at a time; these rows are not cached."""
-        out = np.zeros(len(self.Z))
-        nonzero = np.flatnonzero(w)
-        for start in range(0, len(nonzero), _KERNEL_BLOCK_ROWS):
-            idx = nonzero[start:start + _KERNEL_BLOCK_ROWS]
-            out += w[idx] @ rbf_matrix(self.Z[idx], self.Z, self.gamma, self.sq)
-            self.computed += len(idx)
-        return out
 
 
 def _smo_solve(row, g: np.ndarray, alpha: np.ndarray, C: float) -> tuple[int, float]:
@@ -312,8 +300,12 @@ def train_ocsvm(
     if n_full < l:
         alpha[n_full] = 1.0 - n_full * C
 
+    # the start gradient K @ alpha is the sum of the rows the solver steps
+    # with, and those rows stay in the cache
     rows = _KernelRows(X_std, gamma, _ROW_CACHE_BYTES)
-    g = rows.weighted_sum(alpha)
+    g = np.zeros(l)
+    for k in np.flatnonzero(alpha):
+        g += alpha[k] * rows(k)
     iters, gap = _smo_solve(rows, g, alpha, C)
     if stats is not None:
         stats.iterations, stats.final_gap = iters, gap

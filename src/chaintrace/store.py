@@ -13,16 +13,25 @@ from __future__ import annotations
 import json
 import math
 import os
+import signal
 from dataclasses import dataclass, asdict
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .errors import IoFailure, OutOfOrder, SchemaError
+from .errors import DecodeError, IoFailure, OutOfOrder, SchemaError
 from .events import LogEvent, decode_event, encode_event, load_json, utf8_fault
 
 DEFAULT_SEGMENT_EVENTS = 1 << 20
 
 _INDEX_FILE = "index.json"
+
+# A full read is split into parts, one per usable CPU, each of at least
+# this many lines: a smaller part gains little or loses, since a worker's
+# fork, the lines it reads past and its pickled result cost about what
+# its core saves (benchmarks/BENCH_features.json).
+MIN_PART_LINES = 10_000
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -58,7 +67,6 @@ class EventStore:
         self._fh = None
         self.rows_scanned = 0  # lines read by queries
         self.rows_skipped = 0  # of those, lines a prefilter left undecoded
-        self.stopped = False  # the last query met a line with ts >= t1
         try:
             if create:
                 os.makedirs(root, exist_ok=True)
@@ -185,33 +193,32 @@ class EventStore:
 
     # --- reader side ---
 
-    def _selected(self, t0: int, t1: int) -> list[StoreSegment]:
+    def _selected(self, t0: float, t1: float) -> list[StoreSegment]:
         """The segments a query of [t0, t1) reads, in order."""
         return [seg for seg in self.segments
                 if seg.count and seg.max_ts >= t0 and seg.min_ts < t1]
 
     def query(
         self,
-        t0: int,
-        t1: int,
+        t0: float,
+        t1: float,
         prefilter: Callable[[str], bool] | None = None,
         lines: range | None = None,
     ) -> Iterator[LogEvent]:
-        """Stream stored events with t0 <= ts < t1.
+        """Stream stored events with t0 <= ts < t1, up to the first line
+        with ``ts >= t1``.
 
         ``prefilter`` sees each raw line first; a line it rejects is
         counted and skipped without being decoded. ``lines`` keeps to
         that range of the lines the query reads, numbered from 0 across
-        its segments; lines before the range are read past, neither
-        decoded nor counted. Queries of consecutive ranges yield the
-        events, and count the rows, of one query, up to the first that
-        sets ``stopped``: it met a line with ``ts >= t1``, and one query
-        would have read no further.
+        its segments; lines outside it are neither decoded nor counted.
+        A decoded line whose ts lies outside its segment's indexed
+        ``[min_ts, max_ts]`` raises a ``DecodeError`` naming the segment
+        file and the line.
         """
         if t0 >= t1:
             raise ValueError(f"require t0 < t1, got [{t0}, {t1})")
         lo, hi = (0, math.inf) if lines is None else (lines.start, lines.stop)
-        self.stopped = False
         scanned = skipped = 0
         path = self.root
         end = 0  # number of the line after the segment
@@ -227,18 +234,25 @@ class EventStore:
                     fh = open(path, "r", encoding="utf-8")
                 except OSError as exc:
                     raise IoFailure(str(exc)) from exc
+                first = max(lo - start, 0)
+                base = scanned - first  # scanned - base: the line's number
+                min_ts, max_ts = seg.min_ts, seg.max_ts
                 with fh:
                     # rows flushed after this query began are not read
-                    for line in islice(fh, max(lo - start, 0), min(hi, end) - start):
+                    for line in islice(fh, first, min(hi, end) - start):
                         scanned += 1
                         if prefilter is not None and not prefilter(line):
                             skipped += 1
                             continue
                         e = decode_event(line)
-                        if e.ts < t0:
+                        ts = e.ts
+                        if not min_ts <= ts <= max_ts:
+                            raise DecodeError(
+                                f"{path}: line {scanned - base}: ts {ts} lies outside "
+                                f"the segment's indexed range [{min_ts}, {max_ts}]")
+                        if ts < t0:
                             continue
-                        if e.ts >= t1:
-                            self.stopped = True
+                        if ts >= t1:
                             return
                         yield e
         except UnicodeDecodeError:
@@ -247,15 +261,112 @@ class EventStore:
             self.rows_scanned += scanned
             self.rows_skipped += skipped
 
-    def query_all(self, prefilter: Callable[[str], bool] | None = None,
-                  lines: range | None = None) -> Iterator[LogEvent]:
-        """Full-range query convenience wrapper."""
-        if self.count() == 0:
-            return iter(())
-        return self.query(1, self.last_ts + 1, prefilter, lines)
+    def query_all(self, prefilter: Callable[[str], bool] | None = None
+                  ) -> Iterator[LogEvent]:
+        """Every stored event: every line of every non-empty segment."""
+        return self.query(-math.inf, math.inf, prefilter)
 
-    def line_count(self) -> int:
-        """The number of lines ``query_all`` reads."""
-        if self.count() == 0:
-            return 0
-        return sum(seg.count for seg in self._selected(1, self.last_ts + 1))
+    def map_parts(self, fn: Callable[[Iterator[LogEvent]], _T]) -> list[_T]:
+        """``fn`` of each contiguous part of ``query_all()``, in stream order.
+
+        There is one part per usable CPU, each of at least
+        ``MIN_PART_LINES`` lines. Part 0 is read here while forked
+        workers read the others. A part whose worker failed, died or
+        could not be forked is read here in its turn, so its error, if
+        any, is raised where one pass raises it. ``rows_scanned`` counts
+        the lines of every part, as one pass does. ``fn`` also runs in the
+        forked children, so it must run Python code only, as
+        ``features.accumulate_part`` does, and return a picklable result.
+        """
+        n_lines = self.count()
+        n = max(1, min(_usable_cpus(), n_lines // MIN_PART_LINES))
+        cuts = [n_lines * i // n for i in range(n + 1)]
+        parts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+        def read(part: range) -> tuple[_T, int]:
+            before = self.rows_scanned
+            result = fn(self.query(-math.inf, math.inf, lines=part))
+            return result, self.rows_scanned - before
+
+        workers: list[_Worker] = []
+        results: list[_T] = []
+        try:
+            for part in parts[1:] if hasattr(os, "fork") else ():
+                try:
+                    workers.append(_Worker(read, part))
+                except OSError:  # no process to spare: the rest are read here
+                    break
+            for i, part in enumerate(parts):
+                done = workers[i - 1].result() if 0 < i <= len(workers) else None
+                if done is None:
+                    results.append(read(part)[0])
+                else:
+                    results.append(done[0])
+                    self.rows_scanned += done[1]
+        finally:
+            for w in workers:
+                w.close()
+        return results
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Worker:
+    """``fn(arg)`` run in a forked child, its result pickled back through
+    a pipe; the child always ends in ``os._exit`` and prints nothing.
+
+    Forked, not spawned: a spawned child would start an interpreter and
+    import chaintrace and numpy again, about 0.3 s, most of what a second
+    part saves on a 150k-line store. The child runs Python code only
+    (decode, count, pickle), so it takes no lock that another thread of
+    the parent, such as a BLAS thread, may have held at the fork.
+    """
+
+    def __init__(self, fn, arg):
+        import pickle  # here, so that detect, which never forks, skips it
+
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(rfd)
+            os.close(wfd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(rfd)
+                with open(wfd, "wb") as fh:
+                    pickle.dump(fn(arg), fh, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(wfd)
+        self.pid, self.fd = pid, rfd
+
+    def result(self):
+        """The child's result, or None if it failed or died first."""
+        import pickle
+
+        with open(self.fd, "rb") as fh:
+            self.fd = None
+            data = fh.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        # a child exits 0 only once it has written its whole result
+        return pickle.loads(data) if status == 0 else None
+
+    def close(self) -> None:
+        """Stop and reap the child if it is still there."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None

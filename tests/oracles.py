@@ -119,8 +119,9 @@ def ocsvm_smo_ref(X: np.ndarray, nu: float, gamma: float) -> tuple[np.ndarray, f
     product, as a solver that computes rows on demand builds it: a
     matrix-matrix product rounds x_i.y in other last bits, the distance's
     cancellation takes that to a few 1e-15 in K, and the maintained
-    gradient carries it through every step. Returns (alpha, rho,
-    iterations), with rho from a fresh K @ alpha."""
+    gradient carries it through every step. The start gradient likewise
+    sums alpha_k times row k over the non-zero alpha_k, in index order.
+    Returns (alpha, rho, iterations), with rho from a fresh K @ alpha."""
     X = np.asarray(X, dtype=np.float64)
     l = len(X)
     sq = (X * X).sum(axis=1)
@@ -132,7 +133,9 @@ def ocsvm_smo_ref(X: np.ndarray, nu: float, gamma: float) -> tuple[np.ndarray, f
     alpha[:n_full] = C
     if n_full < l:
         alpha[n_full] = 1.0 - n_full * C
-    g = K @ alpha
+    g = np.zeros(l)
+    for k in np.flatnonzero(alpha):
+        g += alpha[k] * K[k]
     iterations = 0
     while True:
         up = np.flatnonzero(alpha < C - 1e-15)

@@ -385,6 +385,36 @@ def test_detect_store_decodes_garbled_lines(workdir, capsys, garble):
     _one_line_error(capsys)
 
 
+@pytest.mark.parametrize("command", ["detect", "train", "score"])
+def test_store_line_past_its_index_is_error(workdir, capsys, command, request):
+    # a full read once ended silently at such a line: detect reported
+    # "0 alert(s)" and train fitted the events before it
+    _simulate(workdir)
+    assert main(["ingest", "--store", "store", "--events", "events.jsonl"]) == 0
+    seg = workdir / "store" / "000000.seg"
+    lines = seg.read_text().splitlines(keepends=True)
+    i = next(n for n, ln in enumerate(lines) if '"type":"file_read"' in ln)
+    lines[i] = _bad_ts(lines[i], 1 << 62) + "\n"
+    seg.write_text("".join(lines))
+    argv = [command, "--store", "store", "--out", "out.jsonl"]
+    if command == "score":
+        argv += ["--model", request.getfixturevalue("model_file")]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    err = _one_line_error(capsys)
+    at = os.path.join("store", "000000.seg")
+    assert err.startswith(f"error: {at}: line {i + 1}: ts {1 << 62} lies outside")
+
+
+def test_manifest_records_the_argv_main_parsed(workdir, monkeypatch):
+    _simulate(workdir)
+    monkeypatch.setattr(sys, "argv", ["x", "--bogus"])
+    argv = ["detect", "--events", "events.jsonl", "--out", "r.jsonl"]
+    assert main(argv) == 4
+    manifest = json.loads((workdir / "manifest.detect.json").read_text())
+    assert manifest["argv"] == argv
+
+
 def test_detect_manifest_counters(workdir):
     _simulate(workdir)
     main(["ingest", "--store", "store", "--events", "events.jsonl"])
@@ -742,10 +772,10 @@ def _train_and_score(store, out):
 
 @pytest.fixture
 def four_parts(monkeypatch):
-    from chaintrace import features
+    from chaintrace import store
 
-    monkeypatch.setattr(features, "MIN_PART_LINES", 100)
-    monkeypatch.setattr(features, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(store, "MIN_PART_LINES", 100)
+    monkeypatch.setattr(store, "_usable_cpus", lambda: 4)
 
 
 def _damaged_copy(root, tmp_path, edits):
@@ -822,13 +852,12 @@ def test_parts_fail_as_one_pass(parts_store, tmp_path, request, damage):
     one = _train_and_score(store, tmp_path / "one")
     request.getfixturevalue("four_parts")
     assert _train_and_score(store, tmp_path / "four") == one
-    if damage == "past t1 hides":
-        assert [rc for rc, *_ in one] == [0, 0]
-        assert one[0][3]["rows_scanned"] == 101
-    else:
-        assert one[0][0] == EXIT_ERROR
-        assert one[0][1].startswith("error: ") and one[0][1].count("\n") == 1
-        assert ("ts must be > 0" in one[0][1]) == (damage == "two parts")
+    assert one[0][0] == EXIT_ERROR
+    assert one[0][1].startswith("error: ") and one[0][1].count("\n") == 1
+    assert ("ts must be > 0" in one[0][1]) == (damage == "two parts")
+    # a ts past the index is an error at its line, not the end of the read
+    assert ("line 101: ts 4611686018427387904 lies outside" in one[0][1]) \
+        == (damage == "past t1 hides")
 
 
 # --- fuzz gate: a damaged input file never lets an exception out of main() ---

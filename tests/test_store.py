@@ -1,10 +1,13 @@
 import json
+import math
 import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from chaintrace.errors import IoFailure, OutOfOrder, SchemaError
+from chaintrace import store as store_module
+from chaintrace.errors import DecodeError, IoFailure, OutOfOrder, SchemaError
 from chaintrace.events import LogEvent, encode_event
 from chaintrace.graph import SequenceRule, line_prefilter
 from chaintrace.simulate import SimConfig, simulate
@@ -323,12 +326,11 @@ def test_line_ranges_concatenate_to_one_query(tmp_path, cuts):
     store = EventStore(str(tmp_path / "s"), segment_events=3)
     store.append(_mk(i, 100 * i) for i in range(1, 11))
     store.close()
-    assert store.line_count() == 10
-    bounds = [0, *cuts, store.line_count()]
+    bounds = [0, *cuts, 10]
     got = [e.id for a, b in zip(bounds, bounds[1:])
-           for e in store.query_all(lines=range(a, b))]
-    assert got == list(range(1, 11))
-    assert (store.rows_scanned, store.stopped) == (10, False)
+           for e in store.query(-math.inf, math.inf, lines=range(a, b))]
+    assert got == [e.id for e in store.query_all()] == list(range(1, 11))
+    assert store.rows_scanned == 2 * 10
 
 
 def test_line_range_stops_past_t1(tmp_path):
@@ -337,6 +339,49 @@ def test_line_range_stops_past_t1(tmp_path):
     store.close()
     # rows 4-9 hold ts 400-900: the range stops at the row of ts 600
     assert [e.id for e in store.query(1, 600, lines=range(3, 9))] == [4, 5]
-    assert (store.rows_scanned, store.stopped) == (3, True)
-    assert [e.id for e in store.query(1, 600, lines=range(0, 3))] == [1, 2, 3]
-    assert store.stopped is False
+    assert store.rows_scanned == 3
+
+
+@pytest.fixture
+def parts(monkeypatch):
+    """Force ``n`` parts of at least one line onto ``map_parts``."""
+    def force(n):
+        monkeypatch.setattr(store_module, "MIN_PART_LINES", 1)
+        monkeypatch.setattr(store_module, "_usable_cpus", lambda: n)
+    return force
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_map_parts_concatenate_to_query_all(tmp_path, parts, n):
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    store.append(_mk(i, 100 * i) for i in range(1, 11))
+    store.close()
+    parts(n)
+    got = store.map_parts(list)
+    assert len(got) == n and all(got)
+    assert store.rows_scanned == 10
+    assert [e for part in got for e in part] == list(store.query_all())
+    with pytest.raises(ChildProcessError):  # no worker is left behind
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("ts", [1 << 62, 350], ids=["past the store", "before its segment"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_full_read_refuses_a_ts_outside_its_segment(tmp_path, parts, ts, n):
+    # segments of 3 rows; row 5, the second of 000001.seg, is indexed in
+    # [400, 600]; with 4 parts it is read by part 1, in a worker
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    store.append(_mk(i, 100 * i) for i in range(1, 11))
+    store.close()
+    seg = tmp_path / "s" / "000001.seg"
+    lines = seg.read_text().splitlines(keepends=True)
+    lines[1] = encode_event(_mk(5, ts)) + "\n"
+    seg.write_text("".join(lines))
+    expected = f"{seg}: line 2: ts {ts} lies outside the segment's indexed range [400, 600]"
+    with pytest.raises(DecodeError, match=re.escape(expected)):
+        list(store.query_all())
+    parts(n)
+    with pytest.raises(DecodeError, match=re.escape(expected)):
+        store.map_parts(list)
+    # a range query that ends before the row never reads it
+    assert [e.id for e in store.query(1, 400)] == [1, 2, 3]
