@@ -5,6 +5,8 @@ benign noise (seed ``SEED + 1``) to STORE_EVENTS events, the way the
 ``large_store`` benchmark builds its store. Measured, as thousands of
 events per second (kev/s):
 
+- ``noise_expand``: a streamed ``expand_with_noise`` to STORE_EVENTS
+  events, its events dropped as they come, best of REPEATS;
 - ``encode`` and ``decode``: ``encode_event`` over the first CODEC_EVENTS
   events and ``decode_event`` over their lines, best of REPEATS passes;
 - ``raw_render`` and ``raw_parse``: ``render_raw_line`` over the same
@@ -56,6 +58,12 @@ def measure() -> dict:
     from chaintrace.store import EventStore
 
     base, _ = simulate(SimConfig(seed=SEED))
+
+    def expand() -> None:
+        for _ in expand_with_noise(base, STORE_EVENTS / len(base), SEED + 1):
+            pass
+
+    expand_rate = _best_rate(STORE_EVENTS, expand, REPEATS)
     stream = expand_with_noise(base, STORE_EVENTS / len(base), SEED + 1)
     del base
     root = tempfile.mkdtemp(prefix="bench_codec.")
@@ -116,6 +124,7 @@ def measure() -> dict:
     finally:
         shutil.rmtree(root)
     return {
+        "noise_expand_kev_s": round(expand_rate, 1),
         "encode_kev_s": round(encode_rate, 1),
         "decode_kev_s": round(decode_rate, 1),
         "raw_render_kev_s": round(render_rate, 1),

@@ -17,7 +17,7 @@ import sys
 import time
 from importlib import resources
 
-from .errors import ChaintraceError, MalformedLine
+from .errors import ChaintraceError, DecodeError, MalformedLine
 from .events import (RawLine, decode_event, encode_event, load_json,
                      parse_raw_line, render_raw_line, utf8_fault)
 from .graph import (
@@ -93,7 +93,8 @@ def _write_events(path: str, events) -> int:
 
 class _EventFile:
     """The events of a canonical file, one per line; counts the lines it
-    reads as ``EventStore.query`` counts a store's."""
+    reads as ``EventStore.query`` counts a store's, and names the file and
+    the line in a ``DecodeError``."""
 
     rows_skipped = 0  # every line is decoded
 
@@ -102,6 +103,7 @@ class _EventFile:
         self.rows_scanned = 0
 
     def __iter__(self):
+        start = self.rows_scanned
         with open(self.path, "r", encoding="utf-8") as fh:
             try:
                 for line in fh:
@@ -109,6 +111,9 @@ class _EventFile:
                     yield decode_event(line)
             except UnicodeDecodeError:
                 raise utf8_fault(self.path) from None
+            except DecodeError as exc:
+                raise DecodeError(
+                    f"{self.path}: line {self.rows_scanned - start}: {exc}") from None
 
 
 def _input_events(args: argparse.Namespace, prefilter=None):
@@ -399,6 +404,15 @@ def _at_least(convert, low: int, what: str):
 _window_secs = _at_least(int, 1, "an integer > 0")
 
 
+def _boolean(text: str) -> bool:
+    """An argparse type: true/false, yes/no or 1/0, in any case."""
+    value = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}.get(text.lower())
+    if value is None:
+        raise argparse.ArgumentTypeError(f"must be true/false, yes/no or 1/0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="chaintrace")
     # each command's ``outputs`` names the arguments whose files it writes;
@@ -413,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="generate an event stream + ground truth")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--config", help="JSON SimConfig overrides")
-    sp.add_argument("--attack", type=lambda v: v.lower() in ("1", "true", "yes"),
-                    default=None)
+    sp.add_argument("--attack", type=_boolean, default=None)
     sp.add_argument("--expand-factor", default=1.0,
                     type=_at_least(float, 1, "a finite number >= 1"))
     sp.add_argument("--out", required=True)

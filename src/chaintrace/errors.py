@@ -13,11 +13,13 @@ class MalformedLine(ChaintraceError):
 
 
 class DecodeError(ChaintraceError):
-    """A canonical event record could not be decoded."""
+    """A canonical event record could not be decoded. ``offset`` is the
+    byte offset of the fault within its line, stated in the message when
+    the decoder has one; it is 0 for a record that breaks the schema."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} (byte offset {offset})")
+        self.offset = 0 if offset is None else offset
 
 
 # --- event store ---

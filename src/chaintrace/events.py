@@ -123,36 +123,36 @@ def _parse(text: str):
     except json.JSONDecodeError as exc:
         raise DecodeError(f"invalid JSON: {exc.msg}", exc.pos) from exc
     except (ValueError, RecursionError) as exc:  # too many digits, too deep
-        raise DecodeError(f"unreadable JSON: {exc}", 0) from exc
+        raise DecodeError(f"unreadable JSON: {exc}") from exc
 
 
 def decode_event(text: str) -> LogEvent:
-    """Inverse of :func:`encode_event`; raises DecodeError with byte offset.
+    """Inverse of :func:`encode_event`; raises DecodeError.
 
     Its checks are what makes an event valid: integer id, ts > 0, a known
     type, string host and actor, and string attribute values.
     """
     obj = _parse(text)
     if type(obj) is not dict:
-        raise DecodeError("record is not an object", 0)
+        raise DecodeError("record is not an object")
     try:  # read in member order, so the first one missing is named
         eid, ts, host, etype, actor, attrs = (obj["id"], obj["ts"], obj["host"],
                                               obj["type"], obj["actor"], obj["attrs"])
     except KeyError as exc:
-        raise DecodeError(f"missing member {exc.args[0]!r}", 0) from None
+        raise DecodeError(f"missing member {exc.args[0]!r}") from None
     if type(eid) is not int or type(ts) is not int:  # bool is not an integer here
-        raise DecodeError("id and ts must be integers", 0)
+        raise DecodeError("id and ts must be integers")
     if ts <= 0:
-        raise DecodeError(f"ts must be > 0, got {ts}", 0)
+        raise DecodeError(f"ts must be > 0, got {ts}")
     if type(etype) is not str or etype not in EVENT_TYPES:
-        raise DecodeError(f"unknown type {etype!r}", 0)
+        raise DecodeError(f"unknown type {etype!r}")
     if type(host) is not str or type(actor) is not str:
-        raise DecodeError("host and actor must be strings", 0)
+        raise DecodeError("host and actor must be strings")
     if type(attrs) is not dict:
-        raise DecodeError("attrs must map strings to strings", 0)
+        raise DecodeError("attrs must map strings to strings")
     for value in attrs.values():  # JSON object keys are always strings
         if type(value) is not str:
-            raise DecodeError("attrs must map strings to strings", 0)
+            raise DecodeError("attrs must map strings to strings")
     return LogEvent(eid, ts, host, etype, actor, attrs)
 
 

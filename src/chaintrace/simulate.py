@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -328,6 +328,17 @@ _NOISE_TYPES = (
     "logon", "logoff", "logon_failed", "email_received",
 )
 _NOISE_WEIGHTS = np.array([30, 20, 8, 4, 4, 3, 0.4, 2], dtype=np.float64)
+_NOISE_USERS = [f"n{u:04d}" for u in range(500)]
+_NOISE_HOSTS = [f"nws{u:04d}" for u in range(500)]
+_NOISE_DOCS = [f"C:\\Users\\{user}\\Documents\\doc" for user in _NOISE_USERS]
+_NOISE_SESSIONS = [f"N{u:04d}-" for u in range(500)]
+# doc names by aux % 200; 5 divides 200, so the extension is _DOC_EXTS[aux % 5]
+_NOISE_DOC_NAMES = [f"{k}.{_DOC_EXTS[k % 5]}" for k in range(200)]
+_NOISE_DOC_EXTS = [_DOC_EXTS[k % 5] for k in range(200)]
+_HTTP_BYTES = [str(200 + k) for k in range(3800)]
+_FW_BYTES = [str(100 + k) for k in range(1900)]
+# the noise loop takes aux % 40 and aux % 30 for these
+assert len(_EXTERNAL_IPS) == 40 and len(_SENDERS) == 30
 
 
 def expand_with_noise(
@@ -338,10 +349,12 @@ def expand_with_noise(
 ) -> Iterator[LogEvent]:
     """Interleave seeded benign-only noise to reach factor x len(events).
 
-    Events are renumbered in timestamp order so ids stay strictly
-    increasing; pass ``id_map`` to receive old id -> new id for the
-    original events (ground-truth relabeling). All other fields of the
-    original events are preserved verbatim.
+    ``events`` must be sorted by ts. The result is renumbered 1, 2, ...
+    in ts order; an original goes before any noise event of the same ts.
+    Pass ``id_map`` to receive old id -> new id for the original events
+    (ground-truth relabeling); it is complete when this call returns,
+    before the stream is read. All other fields of the original events
+    are preserved verbatim; every noise event has its own attrs dict.
     """
     if factor < 1:
         raise BadConfig("factor must be >= 1")
@@ -359,74 +372,55 @@ def expand_with_noise(
     user_idx = rng.integers(0, 500, size=n_noise)
     aux = rng.integers(0, 1 << 30, size=n_noise)
 
-    def noise_iter() -> Iterator[LogEvent]:
+    orig_ts = np.array([e.ts for e in events], dtype=np.int64)
+    # the number of noise events before each original, and its new id
+    cuts = np.searchsorted(ts_arr, orig_ts, "left")
+    orig_ids = (cuts + np.arange(1, n_orig + 1)).tolist()
+    if id_map is not None:
+        id_map.update(zip([e.id for e in events], orig_ids))
+
+    def noise() -> Iterator[LogEvent]:
         # Python ints, converted a chunk of each array at a time: indexing
         # numpy arrays and formatting their scalars per event costs more,
         # and whole-array lists would hold about 100 B per noise event
-        rows = chain.from_iterable(
-            zip(*(x[lo:lo + _NOISE_CHUNK].tolist() for x in (ts_arr, type_idx, user_idx, aux)))
-            for lo in range(0, n_noise, _NOISE_CHUNK))
-        for ts, ti, u, a in rows:
-            etype = _NOISE_TYPES[ti]
-            user = f"n{u:04d}"
-            host = f"nws{u:04d}"
-            if etype == "http_request":
-                attrs = {
-                    "dst_ip": _EXTERNAL_IPS[a % len(_EXTERNAL_IPS)],
-                    "dst_port": "443",
-                    "method": "GET",
-                    "via": "proxy",
-                    "bytes_out": str(200 + a % 3800),
-                }
-                host = "proxy"
-            elif etype == "fw_conn":
-                attrs = {
-                    "dst_ip": _EXTERNAL_IPS[a % len(_EXTERNAL_IPS)],
-                    "dst_port": "443",
-                    "verdict": "allow" if a % 100 < 97 else "deny",
-                    "bytes_out": str(100 + a % 1900),
-                }
-            elif etype in ("file_read", "file_write"):
-                ext = _DOC_EXTS[a % 5]
-                attrs = {
-                    "path": f"C:\\Users\\{user}\\Documents\\doc{a % 200}.{ext}",
-                    "ext": ext,
-                }
-            elif etype == "email_received":
-                attrs = {"email_from": _SENDERS[a % len(_SENDERS)]}
-            elif etype == "logon_failed":
-                attrs = {}
-            else:  # logon / logoff
-                attrs = {"session_id": f"N{u:04d}-{a % 97}"}
-            yield LogEvent(
-                id=0, ts=ts, source_host=host,
-                event_type=etype, actor=user, attributes=attrs,
-            )
+        for lo in range(0, n_noise, _NOISE_CHUNK):
+            hi = min(lo + _NOISE_CHUNK, n_noise)
+            ts_c = ts_arr[lo:hi]
+            ids = np.searchsorted(orig_ts, ts_c, "right") + np.arange(lo + 1, hi + 1)
+            for nid, ts, ti, u, a in zip(ids.tolist(), ts_c.tolist(), type_idx[lo:hi].tolist(),
+                                         user_idx[lo:hi].tolist(), aux[lo:hi].tolist()):
+                host = _NOISE_HOSTS[u]
+                if ti == 0:  # http_request, logged by the proxy
+                    host = "proxy"
+                    attrs = {"dst_ip": _EXTERNAL_IPS[a % 40], "dst_port": "443",
+                             "method": "GET", "via": "proxy",
+                             "bytes_out": _HTTP_BYTES[a % 3800]}
+                elif ti == 1:  # fw_conn
+                    attrs = {"dst_ip": _EXTERNAL_IPS[a % 40], "dst_port": "443",
+                             "verdict": "allow" if a % 100 < 97 else "deny",
+                             "bytes_out": _FW_BYTES[a % 1900]}
+                elif ti <= 3:  # file_read, file_write
+                    k = a % 200
+                    attrs = {"path": _NOISE_DOCS[u] + _NOISE_DOC_NAMES[k],
+                             "ext": _NOISE_DOC_EXTS[k]}
+                elif ti <= 5:  # logon, logoff
+                    attrs = {"session_id": f"{_NOISE_SESSIONS[u]}{a % 97}"}
+                elif ti == 6:  # logon_failed
+                    attrs = {}
+                else:  # email_received
+                    attrs = {"email_from": _SENDERS[a % 30]}
+                yield LogEvent(nid, ts, host, _NOISE_TYPES[ti], _NOISE_USERS[u], attrs)
 
-    def merged() -> Iterator[LogEvent]:
-        next_id = 0
-        it_a = iter(events)
-        it_b = noise_iter()
-        a = next(it_a, None)
-        b = next(it_b, None)
-        while a is not None or b is not None:
-            take_a = b is None or (a is not None and a.ts <= b.ts)
-            next_id += 1
-            if take_a:
-                if id_map is not None:
-                    id_map[a.id] = next_id
-                yield LogEvent(
-                    id=next_id, ts=a.ts, source_host=a.source_host,
-                    event_type=a.event_type, actor=a.actor,
-                    attributes=a.attributes,
-                )
-                a = next(it_a, None)
-            else:
-                b.id = next_id
-                yield b
-                b = next(it_b, None)
+    def stream() -> Iterator[LogEvent]:
+        rest = noise()
+        done = 0
+        for cut, new_id, e in zip(cuts.tolist(), orig_ids, events):
+            yield from islice(rest, cut - done)
+            done = cut
+            yield LogEvent(new_id, e.ts, e.source_host, e.event_type, e.actor, e.attributes)
+        yield from rest
 
-    return merged()
+    return stream()
 
 
 def write_truth_file(path: str, truth: GroundTruth) -> None:

@@ -212,9 +212,9 @@ class EventStore:
         counted and skipped without being decoded. ``lines`` keeps to
         that range of the lines the query reads, numbered from 0 across
         its segments; lines outside it are neither decoded nor counted.
-        A decoded line whose ts lies outside its segment's indexed
-        ``[min_ts, max_ts]`` raises a ``DecodeError`` naming the segment
-        file and the line.
+        A line that does not decode, or whose ts lies outside its
+        segment's indexed ``[min_ts, max_ts]``, raises a ``DecodeError``
+        naming the segment file and the line.
         """
         if t0 >= t1:
             raise ValueError(f"require t0 < t1, got [{t0}, {t1})")
@@ -247,9 +247,8 @@ class EventStore:
                         e = decode_event(line)
                         ts = e.ts
                         if not min_ts <= ts <= max_ts:
-                            raise DecodeError(
-                                f"{path}: line {scanned - base}: ts {ts} lies outside "
-                                f"the segment's indexed range [{min_ts}, {max_ts}]")
+                            raise DecodeError(f"ts {ts} lies outside the segment's "
+                                              f"indexed range [{min_ts}, {max_ts}]")
                         if ts < t0:
                             continue
                         if ts >= t1:
@@ -257,6 +256,8 @@ class EventStore:
                         yield e
         except UnicodeDecodeError:
             raise utf8_fault(path) from None
+        except DecodeError as exc:
+            raise DecodeError(f"{path}: line {scanned - base}: {exc}") from None
         finally:  # also when the consumer stops early
             self.rows_scanned += scanned
             self.rows_skipped += skipped

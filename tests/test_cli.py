@@ -329,6 +329,24 @@ def test_input_source_required(workdir, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value,labeled", [("TRUE", True), ("Yes", True), ("1", True),
+                                           ("false", False), ("NO", False), ("0", False)])
+def test_simulate_attack_values(workdir, value, labeled):
+    _, truth = _simulate(workdir, extra=("--attack", value))
+    assert ("\t" in truth.read_text()) == labeled
+
+
+@pytest.mark.parametrize("value", ["ture", "", "2", "on", "y"])
+def test_simulate_attack_refuses_other_values(workdir, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--attack", value, "--out", "e.jsonl", "--truth", "t.tsv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--attack: must be true/false, yes/no or 1/0" in err
+    assert "Traceback" not in err
+    assert not (workdir / "e.jsonl").exists()
+
+
 def test_raw_line_without_tab_is_error(workdir, capsys):
     _simulate(workdir, extra=("--raw", "raw.log"))
     lines = (workdir / "raw.log").read_text().splitlines()
@@ -858,6 +876,37 @@ def test_parts_fail_as_one_pass(parts_store, tmp_path, request, damage):
     # a ts past the index is an error at its line, not the end of the read
     assert ("line 101: ts 4611686018427387904 lies outside" in one[0][1]) \
         == (damage == "past t1 hides")
+
+
+_BAD_JSON = "invalid JSON: Expecting property name enclosed in double quotes (byte offset 1)"
+
+
+@pytest.mark.parametrize("command", ["detect", "train"])
+@pytest.mark.parametrize("at", [100, 500], ids=["part 0", "later part"])
+def test_store_decode_error_names_the_file_and_line(parts_store, tmp_path, capsys,
+                                                    four_parts, command, at):
+    root, _ = parts_store
+    store = _damaged_copy(root, tmp_path, {at: "{bad"})
+    capsys.readouterr()
+    assert main([command, "--store", str(store), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    seg = os.path.join(str(store), "000000.seg")
+    assert _one_line_error(capsys) == f"error: {seg}: line {at + 1}: {_BAD_JSON}\n"
+
+
+@pytest.mark.parametrize("command", ["detect", "train"])
+@pytest.mark.parametrize("damage", ["bad JSON", "negative ts"])
+def test_events_decode_error_names_the_file_and_line(parts_store, tmp_path, capsys,
+                                                     command, damage):
+    root, _ = parts_store
+    lines = (root / "store" / "000000.seg").read_text().splitlines()
+    lines[500] = "{bad" if damage == "bad JSON" else _bad_ts(lines[500], -5)
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, "--events", str(events), "--out", str(tmp_path / "out")]) == EXIT_ERROR
+    # a fault without an offset states none
+    want = _BAD_JSON if damage == "bad JSON" else "ts must be > 0, got -5"
+    assert _one_line_error(capsys) == f"error: {events}: line 501: {want}\n"
 
 
 # --- fuzz gate: a damaged input file never lets an exception out of main() ---

@@ -1,9 +1,12 @@
+import hashlib
+import json
+import os
 from dataclasses import asdict
 
 import pytest
 
 from chaintrace.errors import BadConfig
-from chaintrace.events import EVENT_TYPES, encode_event
+from chaintrace.events import EVENT_TYPES, NS, LogEvent, encode_event
 from chaintrace.simulate import (
     DEFAULT_RATES,
     SimConfig,
@@ -12,6 +15,7 @@ from chaintrace.simulate import (
     simulate,
     write_truth_file,
 )
+from chaintrace.store import EventStore
 
 
 def test_default_case_study_size(case_study):
@@ -165,6 +169,52 @@ def test_expand_with_noise_bad_factor(case_study):
     _, events, _ = case_study
     with pytest.raises(BadConfig):
         list(expand_with_noise(events, 0.5, seed=1))
+
+
+# Pinned bytes of the write path: SHA-256 of the encoded expand_with_noise
+# stream followed by json.dumps of its id_map, and of the files of a store
+# built from one stream. "fractional" reaches past one noise chunk; "all
+# tied" gives every event one ts, so each noise event ties with every
+# original and follows them all.
+_TIED = [LogEvent(i, 1_700_000_000 * NS, f"ws{i % 3:03d}", "logon", f"u{i % 5:03d}",
+                  {"session_id": f"S{i}"}) for i in range(1, 41)]
+_EXPANSIONS = {
+    "fractional": (60.5, 5, "e50453af1a0ea51c2d10b31892ec743149a1769d42c6a105d432d6bc81ea6702"),
+    "factor 1": (1.0, 5, "7dc6b928c3a982bd55792a1e849c63378303bccfb7fa8b0d5b1f2339394386d9"),
+    "all tied": (3.5, 8, "1f6b363ea50ddd9c8d8206499c7b7d1b2c9369e47f8cdb769a924ab8250f502a"),
+}
+# "fractional" in segments of 30,000 events
+_STORE_DIGEST = "67592d4847449494475645bfd1ebd56df9c833744a34d2fb498c54cbf4921de0"
+
+
+def _expansion(case_study, name: str, id_map: dict[int, int]):
+    factor, seed, _ = _EXPANSIONS[name]
+    base = _TIED if name == "all tied" else case_study[1]
+    return expand_with_noise(base, factor, seed, id_map)
+
+
+@pytest.mark.parametrize("name", sorted(_EXPANSIONS))
+def test_expand_with_noise_bytes_are_pinned(case_study, name):
+    id_map: dict[int, int] = {}
+    h = hashlib.sha256()
+    for e in _expansion(case_study, name, id_map):
+        h.update(encode_event(e).encode())
+        h.update(b"\n")
+    h.update(json.dumps(id_map).encode())
+    assert h.hexdigest() == _EXPANSIONS[name][2]
+
+
+def test_store_of_an_expansion_is_pinned(tmp_path, case_study):
+    root = str(tmp_path / "store")
+    store = EventStore(root, segment_events=30_000)
+    store.append(_expansion(case_study, "fractional", {}))
+    store.close()
+    assert len(store.segments) == 3
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        with open(os.path.join(root, name), "rb") as fh:
+            h.update(f"{name}\n".encode() + fh.read())
+    assert h.hexdigest() == _STORE_DIGEST
 
 
 def test_truth_file_roundtrip(tmp_path, case_study):
