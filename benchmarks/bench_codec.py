@@ -13,7 +13,7 @@ events per second (kev/s):
   events and ``parse_raw_line`` over their raw lines, best of REPEATS;
 - ``store_append``: ``EventStore.append`` of all STORE_EVENTS events in
   batches of BATCH_EVENTS (only the append calls are timed);
-- ``store_scan``: a full ``query_all`` of that store, best of SCANS.
+- ``store_scan``: a full ``query`` of that store, best of SCANS.
 
 Usage:
   python benchmarks/bench_codec.py [--src DIR] [--label NAME] [--out FILE]
@@ -115,7 +115,7 @@ def measure() -> dict:
         reader = EventStore(os.path.join(root, "store"), create=False)
 
         def scan() -> None:
-            for _ in reader.query_all():
+            for _ in reader.query():
                 pass
 
         scan_rate = _best_rate(appended, scan, SCANS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -17,9 +18,9 @@ import sys
 import time
 from importlib import resources
 
-from .errors import ChaintraceError, DecodeError, MalformedLine
-from .events import (RawLine, decode_event, encode_event, load_json,
-                     parse_raw_line, render_raw_line, utf8_fault)
+from .errors import ChaintraceError, MalformedLine
+from .events import (RawLine, TextLines, decode_event, encode_event, from_json,
+                     load_json, parse_raw_line, render_raw_line)
 from .graph import (
     PropertyGraph,
     apply_rules,
@@ -91,31 +92,6 @@ def _write_events(path: str, events) -> int:
     return n
 
 
-class _EventFile:
-    """The events of a canonical file, one per line; counts the lines it
-    reads as ``EventStore.query`` counts a store's, and names the file and
-    the line in a ``DecodeError``."""
-
-    rows_skipped = 0  # every line is decoded
-
-    def __init__(self, path: str):
-        self.path = path
-        self.rows_scanned = 0
-
-    def __iter__(self):
-        start = self.rows_scanned
-        with open(self.path, "r", encoding="utf-8") as fh:
-            try:
-                for line in fh:
-                    self.rows_scanned += 1
-                    yield decode_event(line)
-            except UnicodeDecodeError:
-                raise utf8_fault(self.path) from None
-            except DecodeError as exc:
-                raise DecodeError(
-                    f"{self.path}: line {self.rows_scanned - start}: {exc}") from None
-
-
 def _input_events(args: argparse.Namespace, prefilter=None):
     """The event stream named by ``--store`` or ``--events``, and the
     store or file it reads, whose ``rows_scanned`` and ``rows_skipped``
@@ -126,8 +102,8 @@ def _input_events(args: argparse.Namespace, prefilter=None):
     """
     if args.store:
         store = EventStore(args.store, create=False)
-        return store.query_all(prefilter=prefilter), store
-    events = _EventFile(args.events)
+        return store.query(prefilter=prefilter), store
+    events = TextLines(args.events, decode_event)
     return events, events
 
 
@@ -165,23 +141,16 @@ def cmd_simulate(args) -> int:
 def cmd_ingest(args) -> int:
     store = EventStore(args.store)
     if args.format == "canonical":
-        stream = _EventFile(args.events)
+        parse = decode_event
     else:
-        def raw_stream():
-            with open(args.events, "r", encoding="utf-8") as fh:
-                next_id = store.last_id + 1
-                try:
-                    for lineno, line in enumerate(fh, 1):
-                        kind, tab, text = line.rstrip("\n").partition("\t")
-                        if not tab:
-                            raise MalformedLine(
-                                f"line {lineno}: no tab after the source kind")
-                        yield parse_raw_line(RawLine(kind, text), next_id)
-                        next_id += 1
-                except UnicodeDecodeError:
-                    raise utf8_fault(args.events) from None
-        stream = raw_stream()
-    n = store.append(stream)
+        ids = itertools.count(store.last_id + 1)
+
+        def parse(line):
+            kind, tab, text = line.rstrip("\n").partition("\t")
+            if not tab:
+                raise MalformedLine("no tab after the source kind")
+            return parse_raw_line(RawLine(kind, text), next(ids))
+    n = store.append(TextLines(args.events, parse))
     store.close()
     print(f"ingested {n} events into {args.store}")
     return 0
@@ -200,7 +169,7 @@ def cmd_pseudonymize(args) -> int:
     else:
         vault, shares = create_vault(args.threshold, args.shares)
     def stream():
-        for e in _EventFile(args.events):
+        for e in TextLines(args.events, decode_event):
             yield vault.pseudonymize_event(e)
     tmp = args.out + ".tmp"
     try:
@@ -325,28 +294,6 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _read_scored(path: str) -> list[tuple[str, int, bool]]:
-    """(user, window_start, anomalous) of each line ``score`` wrote."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                try:
-                    r = json.loads(line)
-                    row = (r["user"], r["window_start"], r["anomalous"])
-                    valid = (type(row[0]) is str and type(row[1]) is int
-                             and type(row[2]) is bool)
-                except (ValueError, RecursionError, TypeError, KeyError):
-                    valid = False
-                if not valid:
-                    raise MalformedLine(f"{path}: line {lineno}: not a scored "
-                                        "window (user, window_start, anomalous)")
-                rows.append(row)
-        except UnicodeDecodeError:
-            raise utf8_fault(path) from None
-    return rows
-
-
 def cmd_metrics(args) -> int:
     from . import features as feats
     from .simulate import read_truth_file
@@ -354,12 +301,19 @@ def cmd_metrics(args) -> int:
     truth = read_truth_file(args.truth)
     labeled_ids = truth.labeled_ids()
     labeled_events = [
-        e for e in _EventFile(args.events) if e.id in labeled_ids
+        e for e in TextLines(args.events, decode_event) if e.id in labeled_ids
     ]
-    scored = _read_scored(args.scored)
-    vectors = [feats.FeatureVector(user, start, None) for user, start, _ in scored]
+
+    def scored_window(line: str) -> feats.ScoredWindow:
+        try:
+            return from_json(feats.ScoredWindow, json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            raise MalformedLine(f"not a scored window: {exc}") from None
+
+    scored = list(TextLines(args.scored, scored_window))
+    vectors = [feats.FeatureVector(s.user, s.window_start, None) for s in scored]
     labels = feats.label_windows(vectors, labeled_events, window=args.window_secs)
-    predictions = [anomalous for _, _, anomalous in scored]
+    predictions = [s.anomalous for s in scored]
     metrics = feats.evaluate(predictions, labels)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)

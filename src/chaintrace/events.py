@@ -11,8 +11,9 @@ import json
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
+from itertools import islice
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
 from .errors import DecodeError, MalformedLine, SchemaError
 
@@ -44,6 +45,8 @@ EVENT_TYPES = frozenset(_GRAMMARS)
 RAW_SOURCE_KINDS = frozenset(kind for kind, _, _ in _GRAMMARS.values())
 
 NS = 1_000_000_000  # LogEvent.ts ticks per second
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -156,9 +159,50 @@ def decode_event(text: str) -> LogEvent:
     return LogEvent(eid, ts, host, etype, actor, attrs)
 
 
-def utf8_fault(path: str) -> DecodeError:
-    """The DecodeError naming the first line of ``path`` that is not UTF-8;
-    readers call it once their text decoder has failed."""
+class TextLines:
+    """``parse`` of each line of the UTF-8 text file ``path``, lines
+    ``first`` up to ``stop`` (numbered from 0; ``stop=None``: to the end).
+
+    A line that ``keep`` rejects is counted as skipped and not parsed.
+    ``rows_scanned`` and ``rows_skipped`` grow by the lines each pass read
+    and skipped when the pass ends, also when its consumer stops early. A
+    ``DecodeError`` or ``MalformedLine`` from ``parse`` is raised again as
+    ``<path>: line N: <message>``; a line that is not UTF-8 is a
+    ``DecodeError`` naming its number. A file that cannot be opened stays
+    an OSError.
+    """
+
+    def __init__(self, path: str, parse: Callable[[str], _T],
+                 keep: Callable[[str], bool] | None = None,
+                 first: int = 0, stop: int | None = None):
+        self.path, self.parse, self.keep = path, parse, keep
+        self.first, self.stop = first, stop
+        self.rows_scanned = 0
+        self.rows_skipped = 0
+
+    def __iter__(self) -> Iterator[_T]:
+        path, parse, keep = self.path, self.parse, self.keep
+        lineno = self.first  # the number, from 1, of the last line read
+        skipped = 0
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for line in islice(fh, self.first, self.stop):
+                    lineno += 1
+                    if keep is not None and not keep(line):
+                        skipped += 1
+                        continue
+                    yield parse(line)
+        except UnicodeDecodeError:
+            raise _utf8_fault(path) from None
+        except (DecodeError, MalformedLine) as exc:
+            raise type(exc)(f"{path}: line {lineno}: {exc}") from None
+        finally:
+            self.rows_scanned += lineno - self.first
+            self.rows_skipped += skipped
+
+
+def _utf8_fault(path: str) -> DecodeError:
+    """The DecodeError naming the first line of ``path`` that is not UTF-8."""
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
@@ -176,7 +220,7 @@ def load_json(path: str, what: str, tp=None, error: type[Exception] = SchemaErro
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise error(f"{what} {path}: not a UTF-8 JSON document: {exc}") from None
     try:
         return doc if tp is None else from_json(tp, doc)

@@ -54,6 +54,16 @@ class FeatureVector:
 
 
 @dataclass
+class ScoredWindow:
+    """A line ``score`` writes: one user window and its decision."""
+
+    user: str
+    window_start: int  # ns
+    decision: float
+    anomalous: bool
+
+
+@dataclass
 class ExtractionStats:
     unmatched_logoffs: int = 0
     bad_numeric_attrs: int = 0

@@ -12,7 +12,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .errors import BadParameters, InconsistentShares, InsufficientShares
+from .errors import BadParameters, DecodeError, InconsistentShares, InsufficientShares
+from .events import TextLines
 
 _POLY = 0x11B
 
@@ -152,10 +153,9 @@ def write_share_file(path: str, share: ShamirShare) -> None:
 
 def read_share_file(path: str) -> ShamirShare:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except UnicodeDecodeError:
-        raise InconsistentShares(f"{path}: not a share file (not UTF-8)") from None
+        lines = list(TextLines(path, lambda ln: ln.rstrip("\n")))
+    except DecodeError as exc:  # not UTF-8
+        raise InconsistentShares(f"not a share file: {exc}") from None
     if not lines or lines[0] != _SHARE_MAGIC:
         raise InconsistentShares(f"{path}: not a share file")
     fields = dict(ln.split(": ", 1) for ln in lines[1:] if ": " in ln)

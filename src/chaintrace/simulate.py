@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BadConfig, MalformedLine
-from .events import NS, LogEvent, from_json, utf8_fault
+from .events import NS, LogEvent, TextLines, from_json
 
 SCENARIOS = ("cooltype_jpeg_exfil", "usb_jpeg_exfil")
 
@@ -433,21 +433,21 @@ def write_truth_file(path: str, truth: GroundTruth) -> None:
 
 def read_truth_file(path: str) -> GroundTruth:
     truth = GroundTruth()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if line.startswith("# attacker_ip="):
-                    truth.attacker_ip = line.split("=", 1)[1]
-                elif line.startswith("# victim_hosts="):
-                    hosts = line.split("=", 1)[1]
-                    truth.victim_hosts = hosts.split(",") if hosts else []
-                elif line:
-                    eid, label = line.split("\t")
-                    truth.labels.append((int(eid), label))
-    except UnicodeDecodeError:
-        raise utf8_fault(path) from None
-    except ValueError as exc:  # too few or many tabs, or a bad event id
-        raise MalformedLine(
-            f"{path}: line {lineno}: expected '<event id>\\t<label>': {exc}") from None
+
+    def parse(line: str) -> None:
+        line = line.rstrip("\n")
+        if line.startswith("# attacker_ip="):
+            truth.attacker_ip = line.split("=", 1)[1]
+        elif line.startswith("# victim_hosts="):
+            hosts = line.split("=", 1)[1]
+            truth.victim_hosts = hosts.split(",") if hosts else []
+        elif line:
+            try:
+                eid, label = line.split("\t")
+                truth.labels.append((int(eid), label))
+            except ValueError as exc:  # too few or many tabs, or a bad event id
+                raise MalformedLine(f"expected '<event id>\\t<label>': {exc}") from None
+
+    for _ in TextLines(path, parse):
+        pass
     return truth

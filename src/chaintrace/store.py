@@ -1,4 +1,4 @@
-"""Append-only, time-indexed, file-backed event store.
+"""Append-only, file-backed event store.
 
 Directory layout: ``NNNNNN.seg`` files in canonical event format (one
 JSON record per line) plus ``index.json`` describing every segment.
@@ -15,11 +15,10 @@ import math
 import os
 import signal
 from dataclasses import dataclass, asdict
-from itertools import islice
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DecodeError, IoFailure, OutOfOrder, SchemaError
-from .events import LogEvent, decode_event, encode_event, load_json, utf8_fault
+from .events import LogEvent, TextLines, decode_event, encode_event, load_json
 
 DEFAULT_SEGMENT_EVENTS = 1 << 20
 
@@ -193,82 +192,41 @@ class EventStore:
 
     # --- reader side ---
 
-    def _selected(self, t0: float, t1: float) -> list[StoreSegment]:
-        """The segments a query of [t0, t1) reads, in order."""
-        return [seg for seg in self.segments
-                if seg.count and seg.max_ts >= t0 and seg.min_ts < t1]
-
-    def query(
-        self,
-        t0: float,
-        t1: float,
-        prefilter: Callable[[str], bool] | None = None,
-        lines: range | None = None,
-    ) -> Iterator[LogEvent]:
-        """Stream stored events with t0 <= ts < t1, up to the first line
-        with ``ts >= t1``.
+    def query(self, prefilter: Callable[[str], bool] | None = None,
+              lines: range | None = None) -> Iterator[LogEvent]:
+        """Stream the stored events: every line of every non-empty segment.
 
         ``prefilter`` sees each raw line first; a line it rejects is
         counted and skipped without being decoded. ``lines`` keeps to
-        that range of the lines the query reads, numbered from 0 across
-        its segments; lines outside it are neither decoded nor counted.
-        A line that does not decode, or whose ts lies outside its
-        segment's indexed ``[min_ts, max_ts]``, raises a ``DecodeError``
-        naming the segment file and the line.
+        that range of the lines, numbered from 0 across the segments;
+        lines outside it are neither decoded nor counted. A line that
+        does not decode, or whose ts lies outside its segment's indexed
+        ``[min_ts, max_ts]``, raises a ``DecodeError`` naming the segment
+        file and the line.
         """
-        if t0 >= t1:
-            raise ValueError(f"require t0 < t1, got [{t0}, {t1})")
         lo, hi = (0, math.inf) if lines is None else (lines.start, lines.stop)
-        scanned = skipped = 0
-        path = self.root
         end = 0  # number of the line after the segment
-        try:
-            for seg in self._selected(t0, t1):
-                start, end = end, end + seg.count
-                if end <= lo:
-                    continue
-                if start >= hi:
-                    break
-                path = os.path.join(self.root, seg.path)
-                try:
-                    fh = open(path, "r", encoding="utf-8")
-                except OSError as exc:
-                    raise IoFailure(str(exc)) from exc
-                first = max(lo - start, 0)
-                base = scanned - first  # scanned - base: the line's number
-                min_ts, max_ts = seg.min_ts, seg.max_ts
-                with fh:
-                    # rows flushed after this query began are not read
-                    for line in islice(fh, first, min(hi, end) - start):
-                        scanned += 1
-                        if prefilter is not None and not prefilter(line):
-                            skipped += 1
-                            continue
-                        e = decode_event(line)
-                        ts = e.ts
-                        if not min_ts <= ts <= max_ts:
-                            raise DecodeError(f"ts {ts} lies outside the segment's "
-                                              f"indexed range [{min_ts}, {max_ts}]")
-                        if ts < t0:
-                            continue
-                        if ts >= t1:
-                            return
-                        yield e
-        except UnicodeDecodeError:
-            raise utf8_fault(path) from None
-        except DecodeError as exc:
-            raise DecodeError(f"{path}: line {scanned - base}: {exc}") from None
-        finally:  # also when the consumer stops early
-            self.rows_scanned += scanned
-            self.rows_skipped += skipped
-
-    def query_all(self, prefilter: Callable[[str], bool] | None = None
-                  ) -> Iterator[LogEvent]:
-        """Every stored event: every line of every non-empty segment."""
-        return self.query(-math.inf, math.inf, prefilter)
+        for seg in self.segments:
+            if not seg.count:
+                continue
+            start, end = end, end + seg.count
+            if end <= lo:
+                continue
+            if start >= hi:
+                break
+            # rows flushed after this query began are not read
+            reader = TextLines(os.path.join(self.root, seg.path), _in_segment(seg),
+                               prefilter, max(lo - start, 0), min(hi, end) - start)
+            try:
+                yield from reader
+            except OSError as exc:
+                raise IoFailure(str(exc)) from exc
+            finally:  # also when the consumer stops early
+                self.rows_scanned += reader.rows_scanned
+                self.rows_skipped += reader.rows_skipped
 
     def map_parts(self, fn: Callable[[Iterator[LogEvent]], _T]) -> list[_T]:
-        """``fn`` of each contiguous part of ``query_all()``, in stream order.
+        """``fn`` of each contiguous part of ``query()``, in stream order.
 
         There is one part per usable CPU, each of at least
         ``MIN_PART_LINES`` lines. Part 0 is read here while forked
@@ -286,7 +244,7 @@ class EventStore:
 
         def read(part: range) -> tuple[_T, int]:
             before = self.rows_scanned
-            result = fn(self.query(-math.inf, math.inf, lines=part))
+            result = fn(self.query(lines=part))
             return result, self.rows_scanned - before
 
         workers: list[_Worker] = []
@@ -308,6 +266,20 @@ class EventStore:
             for w in workers:
                 w.close()
         return results
+
+
+def _in_segment(seg: StoreSegment) -> Callable[[str], LogEvent]:
+    """The decoder of ``seg``'s lines: a ts outside the segment's indexed
+    range is a DecodeError."""
+    min_ts, max_ts = seg.min_ts, seg.max_ts
+
+    def parse(line: str) -> LogEvent:
+        e = decode_event(line)
+        if not min_ts <= e.ts <= max_ts:
+            raise DecodeError(f"ts {e.ts} lies outside the segment's "
+                              f"indexed range [{min_ts}, {max_ts}]")
+        return e
+    return parse
 
 
 def _usable_cpus() -> int:

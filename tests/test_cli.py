@@ -357,6 +357,20 @@ def test_raw_line_without_tab_is_error(workdir, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,line,fault", [
+    ("bad.log", "windows\tgarbage", "windows: bad timestamp 'garbage'"),
+    ("bad2.log", "notab", "no tab after the source kind"),
+], ids=["bad timestamp", "no tab"])
+def test_raw_ingest_error_names_the_file_and_line(workdir, capsys, name, line, fault):
+    _simulate(workdir, extra=("--raw", "raw.log"))
+    lines = (workdir / "raw.log").read_text().splitlines()
+    (workdir / name).write_text("\n".join([*lines[:5], line]) + "\n")
+    capsys.readouterr()
+    assert main(["ingest", "--store", "store", "--events", name,
+                 "--format", "raw"]) == EXIT_ERROR
+    assert _one_line_error(capsys) == f"error: {name}: line 6: {fault}\n"
+
+
 def test_rule_missing_layer_is_error(workdir, capsys):
     _simulate(workdir)
     rule = {"id": "r", "input_kind": "file_read", "window": 60,
@@ -469,6 +483,26 @@ def test_missing_store_is_error(workdir, capsys, model_file, command):
     assert "nosuch" in _one_line_error(capsys)
     assert not (workdir / "nosuch").exists()
     assert not (workdir / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize("command,n", [("detect", 1), ("train", 1), ("train", 4)],
+                         ids=["detect", "train", "train in 4 parts"])
+def test_missing_segment_is_error(workdir, capsys, monkeypatch, command, n):
+    from chaintrace import store as store_module
+
+    _simulate(workdir)
+    lines = (workdir / "events.jsonl").read_text().splitlines()
+    store = store_module.EventStore("store", segment_events=len(lines) // 3)
+    store.append(decode_event(line) for line in lines)
+    store.close()
+    assert len(store.segments) > 2
+    os.remove(os.path.join("store", "000001.seg"))
+    monkeypatch.setattr(store_module, "MIN_PART_LINES", 100)
+    monkeypatch.setattr(store_module, "_usable_cpus", lambda: n)
+    capsys.readouterr()
+    assert main([command, "--store", "store", "--out", "out"]) == EXIT_ERROR
+    assert "000001.seg" in _one_line_error(capsys)
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("content", [
@@ -628,11 +662,19 @@ def _break_utf8(path) -> int:
 
 @pytest.mark.parametrize("command", [
     "detect --events", "detect --store", "train --store", "ingest --format raw",
-    "pseudonymize",
+    "pseudonymize", "ingest", "train --events", "score --events",
+    "metrics --events", "metrics --scored", "metrics --truth",
 ])
 def test_invalid_utf8_is_decode_error(workdir, capsys, command):
     _simulate(workdir, extra=("--raw", "raw.log"))
     assert main(["ingest", "--store", "store", "--events", "events.jsonl"]) == 0
+    if command.startswith(("score", "metrics")):
+        assert main(["train", "--events", "events.jsonl", "--out", "m.json",
+                     "--window-secs", "1200"]) == 0
+        assert main(["score", "--events", "events.jsonl", "--model", "m.json",
+                     "--out", "s.jsonl", "--window-secs", "1200"]) == 0
+    metrics = ["metrics", "--scored", "s.jsonl", "--events", "events.jsonl",
+               "--truth", "truth.tsv", "--out", "out", "--window-secs", "1200"]
     argv, broken = {
         "detect --events": (["detect", "--events", "events.jsonl", "--out", "out"],
                             "events.jsonl"),
@@ -644,6 +686,15 @@ def test_invalid_utf8_is_decode_error(workdir, capsys, command):
                                  "--format", "raw"], "raw.log"),
         "pseudonymize": (["pseudonymize", "--events", "events.jsonl", "--out", "out",
                           "--vault", "vault.json"], "events.jsonl"),
+        "ingest": (["ingest", "--store", "store2", "--events", "events.jsonl"],
+                   "events.jsonl"),
+        "train --events": (["train", "--events", "events.jsonl", "--out", "out"],
+                           "events.jsonl"),
+        "score --events": (["score", "--events", "events.jsonl", "--model", "m.json",
+                            "--out", "out"], "events.jsonl"),
+        "metrics --events": (metrics, "events.jsonl"),
+        "metrics --scored": (metrics, "s.jsonl"),
+        "metrics --truth": (metrics, "truth.tsv"),
     }[command]
     lineno = _break_utf8(workdir / broken)
     capsys.readouterr()
@@ -705,10 +756,17 @@ def test_garbled_truth_file_is_error(workdir, capsys, line):
     assert "truth.tsv: line 4:" in _one_line_error(capsys)
 
 
+_SCORED = '{"user": "u000", "window_start": %s, "decision": 0.5, "anomalous": %s%s}'
+
+
 @pytest.mark.parametrize("line", ["not json", "[1, 2]",
                                   '{"user": "u000", "anomalous": true}',
-                                  '{"user": "u000", "window_start": "0", "anomalous": true}'],
-                         ids=["not-json", "not-object", "no-window-start", "string-start"])
+                                  '{"user": "u000", "window_start": "0", "anomalous": true}',
+                                  _SCORED % ("0", '"true"', ""),
+                                  _SCORED % ("true", "true", ""),
+                                  _SCORED % ("0", "true", ', "rank": 1')],
+                         ids=["not-json", "not-object", "no-window-start", "string-start",
+                              "string-anomalous", "bool-start", "extra-member"])
 def test_garbled_scored_line_is_error(workdir, capsys, line):
     _simulate(workdir)
     assert main(["train", "--events", "events.jsonl", "--out", "m.json",

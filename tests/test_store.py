@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 
@@ -33,7 +32,7 @@ def test_append_empty(tmp_path):
 def test_append_query_identity(tmp_path, sample_events):
     store = EventStore(str(tmp_path / "s"))
     assert store.append(sample_events) == len(sample_events)
-    out = list(store.query_all())
+    out = list(store.query())
     assert out == sample_events
 
 
@@ -53,20 +52,7 @@ def test_append_id_regression(tmp_path):
 
 def test_query_empty_store(tmp_path):
     store = EventStore(str(tmp_path / "s"))
-    assert list(store.query(1, 10)) == []
-
-
-def test_query_point_window(tmp_path):
-    store = EventStore(str(tmp_path / "s"))
-    store.append([_mk(1, 100), _mk(2, 200), _mk(3, 300)])
-    out = list(store.query(200, 201))
-    assert [e.id for e in out] == [2]
-
-
-def test_query_requires_valid_range(tmp_path):
-    store = EventStore(str(tmp_path / "s"))
-    with pytest.raises(ValueError):
-        list(store.query(10, 10))
+    assert list(store.query()) == []
 
 
 def test_segment_rollover(tmp_path, sample_events):
@@ -74,20 +60,7 @@ def test_segment_rollover(tmp_path, sample_events):
     store.append(sample_events)
     assert len(store.segments) > 1
     assert all(seg.sealed for seg in store.segments[:-1])
-    assert list(store.query_all()) == sample_events
-
-
-def test_split_point_concatenation(tmp_path, sample_events):
-    store = EventStore(str(tmp_path / "s"))
-    store.append(sample_events)
-    t0 = sample_events[0].ts
-    t2 = sample_events[-1].ts + 1
-    whole = list(store.query(t0, t2))
-    for frac in (0.25, 0.5, 0.9):
-        t1 = t0 + int((t2 - t0) * frac)
-        left = list(store.query(t0, t1))
-        right = list(store.query(t1, t2))
-        assert left + right == whole
+    assert list(store.query()) == sample_events
 
 
 def test_reopen_durability(tmp_path, sample_events):
@@ -96,7 +69,7 @@ def test_reopen_durability(tmp_path, sample_events):
     store.append(sample_events)
     store.close()
     again = EventStore(root, segment_events=200)
-    assert list(again.query_all()) == sample_events
+    assert list(again.query()) == sample_events
     # appending continues after reopen
     last = sample_events[-1]
     again.append([_mk(last.id + 1, last.ts + 10)])
@@ -114,7 +87,7 @@ def test_reopen_without_close(tmp_path, sample_events):
 
 
 def _ids(store):
-    return [e.id for e in store.query_all()]
+    return [e.id for e in store.query()]
 
 
 def test_reopen_drops_torn_batch(tmp_path):
@@ -301,9 +274,9 @@ def test_prefilter_equals_postfilter(tmp_path_factory, rules, events):
     store = EventStore(str(tmp_path_factory.mktemp("s")))
     store.append(LogEvent(i, 1000 + i, host, etype, actor, attrs)
                  for i, (etype, host, actor, attrs) in enumerate(events, 1))
-    expected = [e for e in store.query_all() if accepted(e)]
+    expected = [e for e in store.query() if accepted(e)]
     scanned = store.rows_scanned
-    got = [e for e in store.query_all(prefilter=line_prefilter(seq_rules))
+    got = [e for e in store.query(prefilter=line_prefilter(seq_rules))
            if accepted(e)]
     assert got == expected
     assert store.rows_scanned == 2 * scanned == 2 * len(events)
@@ -312,13 +285,10 @@ def test_prefilter_equals_postfilter(tmp_path_factory, rules, events):
 def test_query_counts_a_consumer_that_stops_early(tmp_path):
     store = EventStore(str(tmp_path / "s"), segment_events=3)
     store.append(_mk(i, 100 * i) for i in range(1, 8))
-    rows = store.query_all(prefilter=lambda line: '"id":2,' not in line)
+    rows = store.query(prefilter=lambda line: '"id":2,' not in line)
     assert [next(rows).id, next(rows).id, next(rows).id, next(rows).id] == [1, 3, 4, 5]
     rows.close()
     assert (store.rows_scanned, store.rows_skipped) == (5, 1)
-    assert [e.id for e in store.query(200, 500)] == [2, 3, 4]
-    # the query stops at the first row past t1, in the second segment
-    assert (store.rows_scanned, store.rows_skipped) == (5 + 5, 1)
 
 
 @pytest.mark.parametrize("cuts", [[], [3], [3, 7], [1, 2, 9], [0, 10], [6, 6]])
@@ -328,18 +298,9 @@ def test_line_ranges_concatenate_to_one_query(tmp_path, cuts):
     store.close()
     bounds = [0, *cuts, 10]
     got = [e.id for a, b in zip(bounds, bounds[1:])
-           for e in store.query(-math.inf, math.inf, lines=range(a, b))]
-    assert got == [e.id for e in store.query_all()] == list(range(1, 11))
+           for e in store.query(lines=range(a, b))]
+    assert got == [e.id for e in store.query()] == list(range(1, 11))
     assert store.rows_scanned == 2 * 10
-
-
-def test_line_range_stops_past_t1(tmp_path):
-    store = EventStore(str(tmp_path / "s"), segment_events=3)
-    store.append(_mk(i, 100 * i) for i in range(1, 11))
-    store.close()
-    # rows 4-9 hold ts 400-900: the range stops at the row of ts 600
-    assert [e.id for e in store.query(1, 600, lines=range(3, 9))] == [4, 5]
-    assert store.rows_scanned == 3
 
 
 @pytest.fixture
@@ -360,7 +321,7 @@ def test_map_parts_concatenate_to_query_all(tmp_path, parts, n):
     got = store.map_parts(list)
     assert len(got) == n and all(got)
     assert store.rows_scanned == 10
-    assert [e for part in got for e in part] == list(store.query_all())
+    assert [e for part in got for e in part] == list(store.query())
     with pytest.raises(ChildProcessError):  # no worker is left behind
         os.waitpid(-1, os.WNOHANG)
 
@@ -379,9 +340,7 @@ def test_full_read_refuses_a_ts_outside_its_segment(tmp_path, parts, ts, n):
     seg.write_text("".join(lines))
     expected = f"{seg}: line 2: ts {ts} lies outside the segment's indexed range [400, 600]"
     with pytest.raises(DecodeError, match=re.escape(expected)):
-        list(store.query_all())
+        list(store.query())
     parts(n)
     with pytest.raises(DecodeError, match=re.escape(expected)):
         store.map_parts(list)
-    # a range query that ends before the row never reads it
-    assert [e.id for e in store.query(1, 400)] == [1, 2, 3]
