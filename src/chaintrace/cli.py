@@ -2,13 +2,14 @@
 score, metrics, reveal, export.
 
 Exit codes: 0 success / no alert, 3 partial kill chain, 4 full kill
-chain, >= 64 on errors. Every run writes a JSON manifest next to its
-primary output.
+chain, 64 on any error, I/O included, with one ``error:`` line on stderr.
+Every run writes a JSON manifest next to its primary output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -18,7 +19,7 @@ import sys
 import time
 from importlib import resources
 
-from .errors import ChaintraceError, MalformedLine
+from .errors import BadConfig, ChaintraceError, MalformedLine, NoNetworkElementMatched
 from .events import (RawLine, TextLines, decode_event, encode_event, from_json,
                      load_json, parse_raw_line, render_raw_line)
 from .graph import (
@@ -110,31 +111,34 @@ def _input_events(args: argparse.Namespace, prefilter=None):
 # --- subcommands ---
 
 def cmd_simulate(args) -> int:
+    """Write ``--out`` and ``--raw`` from one pass over the same stream,
+    noise-expanded or not, and the ground truth of its ids."""
     from .simulate import GroundTruth, SimConfig, expand_with_noise, simulate, write_truth_file
 
-    cfg = SimConfig.from_dict(load_json(args.config, "config") if args.config else {})
+    cfg = load_json(args.config, "config", SimConfig, BadConfig) if args.config else SimConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.attack is not None:
         cfg.attack = args.attack
     events, truth = simulate(cfg)
     if args.expand_factor > 1:
-        id_map: dict[int, int] = {}
-        expanded = expand_with_noise(events, args.expand_factor, cfg.seed, id_map)
-        _write_events(args.out, expanded)
+        id_map: dict[int, int] = {}  # complete once expand_with_noise returns
+        events = expand_with_noise(events, args.expand_factor, cfg.seed, id_map)
         truth = GroundTruth(
             labels=[(id_map[i], lab) for i, lab in truth.labels],
             victim_hosts=truth.victim_hosts,
             attacker_ip=truth.attacker_ip,
         )
-    else:
-        _write_events(args.out, events)
+    with contextlib.ExitStack() as files:
+        out = files.enter_context(open(args.out, "w", encoding="utf-8"))
+        raw = files.enter_context(open(args.raw, "w", encoding="utf-8")) if args.raw else None
+        for e in events:
+            out.write(encode_event(e))
+            out.write("\n")
+            if raw:
+                line = render_raw_line(e)
+                raw.write(f"{line.source_kind}\t{line.text}\n")
     write_truth_file(args.truth, truth)
-    if args.raw:
-        with open(args.raw, "w", encoding="utf-8") as fh:
-            for e in events:
-                raw = render_raw_line(e)
-                fh.write(f"{raw.source_kind}\t{raw.text}\n")
     return 0
 
 
@@ -218,9 +222,9 @@ def cmd_detect(args) -> int:
         if m.status in ("partial", "full"):
             try:
                 identify_adversary(m, graph, model)
-            except ChaintraceError:
+            except NoNetworkElementMatched:
                 pass
-        row = m.to_report(model)
+        row = m.to_report()
         row["reconstruction"] = reconstruct_attack(m, graph, model)
         report_rows.append(row)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -462,14 +466,11 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         status = args.func(args)
-    except ChaintraceError as exc:
+        outputs = [getattr(args, name) for name in args.outputs]
+        _write_manifest(args.command, argv, args, [o for o in outputs if o], t0, status)
+    except (ChaintraceError, OSError) as exc:  # every fault: one line, exit 64
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_ERROR + 1
-    outputs = [getattr(args, name) for name in args.outputs]
-    _write_manifest(args.command, argv, args, [o for o in outputs if o], t0, status)
     return status
 
 

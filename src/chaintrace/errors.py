@@ -29,7 +29,8 @@ class OutOfOrder(ChaintraceError):
 
 
 class IoFailure(ChaintraceError):
-    """Underlying file operation failed."""
+    """A directory opened as an existing event store holds no store index.
+    A file that cannot be read or written stays an OSError."""
 
 
 # --- pseudonymizer ---

@@ -212,18 +212,18 @@ def _utf8_fault(path: str) -> DecodeError:
     return DecodeError(f"{path}: not UTF-8")
 
 
-def load_json(path: str, what: str, tp=None, error: type[Exception] = SchemaError):
+def load_json(path: str, what: str, tp, error: type[Exception] = SchemaError):
     """The JSON document in the file ``path``, read as the annotation ``tp``
-    (see from_json) if one is given. A file that is not UTF-8 JSON, or a
-    document that does not fit ``tp``, is an ``error`` naming ``what`` and
-    ``path``; a file that cannot be opened stays an OSError."""
+    (see from_json). A file that is not UTF-8 JSON, or a document that does
+    not fit ``tp``, is an ``error`` naming ``what`` and ``path``; a file
+    that cannot be opened stays an OSError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise error(f"{what} {path}: not a UTF-8 JSON document: {exc}") from None
     try:
-        return doc if tp is None else from_json(tp, doc)
+        return from_json(tp, doc)
     except ValueError as exc:
         raise error(f"{what} {path}: malformed: {exc}") from None
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NoNetworkElementMatched, SchemaError, UnknownSequenceType
-from .events import from_json, load_json
+from .events import load_json
 from .graph import Node, PropertyGraph, SequenceRule
 
 DEFAULT_ALERT_THRESHOLD = 0.4
@@ -69,15 +69,8 @@ class KillChainModel:
                         )
 
 
-def model_from_dict(data: dict) -> KillChainModel:
-    try:
-        return from_json(KillChainModel, data)
-    except ValueError as exc:
-        raise SchemaError(f"malformed kill-chain document: {exc}") from None
-
-
 def load_killchain(path: str, rules: list[SequenceRule] | None = None) -> KillChainModel:
-    model = model_from_dict(load_json(path, "kill chain"))
+    model = load_json(path, "kill chain", KillChainModel)
     model.validate(rules)
     return model
 
@@ -97,7 +90,7 @@ class ChainMatch:
     status: str = STATUS_NONE
     adversary: str | None = None
 
-    def to_report(self, model: KillChainModel) -> dict:
+    def to_report(self) -> dict:
         return {
             "victim": self.victim_host,
             "status": self.status,

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import BadConfig, MalformedLine
-from .events import NS, LogEvent, TextLines, from_json
+from .events import NS, LogEvent, TextLines
 
 SCENARIOS = ("cooltype_jpeg_exfil", "usb_jpeg_exfil")
 
@@ -66,11 +66,6 @@ class SimConfig:
     start_ts: int = 1_700_000_000 * NS
     rates: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_RATES))
 
-    @property
-    def hosts(self) -> int:
-        # one workstation per user plus dc, fw, proxy
-        return self.users + 3
-
     def validate(self) -> None:
         if self.users < 1:
             raise BadConfig("users must be >= 1")
@@ -88,20 +83,10 @@ class SimConfig:
             raise BadConfig("more victims than users")
         if self.truncate_after is not None and self.truncate_after not in STEP_ORDER:
             raise BadConfig(f"unknown truncate_after step {self.truncate_after!r}")
+        if set(self.rates) != set(DEFAULT_RATES):
+            raise BadConfig(f"config rates: expected a number for each of {sorted(DEFAULT_RATES)}")
         if not all(0 <= r < math.inf for r in self.rates.values()):
             raise BadConfig("rates must be finite and non-negative")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimConfig":
-        """The config a JSON document states (see ``events.from_json``);
-        rates must give a number for every rate name."""
-        try:
-            cfg = from_json(cls, data)
-        except ValueError as exc:
-            raise BadConfig(f"config {exc}") from None
-        if set(cfg.rates) != set(DEFAULT_RATES):
-            raise BadConfig(f"config rates: expected a number for each of {sorted(DEFAULT_RATES)}")
-        return cfg
 
 
 @dataclass

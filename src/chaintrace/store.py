@@ -66,14 +66,11 @@ class EventStore:
         self._fh = None
         self.rows_scanned = 0  # lines read by queries
         self.rows_skipped = 0  # of those, lines a prefilter left undecoded
-        try:
-            if create:
-                os.makedirs(root, exist_ok=True)
-            elif not os.path.isfile(self._index_path()):
-                raise IoFailure(f"{root}: not an event store (no {_INDEX_FILE})")
-            self._load_index()
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
+        if create:
+            os.makedirs(root, exist_ok=True)
+        elif not os.path.isfile(self._index_path()):
+            raise IoFailure(f"{root}: not an event store (no {_INDEX_FILE})")
+        self._load_index()
 
     # --- index handling ---
 
@@ -131,35 +128,32 @@ class EventStore:
         last_ts = self.last_ts
         last_id = self.last_id
         appended = 0
-        try:
-            for e in events:
-                if e.ts < last_ts or e.id <= last_id:
-                    raise OutOfOrder(
-                        f"event id={e.id} ts={e.ts} regresses behind "
-                        f"ts={last_ts} id={last_id}"
-                    )
-                if self._active is None or self._active.count >= self.segment_events:
-                    if self._active is not None:
-                        self._seal_active()
-                    self._open_segment()
-                elif self._fh is None:
-                    self._reopen_active()
-                self._fh.write(encode_event(e))
-                self._fh.write("\n")
-                seg = self._active
-                if seg.count == 0:
-                    seg.min_ts = e.ts
-                    seg.min_id = e.id
-                seg.max_ts = e.ts
-                seg.max_id = e.id
-                seg.count += 1
-                last_ts, last_id = e.ts, e.id
-                appended += 1
-            if appended:
-                self._sync_active()
-                self._write_index()
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
+        for e in events:
+            if e.ts < last_ts or e.id <= last_id:
+                raise OutOfOrder(
+                    f"event id={e.id} ts={e.ts} regresses behind "
+                    f"ts={last_ts} id={last_id}"
+                )
+            if self._active is None or self._active.count >= self.segment_events:
+                if self._active is not None:
+                    self._seal_active()
+                self._open_segment()
+            elif self._fh is None:
+                self._reopen_active()
+            self._fh.write(encode_event(e))
+            self._fh.write("\n")
+            seg = self._active
+            if seg.count == 0:
+                seg.min_ts = e.ts
+                seg.min_id = e.id
+            seg.max_ts = e.ts
+            seg.max_id = e.id
+            seg.count += 1
+            last_ts, last_id = e.ts, e.id
+            appended += 1
+        if appended:
+            self._sync_active()
+            self._write_index()
         return appended
 
     def _sync_active(self) -> None:
@@ -219,8 +213,6 @@ class EventStore:
                                prefilter, max(lo - start, 0), min(hi, end) - start)
             try:
                 yield from reader
-            except OSError as exc:
-                raise IoFailure(str(exc)) from exc
             finally:  # also when the consumer stops early
                 self.rows_scanned += reader.rows_scanned
                 self.rows_skipped += reader.rows_skipped

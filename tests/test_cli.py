@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -19,6 +21,8 @@ import chaintrace
 from chaintrace.cli import EXIT_ERROR, build_parser, main
 from chaintrace.events import decode_event, encode_event
 from chaintrace.features import SOURCE_SETS, ExtractionStats, extract_features
+from chaintrace.simulate import read_truth_file
+from chaintrace.store import EventStore
 
 
 @pytest.fixture
@@ -109,6 +113,37 @@ def test_raw_ingest_matches_canonical(workdir):
             a = (workdir / canon_dir / name).read_bytes()
             b = (workdir / raw_dir / name).read_bytes()
             assert a == b
+
+
+def test_expanded_raw_log_builds_the_expanded_store(workdir):
+    # --raw holds the same noise-expanded stream as --out, so a store
+    # ingested from either is the same, and the remapped truth ids name
+    # the attack events in both
+    _simulate(workdir, extra=("--expand-factor", "3", "--raw", "raw.log"))
+    assert main(["simulate", "--seed", "42", "--out", "base.jsonl",
+                 "--truth", "base-truth.tsv"]) == 0
+    lines = (workdir / "events.jsonl").read_text().splitlines()
+    base = (workdir / "base.jsonl").read_text().splitlines()
+    assert len(lines) == 3 * len(base)
+    assert len((workdir / "raw.log").read_text().splitlines()) == len(lines)
+    main(["ingest", "--store", "canon", "--events", "events.jsonl"])
+    main(["ingest", "--store", "raw", "--events", "raw.log", "--format", "raw"])
+    names = sorted(os.listdir("canon"))
+    assert names == sorted(os.listdir("raw"))
+    for name in names:
+        assert (workdir / "canon" / name).read_bytes() == (workdir / "raw" / name).read_bytes()
+
+    def body(e):  # everything but the id
+        return e.ts, e.source_host, e.event_type, e.actor, e.attributes
+
+    stored = {e.id: e for e in EventStore("raw", create=False).query()}
+    by_old_id = {e.id: e for e in map(decode_event, base)}
+    labels = read_truth_file("truth.tsv").labels
+    old_labels = read_truth_file("base-truth.tsv").labels
+    assert [lab for _, lab in labels] == [lab for _, lab in old_labels]
+    assert any(new != old for (new, _), (old, _) in zip(labels, old_labels))
+    for (new, _), (old, _) in zip(labels, old_labels):
+        assert body(stored[new]) == body(by_old_id[old])
 
 
 def test_pseudonymize_and_reveal(workdir):
@@ -248,10 +283,148 @@ def test_export_graphml(workdir):
     assert "graphml" in (workdir / "graph.xml").read_text()
 
 
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+_DOT_NODE = re.compile(rf'  {_DOT_ID} \[label={_DOT_ID} shape=\w+ class="(\w+)"\];')
+_DOT_EDGE = re.compile(rf'  {_DOT_ID} -> {_DOT_ID} \[label="(\w+)"\];')
+
+
+def _exported_graph(path, fmt):
+    """The nodes, id -> (kind, label), and the edges, as (source, target,
+    kind), of a graph file that ``export_graph`` wrote."""
+    nodes, edges = [], []
+    if fmt == "dot":
+        lines = path.read_text().splitlines()
+        assert lines[0] == "digraph chaintrace {" and lines[-1] == "}"
+        for line in lines[1:-1]:
+            edge = _DOT_EDGE.fullmatch(line)
+            if edge:
+                edges.append(edge.groups())
+            else:
+                nid, label, kind = _DOT_NODE.fullmatch(line).groups()
+                nodes.append((nid, (kind, label)))
+    else:
+        ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+        graph = ElementTree.parse(path).getroot().find("g:graph", ns)
+        for n in graph.findall("g:node", ns):
+            kind, label = (d.text or "" for d in n.findall("g:data", ns))
+            nodes.append((n.get("id"), (kind, label)))
+        for e in graph.findall("g:edge", ns):
+            edges.append((e.get("source"), e.get("target"), e.find("g:data", ns).text))
+    assert len(dict(nodes)) == len(nodes) and len(set(edges)) == len(edges)
+    return dict(nodes), set(edges)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "graphml"])
+def test_detect_export_is_the_export_graph_plus_the_chain(workdir, fmt):
+    _simulate(workdir)
+    assert main(["detect", "--events", "events.jsonl", "--out", "plain.jsonl"]) == 4
+    assert main(["detect", "--events", "events.jsonl", "--out", "report.jsonl",
+                 "--export", "detect.graph", "--format", fmt]) == 4
+    report = (workdir / "report.jsonl").read_bytes()
+    assert report == (workdir / "plain.jsonl").read_bytes()
+    assert main(["export", "--events", "events.jsonl", "--out", "export.graph",
+                 "--format", fmt]) == 0
+    nodes, edges = _exported_graph(workdir / "detect.graph", fmt)
+    plain_nodes, plain_edges = _exported_graph(workdir / "export.graph", fmt)
+    rows = [json.loads(line) for line in report.splitlines()]
+    # export's nodes, each adversary host marked as one
+    adversaries = {f"host:{r['adversary']}" for r in rows if r["adversary"]}
+    assert adversaries
+    assert {nid: nodes[nid] for nid in plain_nodes} == {
+        nid: ("adversary", label) if nid in adversaries else (kind, label)
+        for nid, (kind, label) in plain_nodes.items()}
+    # plus one kc: node per bound element, and export's edges plus one
+    # matches edge from each bound sequence to its element's node
+    bound = {(b["sequence"], f"kc:{eid}") for r in rows for eid, b in r["elements"].items()}
+    assert {nid: kind for nid, (kind, _) in nodes.items() if nid not in plain_nodes} == \
+        {kc: "kc_element" for _, kc in bound}
+    assert plain_edges < edges
+    assert edges - plain_edges == {(seq, kc, "matches") for seq, kc in bound}
+
+
 def test_missing_input_is_io_error(workdir, capsys):
     rc = main(["detect", "--events", "no-such-file.jsonl", "--out", "r.jsonl"])
-    assert rc >= EXIT_ERROR
-    assert "error" in capsys.readouterr().err
+    assert rc == EXIT_ERROR
+    assert "no-such-file.jsonl" in _one_line_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def scored_inputs(tmp_path_factory):
+    """A small attacked stream, its truth, a model trained on it and its
+    scores: every input of every command but the one a test takes away."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "cfg.json").write_text(json.dumps({"users": 10, "duration": 3600}))
+    for argv in (["simulate", "--seed", "1", "--config", root / "cfg.json",
+                  "--out", root / "events.jsonl", "--truth", root / "truth.tsv"],
+                 ["train", "--events", root / "events.jsonl", "--out", root / "model.json"],
+                 ["score", "--events", root / "events.jsonl", "--model", root / "model.json",
+                  "--out", root / "scored.jsonl"]):
+        assert main([str(a) for a in argv]) == 0
+    return root
+
+
+# Each argv names one path that is not there ({gone}, in a missing
+# directory); {in} holds the other inputs and {tmp} is a fresh directory.
+_PSEUDO = ["--vault", "{tmp}/vault.json", "--shares-dir", "{tmp}/shares"]
+_METRICS = ["metrics", "--scored", "{in}/scored.jsonl", "--truth", "{in}/truth.tsv"]
+_MISSING_PATHS = {
+    "detect --events": ["detect", "--events", "{gone}", "--out", "{tmp}/out"],
+    "train --events": ["train", "--events", "{gone}", "--out", "{tmp}/out"],
+    "score --events": ["score", "--events", "{gone}", "--model", "{in}/model.json",
+                       "--out", "{tmp}/out"],
+    "pseudonymize --events": ["pseudonymize", "--events", "{gone}", "--out", "{tmp}/out",
+                              *_PSEUDO],
+    "metrics --events": [*_METRICS, "--events", "{gone}", "--out", "{tmp}/out"],
+    "ingest --events": ["ingest", "--store", "{tmp}/store", "--events", "{gone}"],
+    "detect --rules": ["detect", "--events", "{in}/events.jsonl", "--rules", "{gone}",
+                       "--out", "{tmp}/out"],
+    "export --rules": ["export", "--events", "{in}/events.jsonl", "--rules", "{gone}",
+                       "--out", "{tmp}/out"],
+    "detect --killchain": ["detect", "--events", "{in}/events.jsonl", "--killchain", "{gone}",
+                           "--out", "{tmp}/out"],
+    "score --model": ["score", "--events", "{in}/events.jsonl", "--model", "{gone}",
+                      "--out", "{tmp}/out"],
+    "simulate --out": ["simulate", "--out", "{gone}", "--truth", "{tmp}/truth.tsv"],
+    "detect --out": ["detect", "--events", "{in}/events.jsonl", "--out", "{gone}"],
+    "train --out": ["train", "--events", "{in}/events.jsonl", "--out", "{gone}"],
+    "score --out": ["score", "--events", "{in}/events.jsonl", "--model", "{in}/model.json",
+                    "--out", "{gone}"],
+    "pseudonymize --out": ["pseudonymize", "--events", "{in}/events.jsonl", "--out", "{gone}",
+                           *_PSEUDO],
+    "metrics --out": [*_METRICS, "--events", "{in}/events.jsonl", "--out", "{gone}"],
+    "export --out": ["export", "--events", "{in}/events.jsonl", "--out", "{gone}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSING_PATHS))
+def test_missing_path_exits_64_naming_it(scored_inputs, tmp_path, capsys, case):
+    # a file that cannot be opened takes the one failure path of every
+    # other fault: exit 64 and one error line that names the file
+    gone = str(tmp_path / "nosuch" / "file")
+    argv = [a.format(gone=gone, tmp=tmp_path, **{"in": scored_inputs})
+            for a in _MISSING_PATHS[case]]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    assert gone in _one_line_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag,doc,message", [
+    ("--killchain", {"elements": [{"id": "x"}]},
+     "kill chain {path}: malformed: elements[0].name: missing"),
+    ("--config", {"users": "x"}, "config {path}: malformed: users: expected int, got 'x'"),
+], ids=["killchain", "config"])
+def test_malformed_document_error_names_its_file(workdir, capsys, flag, doc, message):
+    _simulate(workdir)
+    (workdir / "doc.json").write_text(json.dumps(doc))
+    argv = {"--killchain": ["detect", "--events", "events.jsonl", "--killchain", "doc.json",
+                            "--out", "out"],
+            "--config": ["simulate", "--config", "doc.json", "--out", "out",
+                         "--truth", "t.tsv"]}[flag]
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    assert _one_line_error(capsys) == "error: " + message.format(path="doc.json") + "\n"
+    assert not (workdir / "out").exists()
 
 
 def test_bad_config_is_error(workdir, capsys):
@@ -479,7 +652,7 @@ def test_missing_store_is_error(workdir, capsys, model_file, command):
         argv += ["--model", model_file]
     capsys.readouterr()
     rc = main(argv)
-    assert rc >= EXIT_ERROR
+    assert rc == EXIT_ERROR
     assert "nosuch" in _one_line_error(capsys)
     assert not (workdir / "nosuch").exists()
     assert not (workdir / "out.jsonl").exists()
@@ -1150,8 +1323,7 @@ def test_damaged_input_never_escapes_main(pristine, case, how):
         # the loader refuses a member its field's type does not allow
         assert rc == EXIT_ERROR and len(lines) == 1 and lines[0].startswith("error: "), \
             (rc, lines)
-    elif rc in (EXIT_ERROR, EXIT_ERROR + 1):
-        prefix = "error: " if rc == EXIT_ERROR else "io error: "
-        assert len(lines) == 1 and lines[0].startswith(prefix), lines
+    elif rc == EXIT_ERROR:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
     else:
         assert rc in (0, 2, 3, 4), (rc, lines)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,8 +22,8 @@ from chaintrace.killchain import (
     Variant,
     exit_code_for,
     identify_adversary,
+    load_killchain,
     match_killchain,
-    model_from_dict,
     reconstruct_attack,
 )
 from chaintrace.simulate import SimConfig, simulate
@@ -188,9 +190,12 @@ def test_model_rejects_unknown_sequence_type(default_rules):
         model.validate(default_rules)
 
 
-def test_model_from_dict_errors():
-    with pytest.raises(SchemaError):
-        model_from_dict({"elements": [{"id": "x"}]})
+def test_load_killchain_errors(tmp_path):
+    path = tmp_path / "kc.json"
+    path.write_text(json.dumps({"elements": [{"id": "x"}]}))
+    with pytest.raises(SchemaError) as err:
+        load_killchain(str(path))
+    assert str(err.value) == f"kill chain {path}: malformed: elements[0].name: missing"
 
 
 def test_default_model_consistent(default_rules, default_model):

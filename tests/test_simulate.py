@@ -6,7 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from chaintrace.errors import BadConfig
-from chaintrace.events import EVENT_TYPES, NS, LogEvent, encode_event
+from chaintrace.events import EVENT_TYPES, NS, LogEvent, encode_event, from_json
 from chaintrace.simulate import (
     DEFAULT_RATES,
     SimConfig,
@@ -133,9 +133,17 @@ def test_rates_must_be_finite(rate):
 
 def test_config_roundtrip():
     cfg = SimConfig(seed=11, users=7, jpeg_count=4)
-    assert SimConfig.from_dict(asdict(cfg)) == cfg
-    with pytest.raises(BadConfig):
-        SimConfig.from_dict({"seeed": 1})
+    assert from_json(SimConfig, asdict(cfg)) == cfg
+    with pytest.raises(ValueError, match="seeed: unknown member"):
+        from_json(SimConfig, {"seeed": 1})
+
+
+@pytest.mark.parametrize("rates", [{}, {"session": 4.0},
+                                   dict(DEFAULT_RATES, extra=1.0)])
+def test_rates_must_name_every_rate(rates):
+    # also a config built in code, not only one read from a file
+    with pytest.raises(BadConfig, match="config rates: expected a number for each of"):
+        simulate(SimConfig(rates=rates))
 
 
 def test_expand_with_noise_preserves_attack(case_study):
