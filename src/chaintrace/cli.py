@@ -1,9 +1,11 @@
 """Command-line front end: simulate, ingest, pseudonymize, detect, train,
-score, metrics, reveal, export.
+score, metrics, reveal. ``detect --export`` writes the property graph.
 
 Exit codes: 0 success / no alert, 3 partial kill chain, 4 full kill
 chain, 64 on any error, I/O included, with one ``error:`` line on stderr.
-Every run writes a JSON manifest next to its primary output.
+A command writes its files through ``events.committing``, so a failing
+one leaves none of them. Every run writes a JSON manifest next to its
+primary output.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import time
 from importlib import resources
 
 from .errors import BadConfig, ChaintraceError, MalformedLine, NoNetworkElementMatched
-from .events import (RawLine, TextLines, decode_event, encode_event, from_json,
-                     load_json, parse_raw_line, render_raw_line)
+from .events import (RawLine, TextLines, committing, decode_event, encode_event,
+                     from_json, load_json, parse_raw_line, render_raw_line)
 from .graph import (
     PropertyGraph,
     apply_rules,
@@ -77,20 +79,8 @@ def _write_manifest(command: str, argv: list[str], args: argparse.Namespace,
         manifest["counters"] = counters
     path = os.path.join(os.path.dirname(os.path.abspath(primary)),
                         f"manifest.{command}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with committing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def _write_events(path: str, events) -> int:
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in events:
-            fh.write(encode_event(e))
-            fh.write("\n")
-            n += 1
-    return n
 
 
 def _input_events(args: argparse.Namespace, prefilter=None):
@@ -115,7 +105,8 @@ def cmd_simulate(args) -> int:
     noise-expanded or not, and the ground truth of its ids."""
     from .simulate import GroundTruth, SimConfig, expand_with_noise, simulate, write_truth_file
 
-    cfg = load_json(args.config, "config", SimConfig, BadConfig) if args.config else SimConfig()
+    cfg = (load_json(args.config, "config", SimConfig, BadConfig, check=SimConfig.validate)
+           if args.config else SimConfig())
     if args.seed is not None:
         cfg.seed = args.seed
     if args.attack is not None:
@@ -129,16 +120,17 @@ def cmd_simulate(args) -> int:
             victim_hosts=truth.victim_hosts,
             attacker_ip=truth.attacker_ip,
         )
-    with contextlib.ExitStack() as files:
-        out = files.enter_context(open(args.out, "w", encoding="utf-8"))
-        raw = files.enter_context(open(args.raw, "w", encoding="utf-8")) if args.raw else None
-        for e in events:
-            out.write(encode_event(e))
-            out.write("\n")
-            if raw:
-                line = render_raw_line(e)
-                raw.write(f"{line.source_kind}\t{line.text}\n")
-    write_truth_file(args.truth, truth)
+    with committing(args.out, args.raw, args.truth) as (out_tmp, raw_tmp, truth_tmp):
+        with contextlib.ExitStack() as files:
+            out = files.enter_context(open(out_tmp, "w", encoding="utf-8"))
+            raw = files.enter_context(open(raw_tmp, "w", encoding="utf-8")) if raw_tmp else None
+            for e in events:
+                out.write(encode_event(e))
+                out.write("\n")
+                if raw:
+                    line = render_raw_line(e)
+                    raw.write(f"{line.source_kind}\t{line.text}\n")
+        write_truth_file(truth_tmp, truth)
     return 0
 
 
@@ -161,8 +153,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_pseudonymize(args) -> int:
-    """Tokenize into a temporary file; only once the whole input has been
-    read are a new vault's key shares, the vault and ``--out`` written, so
+    """Write ``--out``, the vault and a new vault's key shares together:
     a failing input leaves none of them behind."""
     from .secretshare import write_share_file
     from .vault import PseudonymVault, create_vault
@@ -172,23 +163,18 @@ def cmd_pseudonymize(args) -> int:
         vault = PseudonymVault.load(args.vault)
     else:
         vault, shares = create_vault(args.threshold, args.shares)
-    def stream():
-        for e in TextLines(args.events, decode_event):
-            yield vault.pseudonymize_event(e)
-    tmp = args.out + ".tmp"
-    try:
-        _write_events(tmp, stream())
+    share_paths = [os.path.join(args.shares_dir, f"share-{share.x:03d}.txt")
+                   for share in shares]
+    with committing(args.out, args.vault, *share_paths) as (out, vault_tmp, *share_tmps):
+        with open(out, "w", encoding="utf-8") as fh:
+            for e in TextLines(args.events, decode_event):
+                fh.write(encode_event(vault.pseudonymize_event(e)))
+                fh.write("\n")
+        vault.save(vault_tmp)
         if shares:
             os.makedirs(args.shares_dir, exist_ok=True)
-        for share in shares:
-            write_share_file(
-                os.path.join(args.shares_dir, f"share-{share.x:03d}.txt"), share
-            )
-        vault.save(args.vault)
-        os.replace(tmp, args.out)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for share, path in zip(shares, share_tmps):
+            write_share_file(path, share)
     return 0
 
 
@@ -197,43 +183,41 @@ def cmd_detect(args) -> int:
     model = load_killchain(
         args.killchain or _default_resource("default_killchain.json"), rules
     )
-    # Canonical store lines that no layer-1 rule can accept are skipped
-    # undecoded; an --events file need not be canonical, and the exported
-    # graph needs every event.
-    prefilter = line_prefilter(rules) if args.store and not args.export else None
-    events, source = _input_events(args, prefilter)
-    if args.export:
-        # the exported graph carries the host/user/event layer as well
-        events = list(events)
-        graph = build_graph(events)
-    else:
-        graph = PropertyGraph()
-    apply_rules(graph, rules, events)
-    args.counters = {
-        "rows_scanned": source.rows_scanned,
-        "rows_skipped": source.rows_skipped,
-        "events_decoded": source.rows_scanned - source.rows_skipped,
-        "rule_skips": graph.rule_skips,
-    }
+    with committing(args.out, args.export) as (out, export):
+        # Canonical store lines that no layer-1 rule can accept are skipped
+        # undecoded; an --events file need not be canonical, and the exported
+        # graph needs every event.
+        prefilter = line_prefilter(rules) if args.store and not args.export else None
+        events, source = _input_events(args, prefilter)
+        if args.export:
+            # the exported graph carries the host/user/event layer as well
+            events = list(events)
+            graph = build_graph(events)
+        else:
+            graph = PropertyGraph()
+        apply_rules(graph, rules, events)
+        args.counters = {
+            "rows_scanned": source.rows_scanned,
+            "rows_skipped": source.rows_skipped,
+            "events_decoded": source.rows_scanned - source.rows_skipped,
+            "rule_skips": graph.rule_skips,
+        }
 
-    matches = match_killchain(graph, model)
-    report_rows = []
-    for m in matches:
-        if m.status in ("partial", "full"):
-            try:
-                identify_adversary(m, graph, model)
-            except NoNetworkElementMatched:
-                pass
-        row = m.to_report()
-        row["reconstruction"] = reconstruct_attack(m, graph, model)
-        report_rows.append(row)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for row in report_rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as fh:
-            fh.write(export_graph(graph, args.format))
+        matches = match_killchain(graph, model)
+        with open(out, "w", encoding="utf-8") as fh:
+            for m in matches:
+                if m.status in ("partial", "full"):
+                    try:
+                        identify_adversary(m, graph, model)
+                    except NoNetworkElementMatched:
+                        pass
+                row = m.to_report()
+                row["reconstruction"] = reconstruct_attack(m, graph, model)
+                fh.write(json.dumps(row, sort_keys=True))
+                fh.write("\n")
+        if export:
+            with open(export, "w", encoding="utf-8") as fh:
+                fh.write(export_graph(graph, args.format))
     code = exit_code_for(matches)
     alerts = [m for m in matches if m.status != "none"]
     print(f"{len(matches)} candidate host(s), {len(alerts)} alert(s), exit {code}")
@@ -286,7 +270,7 @@ def cmd_score(args) -> int:
     vectors, X = _vectors_from_args(args)
     decisions = model.decision(X)
     args.counters["anomalous"] = int((decisions < 0).sum())
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with committing(args.out) as (out,), open(out, "w", encoding="utf-8") as fh:
         for fv, f in zip(vectors, decisions):
             fh.write(json.dumps({
                 "user": fv.user,
@@ -319,7 +303,7 @@ def cmd_metrics(args) -> int:
     labels = feats.label_windows(vectors, labeled_events, window=args.window_secs)
     predictions = [s.anomalous for s in scored]
     metrics = feats.evaluate(predictions, labels)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with committing(args.out) as (out,), open(out, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(json.dumps(metrics, sort_keys=True))
@@ -334,15 +318,6 @@ def cmd_reveal(args) -> int:
     shares = [read_share_file(p) for p in args.share]
     plaintext = vault.reveal(args.token, shares)
     print(plaintext)
-    return 0
-
-
-def cmd_export(args) -> int:
-    rules = load_rules(args.rules or _default_resource("default_rules.json"))
-    events = list(_input_events(args)[0])
-    graph = apply_rules(build_graph(events), rules, events)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(export_graph(graph, args.format))
     return 0
 
 
@@ -449,13 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--share", action="append", required=True,
                     help="share file; repeat for each share")
     sp.set_defaults(func=cmd_reveal, outputs=())
-
-    sp = sub.add_parser("export", help="export the event graph")
-    add_input(sp)
-    sp.add_argument("--rules")
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--format", choices=("dot", "graphml"), default="dot")
-    sp.set_defaults(func=cmd_export, outputs=("out",))
 
     return p
 

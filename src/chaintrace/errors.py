@@ -29,8 +29,9 @@ class OutOfOrder(ChaintraceError):
 
 
 class IoFailure(ChaintraceError):
-    """A directory opened as an existing event store holds no store index.
-    A file that cannot be read or written stays an OSError."""
+    """A directory opened as an existing event store holds no store index,
+    or one path is named as two outputs. A file that cannot be read or
+    written stays an OSError."""
 
 
 # --- pseudonymizer ---

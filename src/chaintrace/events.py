@@ -8,14 +8,16 @@ all values are strings, no floating-point members anywhere).
 from __future__ import annotations
 
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from itertools import islice
 from types import UnionType
 from typing import Callable, Iterator, TypeVar, get_args, get_origin, get_type_hints
 
-from .errors import DecodeError, MalformedLine, SchemaError
+from .errors import ChaintraceError, DecodeError, IoFailure, MalformedLine, SchemaError
 
 # The raw source grammars, one row per event type: its source kind, its
 # Windows code or file-audit op, and its attribute columns in line order.
@@ -212,20 +214,53 @@ def _utf8_fault(path: str) -> DecodeError:
     return DecodeError(f"{path}: not UTF-8")
 
 
-def load_json(path: str, what: str, tp, error: type[Exception] = SchemaError):
+@contextmanager
+def committing(*paths: str | None) -> Iterator[list[str | None]]:
+    """A temporary path beside each output path (None stays None) for the
+    block to write. When the block ends, each is renamed to its output; if
+    it raises, all are removed. An output named twice is an IoFailure
+    before the block runs."""
+    real = [os.path.realpath(path) for path in paths if path is not None]
+    for path in paths:
+        if path is not None and real.count(os.path.realpath(path)) > 1:
+            raise IoFailure(f"{path}: named as two outputs")
+    tmps = [None if path is None else path + ".tmp" for path in paths]
+    try:
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            if tmp is not None:
+                os.replace(tmp, path)
+    except OSError as exc:  # name the output, not its temporary file
+        exc.filename = dict(zip(tmps, paths)).get(exc.filename, exc.filename)
+        raise
+    finally:
+        for tmp in tmps:
+            if tmp is not None and os.path.exists(tmp):
+                os.remove(tmp)
+
+
+def load_json(path: str, what: str, tp, error: type[Exception] = SchemaError,
+              check: Callable | None = None):
     """The JSON document in the file ``path``, read as the annotation ``tp``
-    (see from_json). A file that is not UTF-8 JSON, or a document that does
-    not fit ``tp``, is an ``error`` naming ``what`` and ``path``; a file
-    that cannot be opened stays an OSError."""
+    (see from_json) and passed to ``check``. A file that is not UTF-8 JSON
+    or a document that does not fit ``tp`` is an ``error``, and an error of
+    ``check`` keeps its type; each names ``what`` and ``path``. A file that
+    cannot be opened stays an OSError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise error(f"{what} {path}: not a UTF-8 JSON document: {exc}") from None
     try:
-        return from_json(tp, doc)
+        value = from_json(tp, doc)
     except ValueError as exc:
         raise error(f"{what} {path}: malformed: {exc}") from None
+    if check is not None:
+        try:
+            check(value)
+        except ChaintraceError as exc:
+            raise type(exc)(f"{what} {path}: {exc}") from None
+    return value
 
 
 @cache

@@ -161,7 +161,7 @@ class SequenceRule:
 
 def load_rules(path: str) -> list[SequenceRule]:
     """The rules of the JSON list in the file ``path``, validated."""
-    return validate_rules(load_json(path, "rules", list[SequenceRule]))
+    return load_json(path, "rules", list[SequenceRule], check=validate_rules)
 
 
 def validate_rules(rules: list[SequenceRule]) -> list[SequenceRule]:

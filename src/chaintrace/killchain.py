@@ -70,9 +70,8 @@ class KillChainModel:
 
 
 def load_killchain(path: str, rules: list[SequenceRule] | None = None) -> KillChainModel:
-    model = load_json(path, "kill chain", KillChainModel)
-    model.validate(rules)
-    return model
+    return load_json(path, "kill chain", KillChainModel,
+                     check=lambda model: model.validate(rules))
 
 
 @dataclass

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
@@ -30,7 +29,7 @@ from .errors import (
     EmptyTrainingSet,
     ModelFormatError,
 )
-from .events import load_json
+from .events import committing, load_json
 from .features import FEATURE_NAMES, N_FEATURES, SOURCE_SETS, standardize
 
 TOL = 1e-6  # KKT gap at which the solver stops
@@ -220,10 +219,8 @@ class OneClassSvmModel:
             feature_means=self.feature_means.tolist(), feature_stds=self.feature_stds.tolist(),
             feature_indices=list(self.feature_indices),
             feature_schema_hash=feature_schema_hash(self.feature_indices))
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with committing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
             json.dump(asdict(doc), fh, sort_keys=True)
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str) -> "OneClassSvmModel":

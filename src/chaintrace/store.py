@@ -57,8 +57,8 @@ class EventStore:
 
     def __init__(self, root: str, segment_events: int = DEFAULT_SEGMENT_EVENTS,
                  create: bool = True):
-        """Open the store at ``root``; with ``create=False`` a directory
-        without ``index.json`` is refused and nothing is created."""
+        """Open the store at ``root``, made by its first write; with
+        ``create=False`` a directory without ``index.json`` is refused."""
         self.root = root
         self.segment_events = segment_events
         self.segments: list[StoreSegment] = []
@@ -66,9 +66,7 @@ class EventStore:
         self._fh = None
         self.rows_scanned = 0  # lines read by queries
         self.rows_skipped = 0  # of those, lines a prefilter left undecoded
-        if create:
-            os.makedirs(root, exist_ok=True)
-        elif not os.path.isfile(self._index_path()):
+        if not create and not os.path.isfile(self._index_path()):
             raise IoFailure(f"{root}: not an event store (no {_INDEX_FILE})")
         self._load_index()
 
@@ -91,6 +89,7 @@ class EventStore:
 
     def _write_index(self) -> None:
         payload = asdict(_Index(self.segments))
+        os.makedirs(self.root, exist_ok=True)
         tmp = self._index_path() + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
@@ -120,6 +119,7 @@ class EventStore:
         self._active = seg
         if self._fh is not None:
             self._fh.close()
+        os.makedirs(self.root, exist_ok=True)
         # "w": a file of this name holds only a torn batch's rows
         self._fh = open(os.path.join(self.root, name), "w", encoding="utf-8")
 

@@ -25,7 +25,7 @@ from .errors import (
     VaultFormatError,
     VaultSealed,
 )
-from .events import LogEvent, load_json
+from .events import LogEvent, committing, load_json
 from .secretshare import ShamirShare, reconstruct_secret, split_secret
 
 _VAULT_MAGIC = "chaintrace-vault"
@@ -155,10 +155,8 @@ class PseudonymVault:
             n=self.n, token_key=self.token_key.hex(), public_key=self.public_key_pem.decode(),
             identity_fields=self.identity_fields,
             entries={token: _Entry(**entry) for token, entry in self.entries.items()})
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with committing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as fh:
             json.dump(asdict(doc), fh, indent=0, sort_keys=True)
-        os.replace(tmp, path)
 
     @classmethod
     def load(cls, path: str, read_only: bool = False) -> "PseudonymVault":

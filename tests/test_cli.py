@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import chaintrace
 from chaintrace.cli import EXIT_ERROR, build_parser, main
-from chaintrace.events import decode_event, encode_event
+from chaintrace.events import TextLines, decode_event, encode_event
 from chaintrace.features import SOURCE_SETS, ExtractionStats, extract_features
+from chaintrace.graph import apply_rules, build_graph, export_graph, load_rules
 from chaintrace.simulate import read_truth_file
 from chaintrace.store import EventStore
 
@@ -268,8 +269,9 @@ def test_train_score_metrics_pipeline(workdir):
 
 def test_export_dot(workdir):
     _simulate(workdir)
-    rc = main(["export", "--events", "events.jsonl", "--out", "graph.dot"])
-    assert rc == 0
+    rc = main(["detect", "--events", "events.jsonl", "--out", "r.jsonl",
+               "--export", "graph.dot"])
+    assert rc == 4
     text = (workdir / "graph.dot").read_text()
     assert text.startswith("digraph")
     assert "connects_to" in text
@@ -277,9 +279,9 @@ def test_export_dot(workdir):
 
 def test_export_graphml(workdir):
     _simulate(workdir)
-    rc = main(["export", "--events", "events.jsonl", "--out", "graph.xml",
-               "--format", "graphml"])
-    assert rc == 0
+    rc = main(["detect", "--events", "events.jsonl", "--out", "r.jsonl",
+               "--export", "graph.xml", "--format", "graphml"])
+    assert rc == 4
     assert "graphml" in (workdir / "graph.xml").read_text()
 
 
@@ -322,18 +324,21 @@ def test_detect_export_is_the_export_graph_plus_the_chain(workdir, fmt):
                  "--export", "detect.graph", "--format", fmt]) == 4
     report = (workdir / "report.jsonl").read_bytes()
     assert report == (workdir / "plain.jsonl").read_bytes()
-    assert main(["export", "--events", "events.jsonl", "--out", "export.graph",
-                 "--format", fmt]) == 0
+    # the graph of the events and their sequences, without the kill chain
+    events = list(TextLines("events.jsonl", decode_event))
+    rules = load_rules(str(resources.files("chaintrace.data") / "default_rules.json"))
+    (workdir / "export.graph").write_text(
+        export_graph(apply_rules(build_graph(events), rules, events), fmt))
     nodes, edges = _exported_graph(workdir / "detect.graph", fmt)
     plain_nodes, plain_edges = _exported_graph(workdir / "export.graph", fmt)
     rows = [json.loads(line) for line in report.splitlines()]
-    # export's nodes, each adversary host marked as one
+    # the plain graph's nodes, each adversary host marked as one
     adversaries = {f"host:{r['adversary']}" for r in rows if r["adversary"]}
     assert adversaries
     assert {nid: nodes[nid] for nid in plain_nodes} == {
         nid: ("adversary", label) if nid in adversaries else (kind, label)
         for nid, (kind, label) in plain_nodes.items()}
-    # plus one kc: node per bound element, and export's edges plus one
+    # plus one kc: node per bound element, and its edges plus one
     # matches edge from each bound sequence to its element's node
     bound = {(b["sequence"], f"kc:{eid}") for r in rows for eid, b in r["elements"].items()}
     assert {nid: kind for nid, (kind, _) in nodes.items() if nid not in plain_nodes} == \
@@ -378,8 +383,8 @@ _MISSING_PATHS = {
     "ingest --events": ["ingest", "--store", "{tmp}/store", "--events", "{gone}"],
     "detect --rules": ["detect", "--events", "{in}/events.jsonl", "--rules", "{gone}",
                        "--out", "{tmp}/out"],
-    "export --rules": ["export", "--events", "{in}/events.jsonl", "--rules", "{gone}",
-                       "--out", "{tmp}/out"],
+    "detect --export --rules": ["detect", "--events", "{in}/events.jsonl", "--rules", "{gone}",
+                                "--out", "{tmp}/out", "--export", "{tmp}/g.dot"],
     "detect --killchain": ["detect", "--events", "{in}/events.jsonl", "--killchain", "{gone}",
                            "--out", "{tmp}/out"],
     "score --model": ["score", "--events", "{in}/events.jsonl", "--model", "{gone}",
@@ -392,33 +397,60 @@ _MISSING_PATHS = {
     "pseudonymize --out": ["pseudonymize", "--events", "{in}/events.jsonl", "--out", "{gone}",
                            *_PSEUDO],
     "metrics --out": [*_METRICS, "--events", "{in}/events.jsonl", "--out", "{gone}"],
-    "export --out": ["export", "--events", "{in}/events.jsonl", "--out", "{gone}"],
+    "detect --export": ["detect", "--events", "{in}/events.jsonl", "--out", "{tmp}/out",
+                        "--export", "{gone}"],
+    "simulate --truth": ["simulate", "--out", "{tmp}/out", "--truth", "{gone}"],
+    "pseudonymize --vault": ["pseudonymize", "--events", "{in}/events.jsonl", "--out", "{tmp}/out",
+                             "--vault", "{gone}", "--shares-dir", "{tmp}/shares"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MISSING_PATHS))
 def test_missing_path_exits_64_naming_it(scored_inputs, tmp_path, capsys, case):
     # a file that cannot be opened takes the one failure path of every
-    # other fault: exit 64 and one error line that names the file
+    # other fault: exit 64 and one error line that names the file; and the
+    # command leaves none of its outputs, no temporary file and no key share
     gone = str(tmp_path / "nosuch" / "file")
     argv = [a.format(gone=gone, tmp=tmp_path, **{"in": scored_inputs})
             for a in _MISSING_PATHS[case]]
     capsys.readouterr()
     assert main(argv) == EXIT_ERROR
-    assert gone in _one_line_error(capsys)
-    assert not (tmp_path / "out").exists()
+    assert f"'{gone}'" in _one_line_error(capsys)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--events", "events.jsonl", "--out", "g", "--export", "g"],
+    ["detect", "--events", "events.jsonl", "--out", "g", "--export", "./g"],
+    ["simulate", "--out", "g", "--truth", "g"],
+    ["pseudonymize", "--events", "events.jsonl", "--out", "g", "--vault", "g"],
+])
+def test_output_named_twice_is_refused(workdir, capsys, argv):
+    _simulate(workdir)
+    before = sorted(os.listdir(workdir))
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    assert _one_line_error(capsys).endswith(": named as two outputs\n")
+    assert sorted(os.listdir(workdir)) == before
 
 
 @pytest.mark.parametrize("flag,doc,message", [
     ("--killchain", {"elements": [{"id": "x"}]},
      "kill chain {path}: malformed: elements[0].name: missing"),
     ("--config", {"users": "x"}, "config {path}: malformed: users: expected int, got 'x'"),
-], ids=["killchain", "config"])
+    # a document that fits its schema but fails its semantic check
+    ("--config", {"users": 0}, "config {path}: users must be >= 1"),
+    ("--killchain", {"elements": []}, "kill chain {path}: model has no elements"),
+    ("--rules", [{"id": "x", "layer": 1, "input_kind": "logon", "window": 60,
+                  "min_count": 1, "emit": "y"}] * 2, "rules {path}: duplicate rule id x"),
+], ids=["killchain", "config", "config-check", "killchain-check", "rules-check"])
 def test_malformed_document_error_names_its_file(workdir, capsys, flag, doc, message):
     _simulate(workdir)
     (workdir / "doc.json").write_text(json.dumps(doc))
     argv = {"--killchain": ["detect", "--events", "events.jsonl", "--killchain", "doc.json",
                             "--out", "out"],
+            "--rules": ["detect", "--events", "events.jsonl", "--rules", "doc.json",
+                        "--out", "out"],
             "--config": ["simulate", "--config", "doc.json", "--out", "out",
                          "--truth", "t.tsv"]}[flag]
     capsys.readouterr()
@@ -491,7 +523,6 @@ def test_document_member_of_wrong_type_is_error(workdir, capsys, flag, keys, val
     ["detect", "--out", "r.jsonl"],
     ["train", "--out", "m.json"],
     ["score", "--model", "m.json", "--out", "s.jsonl"],
-    ["export", "--out", "g.dot"],
 ])
 def test_input_source_required(workdir, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -746,13 +777,14 @@ def test_non_string_host_or_actor_is_error(workdir, capsys, command, member, val
         "train": ["train", "--events", "events.jsonl", "--out", "out.json"],
         "pseudonymize": ["pseudonymize", "--events", "events.jsonl", "--out", "out.json",
                          "--vault", "vault.json"],
-        "export": ["export", "--events", "events.jsonl", "--out", "out.json"],
+        "export": ["detect", "--events", "events.jsonl", "--out", "out.json",  # full graph
+                   "--export", "g.dot"],
         "ingest": ["ingest", "--store", "store", "--events", "events.jsonl"],
     }[command]
     assert main(argv) == EXIT_ERROR
     assert "host and actor must be strings" in _one_line_error(capsys)
-    if command == "ingest":
-        assert not (workdir / "store" / "000000.seg").exists()
+    if command == "ingest":  # the store is made by its first write
+        assert not (workdir / "store").exists()
 
 
 def test_manifest_outputs_are_the_command_outputs(workdir, model_file):
@@ -1197,8 +1229,9 @@ _FUZZ_COMMANDS = {
     "reveal": (["reveal", "--vault", "vault.json", "--token", "TOKEN",
                 "--share", "shares/share-001.txt", "--share", "shares/share-002.txt"],
                ("vault.json", "shares/share-001.txt")),
-    "export": (["export", *_EVENTS_IN, "--rules", "default_rules.json",
-                "--out", "out/g.dot"], ("events.jsonl", "default_rules.json")),
+    "detect --export": (["detect", *_EVENTS_IN, "--rules", "default_rules.json",
+                         "--out", "out/r.jsonl", "--export", "out/g.dot"],
+                        ("events.jsonl", "default_rules.json")),
 }
 _FUZZ_CASES = [(command, path) for command, (_, paths) in _FUZZ_COMMANDS.items()
                for path in paths]
@@ -1279,7 +1312,7 @@ _damages = st.one_of(
 @example(case=("detect --events", "default_rules.json"),
          how=("swap", (0, "where", "attachment_ext"), "0"))  # a rule that never fires
 @example(case=("detect --events", "default_rules.json"), how=("swap", (0, "layer"), "true"))
-@example(case=("export", "default_rules.json"), how=("swap", (6, "window"), "true"))
+@example(case=("detect --export", "default_rules.json"), how=("swap", (6, "window"), "true"))
 @example(case=("detect --events", "default_killchain.json"),
          how=("swap", ("elements", 1, "required"), '"x"'))  # read as true
 @example(case=("score", "model.json"), how=("swap", ("rho",), "null"))  # a traceback

@@ -209,6 +209,14 @@ def test_append_after_torn_batch(tmp_path_factory, committed, torn, more,
     assert _ids(EventStore(root, create=False)) == list(range(1, last + 1))
 
 
+def test_store_directory_is_made_by_its_first_write(tmp_path):
+    root = tmp_path / "s"
+    store = EventStore(str(root))
+    assert not root.exists()
+    store.close()  # an empty store is a store
+    assert EventStore(str(root), create=False).count() == 0
+
+
 def test_open_existing_refuses_missing_store(tmp_path):
     root = tmp_path / "nosuch"
     with pytest.raises(IoFailure):

@@ -39,6 +39,8 @@ t = tracer.Tracer()
 tracer.install_command_targets(t)
 traced = [
     main(["detect", "--events", "case.jsonl", "--out", "report.jsonl"]),
+    main(["detect", "--events", "case.jsonl", "--out", "report2.jsonl",
+          "--export", "graph.dot"]),
     main(["train", "--events", "clean.jsonl", "--out", "model.json"]),
     main(["score", "--events", "case.jsonl", "--model", "model.json",
           "--out", "scored.jsonl"]),
@@ -58,9 +60,10 @@ def test_tracer_finds_every_layer(tmp_path):
     )
     assert p.returncode == 0, p.stderr
     result = json.loads(p.stdout.strip().splitlines()[-1])
-    assert result["exits"] == [0, 0, 4, 0, 0]
+    assert result["exits"] == [0, 0, 4, 4, 0, 0]
     assert result["missing"] == {}
     counts = result["counts"]
-    for name in ("graph.rules.sequences", "killchain.candidates",
+    # detect --export is the only command that builds the full graph
+    for name in ("graph.build.nodes", "graph.rules.sequences", "killchain.candidates",
                  "ocsvm.train.iterations"):
         assert counts.get(name, 0) > 0, name
