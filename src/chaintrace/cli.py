@@ -105,12 +105,20 @@ def cmd_simulate(args) -> int:
     noise-expanded or not, and the ground truth of its ids."""
     from .simulate import GroundTruth, SimConfig, expand_with_noise, simulate, write_truth_file
 
-    cfg = (load_json(args.config, "config", SimConfig, BadConfig, check=SimConfig.validate)
-           if args.config else SimConfig())
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.attack is not None:
-        cfg.attack = args.attack
+    def settle(cfg: SimConfig) -> None:
+        """Check the config as given, then with the command line's overrides."""
+        cfg.validate()
+        if args.seed is not None:
+            cfg.seed = args.seed
+        if args.attack is not None:
+            cfg.attack = args.attack
+        cfg.validate()
+
+    if args.config:
+        cfg = load_json(args.config, "config", SimConfig, BadConfig, check=settle)
+    else:
+        cfg = SimConfig()
+        settle(cfg)
     events, truth = simulate(cfg)
     if args.expand_factor > 1:
         id_map: dict[int, int] = {}  # complete once expand_with_noise returns

@@ -148,6 +148,20 @@ def accumulate_part(events: Iterable[LogEvent], window: int = 3600) -> FeaturePa
     return FeaturePart(cells, dsts, sessions, unmatched, bad)
 
 
+def _mean(d: list[float]) -> float:
+    """``np.mean(d)`` bit for bit, without its fixed cost of about 10 µs.
+
+    ``np.mean`` divides by the count the sum of ``np.add.reduce``, which
+    starts from 0.0 (so -0.0 sums to 0.0) and adds pairwise; one or two
+    values are summed here in that order, more go to that ufunc.
+    """
+    if len(d) == 1:
+        return 0.0 + d[0]
+    if len(d) == 2:
+        return (0.0 + d[0] + d[1]) / 2
+    return float(np.add.reduce(np.array(d))) / len(d)
+
+
 def merge_parts(parts: Iterable[FeaturePart],
                 stats: ExtractionStats | None = None) -> list[FeatureVector]:
     """The vectors of the stream the ``parts`` cut, in stream order, make up.
@@ -155,7 +169,7 @@ def merge_parts(parts: Iterable[FeaturePart],
     Sessions pair here, in stream order: a logon opens (or reopens) its
     (user, session id), and a logoff ends the open one and adds its
     seconds to the logoff's window; any other logoff is unmatched. Each
-    window's seconds reach ``np.mean`` in stream order, so the result is
+    window's seconds reach ``_mean`` in stream order, so the result is
     bit for bit that of one part. The parts are left as they were.
     """
     if stats is None:
@@ -187,7 +201,7 @@ def merge_parts(parts: Iterable[FeaturePart],
     for key in sorted(cells):
         v = np.array([float(n) for n in cells[key]], dtype=np.float64)
         if key in durations:
-            v[3] = float(np.mean(durations[key]))
+            v[3] = _mean(durations[key])
         v[7] = len(dsts.get(key, ()))
         out.append(FeatureVector(user=key[0], window_start=key[1], values=v))
     return out

@@ -51,6 +51,9 @@ _DOC_EXTS = ["docx", "xlsx", "txt", "pdf", "log", "jpg", "zip"]
 _DOC_EXT_WEIGHTS = [30, 20, 20, 10, 10, 6, 4]
 _MAIL_EXTS = ["", "", "", "docx", "xlsx", "zip", "txt", "pdf"]
 
+# seconds an attack scenario spans; each victim's slot holds one plus a minute
+_SCENARIO_SECONDS = 320.0
+
 
 @dataclass
 class SimConfig:
@@ -81,6 +84,8 @@ class SimConfig:
             raise BadConfig("victims must be >= 1 when attack is enabled")
         if self.attack and self.victims > self.users:
             raise BadConfig("more victims than users")
+        if self.attack and self.duration / self.victims < _SCENARIO_SECONDS + 60:
+            raise BadConfig(f"duration {self.duration}s too short for {self.victims} victim(s)")
         if self.truncate_after is not None and self.truncate_after not in STEP_ORDER:
             raise BadConfig(f"unknown truncate_after step {self.truncate_after!r}")
         if set(self.rates) != set(DEFAULT_RATES):
@@ -277,11 +282,6 @@ def scenario_events(cfg: SimConfig, victim_index: int, t_start: float) -> list[_
 
 def _attack_start_times(cfg: SimConfig) -> list[float]:
     slot = cfg.duration / cfg.victims
-    scenario_len = 320.0
-    if slot < scenario_len + 60:
-        raise BadConfig(
-            f"duration {cfg.duration}s too short for {cfg.victims} victim(s)"
-        )
     return [i * slot + 120.0 for i in range(cfg.victims)]
 
 

@@ -10,6 +10,7 @@ it, dropping whatever a torn append left behind.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -124,7 +125,36 @@ class EventStore:
         self._fh = open(os.path.join(self.root, name), "w", encoding="utf-8")
 
     def append(self, events: Iterable[LogEvent]) -> int:
-        """Append a (ts, id)-sorted batch; durable once this returns."""
+        """Append a (ts, id)-sorted batch; durable once this returns.
+
+        A batch that raises before it is indexed is dropped at the next
+        reopen; if it was the store's first, it is dropped here, with the
+        segment files and the directories it made, so that no half-made
+        store is left behind.
+        """
+        if self.segments:
+            return self._append(events)
+        made = []  # the directories the first write may make, deepest first
+        path = os.path.abspath(self.root)
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
+        try:
+            return self._append(events)
+        except BaseException:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
+            for seg in self.segments:
+                with contextlib.suppress(FileNotFoundError):  # its open failed
+                    os.remove(os.path.join(self.root, seg.path))
+            self.segments, self._active = [], None
+            for path in made:
+                with contextlib.suppress(OSError):  # not empty: keep it
+                    os.rmdir(path)
+            raise
+
+    def _append(self, events: Iterable[LogEvent]) -> int:
         last_ts = self.last_ts
         last_id = self.last_id
         appended = 0

@@ -443,16 +443,22 @@ def test_output_named_twice_is_refused(workdir, capsys, argv):
     ("--killchain", {"elements": []}, "kill chain {path}: model has no elements"),
     ("--rules", [{"id": "x", "layer": 1, "input_kind": "logon", "window": 60,
                   "min_count": 1, "emit": "y"}] * 2, "rules {path}: duplicate rule id x"),
-], ids=["killchain", "config", "config-check", "killchain-check", "rules-check"])
+    ("--config", {"duration": 100}, "config {path}: duration 100s too short for 1 victim(s)"),
+    # a fault that only the command line's --attack true makes
+    ("--config --attack", {"attack": False, "victims": 0},
+     "config {path}: victims must be >= 1 when attack is enabled"),
+], ids=["killchain", "config", "config-check", "killchain-check", "rules-check",
+        "config-duration", "config-override"])
 def test_malformed_document_error_names_its_file(workdir, capsys, flag, doc, message):
     _simulate(workdir)
     (workdir / "doc.json").write_text(json.dumps(doc))
+    simulate = ["simulate", "--config", "doc.json", "--out", "out", "--truth", "t.tsv"]
     argv = {"--killchain": ["detect", "--events", "events.jsonl", "--killchain", "doc.json",
                             "--out", "out"],
             "--rules": ["detect", "--events", "events.jsonl", "--rules", "doc.json",
                         "--out", "out"],
-            "--config": ["simulate", "--config", "doc.json", "--out", "out",
-                         "--truth", "t.tsv"]}[flag]
+            "--config": simulate,
+            "--config --attack": [*simulate, "--attack", "true"]}[flag]
     capsys.readouterr()
     assert main(argv) == EXIT_ERROR
     assert _one_line_error(capsys) == "error: " + message.format(path="doc.json") + "\n"

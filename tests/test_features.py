@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chaintrace.errors import EmptyInput, EmptyTrainingSet, LengthMismatch
+from chaintrace import features
 from chaintrace.events import LogEvent
 from chaintrace.features import (
     FEATURE_NAMES,
@@ -290,3 +291,14 @@ def test_parts_merge_to_one_pass(events, cuts):
     same_values = [(v.user, v.window_start, list(v.values)) for v in whole] == \
         [(user, w, cells[(user, w)]) for user, w in sorted(cells)]
     assert same_values and (one.unmatched_logoffs, one.bad_numeric_attrs) == (unmatched, bad)
+
+
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(min_value=-1e12, max_value=1e12)),
+                min_size=1, max_size=40))
+# whole seconds, as a logon-logoff pair yields them
+@example([0.0, 3600.0, 1.0])
+@settings(max_examples=500, deadline=None)
+def test_window_mean_is_np_mean_bit_for_bit(durations):
+    assert np.float64(features._mean(durations)).tobytes() == \
+        np.float64(np.mean(durations)).tobytes()

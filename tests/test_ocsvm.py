@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -19,7 +22,7 @@ from chaintrace.ocsvm import (
     rbf_matrix,
     train_ocsvm,
 )
-from chaintrace.features import standardize
+from chaintrace.features import N_FEATURES, standardize
 from oracles import dual_objective, ocsvm_dual_pgd, ocsvm_smo_ref, rbf_ref
 
 
@@ -185,6 +188,25 @@ def test_training_holds_no_gram_matrix():
     assert stats.kernel_rows < l
 
 
+def test_row_cache_holds_at_most_its_budget():
+    # the cache fills up and evicts, and never holds more rows than its
+    # budget allows, so training memory stays O(l) whatever SMO reads
+    l = 4000
+    Z, _ = standardize(_cloud(l, d=10, seed=26))
+    held = []
+    call = ocsvm._KernelRows.__call__
+
+    def spy(rows, i):
+        row = call(rows, i)
+        held.append(len(rows.cache))
+        return row
+    stats = ocsvm.SolverStats()
+    with mock.patch.object(ocsvm._KernelRows, "__call__", spy):
+        train_ocsvm(Z, 0.05, default_gamma(Z), stats=stats)
+    capacity = max(2, ocsvm._ROW_CACHE_BYTES // (8 * l))
+    assert max(held) == capacity < stats.kernel_rows
+
+
 def test_gradient_matches_finite_differences():
     # the dual gradient K @ alpha against central differences of the objective
     X = _cloud(6, seed=7)
@@ -327,6 +349,69 @@ def test_source_set_projection():
     shuffled = X.copy()
     shuffled[:, [0, 1, 2, 3, 8, 9]] = rng.normal(size=(80, 6))
     assert np.array_equal(model.decision(shuffled), f)
+
+
+def test_decision_blocks_match_one_kernel_product():
+    # 600 and 700 rows end in a partial block; the blocks' last bits may
+    # follow how a threaded BLAS splits each product, not the values
+    rng = np.random.default_rng(31)
+    model = fit(rng.gamma(2.0, size=(2000, N_FEATURES)), nu=0.1)
+    for n in (600, 700):
+        X = rng.gamma(2.0, size=(n, N_FEATURES))
+        Z, _ = standardize(X, (model.feature_means, model.feature_stds))
+        whole = rbf_matrix(Z, model.support_vectors, model.gamma) @ model.alpha - model.rho
+        assert np.abs(model.decision(X) - whole).max() <= 1e-15
+
+
+_EXACT_DECISION = r"""
+import numpy as np
+from chaintrace import ocsvm
+from chaintrace.features import N_FEATURES, standardize
+
+rng = np.random.default_rng(34)
+model = ocsvm.fit(rng.gamma(2.0, size=(2000, N_FEATURES)), nu=0.1)
+for n in (600, 700, 6100):
+    X = rng.gamma(2.0, size=(n, N_FEATURES))
+    Z, _ = standardize(X, (model.feature_means, model.feature_stds))
+    whole = ocsvm.rbf_matrix(Z, model.support_vectors, model.gamma) @ model.alpha - model.rho
+    print(n, len(model.alpha), int((model.decision(X) != whole).sum()))
+"""
+
+
+def test_decision_blocks_equal_one_kernel_product_on_one_blas_thread():
+    # A BLAS product gives a row other last bits at the ragged edge of a
+    # tile of 4, 8, 12 or 16 rows. Blocks of a multiple of 48 rows keep the
+    # tiles where one product over all rows puts them, so on one BLAS
+    # thread each score has the bits of the unblocked kernel. 256-row
+    # blocks fail here: 12-row tiles leave a 4-row edge in each block, and
+    # 2 of this draw's 6,100 scores change.
+    assert ocsvm._KERNEL_BLOCK_ROWS % 48 == 0
+    src = os.path.dirname(os.path.dirname(ocsvm.__file__))
+    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    out = subprocess.run(
+        [sys.executable, "-c", _EXACT_DECISION],
+        env={**os.environ, **one, "PYTHONPATH": src}, capture_output=True, text=True,
+        check=True).stdout.split()
+    rows, svs, differ = out[0::3], out[1::3], out[2::3]
+    assert rows == ["600", "700", "6100"]
+    assert int(svs[0]) % 8  # a ragged support-vector count, where edges differ
+    assert differ == ["0", "0", "0"]
+
+
+def test_decision_allocates_one_block_of_kernel():
+    rng = np.random.default_rng(32)
+    model = fit(rng.gamma(2.0, size=(4000, N_FEATURES)), nu=0.1)
+    n_sv = len(model.alpha)
+    assert n_sv >= 300
+    X = rng.gamma(2.0, size=(5000, N_FEATURES))
+    tracemalloc.start()
+    try:
+        f = model.decision(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.shape == (5000,)
+    assert peak < len(X) * n_sv * 8 / 4
 
 
 def test_model_save_load_roundtrip(tmp_path):

@@ -217,6 +217,30 @@ def test_store_directory_is_made_by_its_first_write(tmp_path):
     assert EventStore(str(root), create=False).count() == 0
 
 
+@pytest.mark.parametrize("premade", [False, True])
+def test_failed_first_append_leaves_no_store(tmp_path, sample_events, premade):
+    # a first batch that fails midway, over three segments, takes its
+    # files and the directories it made with it; a rerun then succeeds
+    root = tmp_path / "a" / "b" / "s"
+    if premade:
+        root.mkdir(parents=True)
+
+    def batch():
+        yield from sample_events[:5]
+        raise DecodeError("line 6: invalid JSON")
+    store = EventStore(str(root), segment_events=2)
+    with pytest.raises(DecodeError):
+        store.append(batch())
+    if premade:
+        assert os.listdir(root) == []
+    else:
+        assert os.listdir(tmp_path) == []
+    assert store.count() == 0
+    assert store.append(sample_events[:5]) == 5
+    store.close()
+    assert _ids(EventStore(str(root), create=False)) == [e.id for e in sample_events[:5]]
+
+
 def test_open_existing_refuses_missing_store(tmp_path):
     root = tmp_path / "nosuch"
     with pytest.raises(IoFailure):
