@@ -5,6 +5,9 @@ benign noise (seed ``SEED + 1``) to STORE_EVENTS events, the way the
 ``large_store`` benchmark builds its store. Measured, as thousands of
 events per second (kev/s):
 
+- ``simulate``: ``simulate()`` of the ``anomaly`` benchmark's attacked
+  config (100 users over SIM_SECONDS, SIM_VICTIMS victims, seed SEED),
+  its stream dropped after each call, best of REPEATS;
 - ``noise_expand``: a streamed ``expand_with_noise`` to STORE_EVENTS
   events, its events dropped as they come, best of REPEATS;
 - ``encode`` and ``decode``: ``encode_event`` over the first CODEC_EVENTS
@@ -40,6 +43,8 @@ CODEC_EVENTS = 100_000
 BATCH_EVENTS = 50_000
 REPEATS = 5
 SCANS = 3
+SIM_SECONDS = 72_000  # about 154k events
+SIM_VICTIMS = 70
 
 
 def _best_rate(n: int, fn, repeats: int) -> float:
@@ -56,6 +61,10 @@ def measure() -> dict:
                                    render_raw_line)
     from chaintrace.simulate import SimConfig, expand_with_noise, simulate
     from chaintrace.store import EventStore
+
+    sim_cfg = SimConfig(seed=SEED, users=100, duration=SIM_SECONDS, victims=SIM_VICTIMS)
+    sim_events = len(simulate(sim_cfg)[0])
+    sim_rate = _best_rate(sim_events, lambda: simulate(sim_cfg), REPEATS)
 
     base, _ = simulate(SimConfig(seed=SEED))
 
@@ -124,6 +133,7 @@ def measure() -> dict:
     finally:
         shutil.rmtree(root)
     return {
+        "simulate_kev_s": round(sim_rate, 1),
         "noise_expand_kev_s": round(expand_rate, 1),
         "encode_kev_s": round(encode_rate, 1),
         "decode_kev_s": round(decode_rate, 1),
@@ -160,7 +170,8 @@ def main() -> int:
         doc["config"] = {"seed": SEED, "store_events": STORE_EVENTS,
                          "codec_events": CODEC_EVENTS,
                          "batch_events": BATCH_EVENTS, "repeats": REPEATS,
-                         "scans": SCANS}
+                         "scans": SCANS, "sim_seconds": SIM_SECONDS,
+                         "sim_victims": SIM_VICTIMS}
         doc["runs"][args.label] = result
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)

@@ -10,13 +10,13 @@ Identical configs produce byte-identical event streams.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
+from operator import attrgetter
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .errors import BadConfig, MalformedLine
 from .events import NS, LogEvent, TextLines
@@ -48,7 +48,7 @@ DEFAULT_RATES: dict[str, float] = {
 _EXTERNAL_IPS = [f"203.0.113.{i}" for i in range(1, 41)]
 _SENDERS = [f"user{i}@partner{i % 7}.example" for i in range(30)]
 _DOC_EXTS = ["docx", "xlsx", "txt", "pdf", "log", "jpg", "zip"]
-_DOC_EXT_WEIGHTS = [30, 20, 20, 10, 10, 6, 4]
+_DOC_EXT_CUM_WEIGHTS = list(accumulate([30, 20, 20, 10, 10, 6, 4]))
 _MAIL_EXTS = ["", "", "", "docx", "xlsx", "zip", "txt", "pdf"]
 
 # seconds an attack scenario spans; each victim's slot holds one plus a minute
@@ -118,22 +118,21 @@ def _host_name(i: int) -> str:
     return f"ws{i:03d}"
 
 
-# internal pre-id event record: (ts_ns, type, host, user, attrs, label)
-_Rec = tuple[int, str, str, str, dict[str, str], str | None]
-
-
-def _benign_records(cfg: SimConfig) -> list[_Rec]:
+def _benign_events(cfg: SimConfig) -> list[LogEvent]:
+    """Every user's benign events, in the order drawn, with id 0."""
     rng = random.Random(f"{cfg.seed}:benign")
+    # bound once; each call makes the draw that rng.<method>() would
+    random_, choice, choices, randrange = rng.random, rng.choice, rng.choices, rng.randrange
     hours = cfg.duration / 3600.0
-    out: list[_Rec] = []
+    duration, start_ts = cfg.duration, cfg.start_ts
+    out: list[LogEvent] = []
 
     def emit(t: float, etype: str, host: str, user: str, attrs: dict[str, str]) -> None:
-        ts = cfg.start_ts + int(t * NS)
-        out.append((ts, etype, host, user, attrs, None))
+        out.append(LogEvent(0, start_ts + int(t * NS), host, etype, user, attrs))
 
     def poisson_times(rate_per_hour: float) -> list[float]:
         n = _poisson(rng, rate_per_hour * hours)
-        return [rng.uniform(0, cfg.duration) for _ in range(n)]
+        return [duration * random_() for _ in range(n)]  # uniform(0, duration)
 
     for ui in range(cfg.users):
         user = _user_name(ui)
@@ -143,7 +142,7 @@ def _benign_records(cfg: SimConfig) -> list[_Rec]:
             sid = f"S{ui:03d}-{si}"
             emit(t, "logon", host, user, {"session_id": sid})
             t_off = t + rng.expovariate(1.0 / 900.0)
-            if t_off < cfg.duration:
+            if t_off < duration:
                 emit(t_off, "logoff", host, user, {"session_id": sid})
 
         for t in poisson_times(cfg.rates["logon_failed"]):
@@ -151,33 +150,33 @@ def _benign_records(cfg: SimConfig) -> list[_Rec]:
 
         for t in poisson_times(cfg.rates["http_request"]):
             emit(t, "http_request", "proxy", user, {
-                "dst_ip": rng.choice(_EXTERNAL_IPS),
-                "dst_port": rng.choice(["443", "443", "443", "80"]),
-                "method": "GET" if rng.random() < 0.9 else "POST",
+                "dst_ip": choice(_EXTERNAL_IPS),
+                "dst_port": choice(["443", "443", "443", "80"]),
+                "method": "GET" if random_() < 0.9 else "POST",
                 "via": "proxy",
-                "bytes_out": str(rng.randrange(200, 4000)),
+                "bytes_out": _HTTP_BYTES[randrange(3800)],  # randrange(200, 4000)
             })
 
         for t in poisson_times(cfg.rates["fw_conn"]):
             emit(t, "fw_conn", host, user, {
-                "dst_ip": rng.choice(_EXTERNAL_IPS),
-                "dst_port": rng.choice(["443", "80", "53", "123"]),
-                "verdict": "allow" if rng.random() < 0.97 else "deny",
-                "bytes_out": str(rng.randrange(100, 2000)),
+                "dst_ip": choice(_EXTERNAL_IPS),
+                "dst_port": choice(["443", "80", "53", "123"]),
+                "verdict": "allow" if random_() < 0.97 else "deny",
+                "bytes_out": _FW_BYTES[randrange(1900)],  # randrange(100, 2000)
             })
 
         for etype in ("file_read", "file_write"):
             for t in poisson_times(cfg.rates[etype]):
-                ext = rng.choices(_DOC_EXTS, weights=_DOC_EXT_WEIGHTS)[0]
-                name = f"doc{rng.randrange(200)}.{ext}"
+                ext = choices(_DOC_EXTS, cum_weights=_DOC_EXT_CUM_WEIGHTS)[0]
+                name = f"doc{randrange(200)}.{ext}"
                 emit(t, etype, host, user, {
                     "path": f"C:\\Users\\{user}\\Documents\\{name}",
                     "ext": ext,
                 })
 
         for t in poisson_times(cfg.rates["email_received"]):
-            ext = rng.choice(_MAIL_EXTS)
-            attrs = {"email_from": rng.choice(_SENDERS)}
+            ext = choice(_MAIL_EXTS)
+            attrs = {"email_from": choice(_SENDERS)}
             if ext:
                 attrs["attachment_ext"] = ext
             emit(t, "email_received", host, user, attrs)
@@ -202,17 +201,16 @@ def _poisson(rng: random.Random, lam: float) -> int:
         n += 1
 
 
-def scenario_events(cfg: SimConfig, victim_index: int, t_start: float) -> list[_Rec]:
-    """Emit one scripted intrusion on the given victim, labelled by step."""
+def scenario_events(cfg: SimConfig, victim_index: int,
+                    t_start: float) -> list[tuple[LogEvent, str]]:
+    """One scripted intrusion on the given victim: (event, step label) pairs, ids 0."""
     rng = random.Random(f"{cfg.seed}:attack:{victim_index}")
     user = _user_name(victim_index)
     host = _host_name(victim_index)
-    out: list[_Rec] = []
+    out: list[tuple[LogEvent, str]] = []
 
-    def emit(t: float, etype: str, attrs: dict[str, str], label: str,
-             src_host: str | None = None) -> None:
-        ts = cfg.start_ts + int(t * NS)
-        out.append((ts, etype, src_host or host, user, attrs, label))
+    def emit(t: float, etype: str, attrs: dict[str, str], label: str) -> None:
+        out.append((LogEvent(0, cfg.start_ts + int(t * NS), host, etype, user, attrs), label))
 
     steps_wanted = STEP_ORDER
     if cfg.truncate_after is not None:
@@ -286,24 +284,36 @@ def _attack_start_times(cfg: SimConfig) -> list[float]:
 
 
 def simulate(cfg: SimConfig) -> tuple[list[LogEvent], GroundTruth]:
-    """Run one simulation; returns the sorted stream and its ground truth."""
-    cfg.validate()
-    records = _benign_records(cfg)
-    truth = GroundTruth(attacker_ip=cfg.attacker_ip)
-    if cfg.attack:
-        for vi, t0 in enumerate(_attack_start_times(cfg)):
-            records.extend(scenario_events(cfg, vi, t0))
-            truth.victim_hosts.append(_host_name(vi))
+    """Run one simulation; returns the sorted stream and its ground truth.
 
-    records.sort(key=lambda r: r[0])  # stable: ties keep the order made
-    events: list[LogEvent] = []
-    for new_id, (ts, etype, host, user, attrs, label) in enumerate(records, 1):
-        events.append(LogEvent(
-            id=new_id, ts=ts, source_host=host, event_type=etype,
-            actor=user, attributes=attrs,
-        ))
-        if label is not None:
-            truth.labels.append((new_id, label))
+    The stream is built with the cyclic garbage collector paused: the
+    build makes no reference cycles, so the collector would free nothing,
+    yet each of its full passes would rescan every event made so far.
+    """
+    cfg.validate()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        events = _benign_events(cfg)
+        truth = GroundTruth(attacker_ip=cfg.attacker_ip)
+        attack: list[tuple[LogEvent, str]] = []
+        if cfg.attack:
+            for vi, t0 in enumerate(_attack_start_times(cfg)):
+                attack += scenario_events(cfg, vi, t0)
+                truth.victim_hosts.append(_host_name(vi))
+            events += [e for e, _ in attack]
+        events.sort(key=attrgetter("ts"))  # stable: ties keep the order made
+        for new_id, e in enumerate(events, 1):
+            e.id = new_id
+        truth.labels = sorted((e.id, label) for e, label in attack)
+    finally:
+        if enabled:
+            gc.enable()
+    # hand the events to the oldest generation, so that no young pass sweeps
+    # them later; unfreeze() would also thaw what a caller froze
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+        gc.unfreeze()
     return events, truth
 
 
@@ -312,7 +322,7 @@ _NOISE_TYPES = (
     "http_request", "fw_conn", "file_read", "file_write",
     "logon", "logoff", "logon_failed", "email_received",
 )
-_NOISE_WEIGHTS = np.array([30, 20, 8, 4, 4, 3, 0.4, 2], dtype=np.float64)
+_NOISE_WEIGHTS = (30, 20, 8, 4, 4, 3, 0.4, 2)
 _NOISE_USERS = [f"n{u:04d}" for u in range(500)]
 _NOISE_HOSTS = [f"nws{u:04d}" for u in range(500)]
 _NOISE_DOCS = [f"C:\\Users\\{user}\\Documents\\doc" for user in _NOISE_USERS]
@@ -346,13 +356,16 @@ def expand_with_noise(
     if not events:
         raise BadConfig("cannot expand an empty stream")
 
+    import numpy as np  # here, so that simulate() without expansion skips it
+
     n_orig = len(events)
     n_noise = int(round(factor * n_orig)) - n_orig
     rng = np.random.default_rng(seed)
     t_lo, t_hi = events[0].ts, events[-1].ts
 
     ts_arr = np.sort(rng.integers(t_lo, t_hi + 1, size=n_noise, dtype=np.int64))
-    probs = _NOISE_WEIGHTS / _NOISE_WEIGHTS.sum()
+    weights = np.array(_NOISE_WEIGHTS, dtype=np.float64)
+    probs = weights / weights.sum()
     type_idx = rng.choice(len(_NOISE_TYPES), size=n_noise, p=probs)
     user_idx = rng.integers(0, 500, size=n_noise)
     aux = rng.integers(0, 1 << 30, size=n_noise)

@@ -22,6 +22,7 @@ from .errors import DecodeError, IoFailure, OutOfOrder, SchemaError
 from .events import LogEvent, TextLines, decode_event, encode_event, load_json
 
 DEFAULT_SEGMENT_EVENTS = 1 << 20
+WRITE_BATCH_LINES = 4096  # rows per write call: under 1 MiB of this store's lines
 
 _INDEX_FILE = "index.json"
 
@@ -102,7 +103,8 @@ class EventStore:
 
     @property
     def last_ts(self) -> int:
-        return self.segments[-1].max_ts if self.segments else 0
+        # a failed append may have left the last segment empty
+        return next((seg.max_ts for seg in reversed(self.segments) if seg.count), 0)
 
     @property
     def last_id(self) -> int:
@@ -158,33 +160,45 @@ class EventStore:
         last_ts = self.last_ts
         last_id = self.last_id
         appended = 0
-        for e in events:
-            if e.ts < last_ts or e.id <= last_id:
-                raise OutOfOrder(
-                    f"event id={e.id} ts={e.ts} regresses behind "
-                    f"ts={last_ts} id={last_id}"
-                )
-            if self._active is None or self._active.count >= self.segment_events:
-                if self._active is not None:
-                    self._seal_active()
-                self._open_segment()
-            elif self._fh is None:
-                self._reopen_active()
-            self._fh.write(encode_event(e))
-            self._fh.write("\n")
-            seg = self._active
-            if seg.count == 0:
-                seg.min_ts = e.ts
-                seg.min_id = e.id
-            seg.max_ts = e.ts
-            seg.max_id = e.id
-            seg.count += 1
-            last_ts, last_id = e.ts, e.id
-            appended += 1
+        lines: list[str] = []  # encoded rows of the active segment, not yet written
+        try:
+            for e in events:
+                if e.ts < last_ts or e.id <= last_id:
+                    raise OutOfOrder(
+                        f"event id={e.id} ts={e.ts} regresses behind "
+                        f"ts={last_ts} id={last_id}"
+                    )
+                if not lines:
+                    if self._active is None or self._active.count >= self.segment_events:
+                        if self._active is not None:
+                            self._seal_active()
+                        self._open_segment()
+                    elif self._fh is None:
+                        self._reopen_active()
+                    first = e
+                    room = min(WRITE_BATCH_LINES, self.segment_events - self._active.count)
+                lines.append(encode_event(e))
+                last_ts, last_id = e.ts, e.id
+                if len(lines) >= room:
+                    batch, lines = lines, []
+                    appended += self._write(batch, first, last_ts, last_id)
+        finally:  # also when an event raises: its valid prefix is written
+            if lines:
+                appended += self._write(lines, first, last_ts, last_id)
         if appended:
             self._sync_active()
             self._write_index()
         return appended
+
+    def _write(self, lines: list[str], first: LogEvent, last_ts: int, last_id: int) -> int:
+        """Write the rows of ``first`` through (``last_ts``, ``last_id``) and index them."""
+        self._fh.write("\n".join(lines) + "\n")
+        seg = self._active
+        if seg.count == 0:
+            seg.min_ts, seg.min_id = first.ts, first.id
+        seg.max_ts, seg.max_id = last_ts, last_id
+        seg.count += len(lines)
+        return len(lines)
 
     def _sync_active(self) -> None:
         """Make the active segment durable and record its length."""

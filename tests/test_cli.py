@@ -183,11 +183,13 @@ for group in json.loads(sys.argv[1]):
 def test_commands_load_only_what_they_run(workdir):
     _simulate(workdir, extra=("--raw", "raw.tsv"))
     groups = [
+        [["simulate", "--out", "sim.jsonl", "--truth", "sim.tsv"]],
         [["ingest", "--store", "store", "--events", "raw.tsv", "--format", "raw"],
          ["detect", "--store", "store", "--out", "report.jsonl"],
          ["detect", "--events", "events.jsonl", "--out", "report2.jsonl"]],
         [["pseudonymize", "--events", "events.jsonl", "--out", "pseudo.jsonl",
           "--vault", "vault.json", "-k", "2", "-n", "3"]],
+        [["simulate", "--expand-factor", "2", "--out", "x.jsonl", "--truth", "x.tsv"]],
     ]
     src = os.path.dirname(os.path.dirname(chaintrace.__file__))
     out = subprocess.run(
@@ -195,8 +197,10 @@ def test_commands_load_only_what_they_run(workdir):
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         check=True).stdout.splitlines()
     assert [json.loads(line) for line in out] == [
+        [[0], []],
         [[0, 4, 4], []],
         [[0], ["cryptography"]],
+        [[0], ["numpy", "cryptography"]],
     ]
 
 

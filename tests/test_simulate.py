@@ -42,6 +42,39 @@ def test_determinism_byte_identical():
     assert truth_a.labels == truth_b.labels
 
 
+# Pinned bytes of simulate(): SHA-256 of the encoded stream followed by
+# json.dumps of truth.labels. A reordered or replaced RNG draw changes them,
+# which comparing two runs of the same code cannot show.
+_SIMULATIONS = {
+    "usb, 3 victims": (
+        dict(seed=11, users=20, duration=1200, scenario="usb_jpeg_exfil", victims=3),
+        "7dd467dcd07cbcd9ebcaeab686764713f3e2d613d7d3bb6bdb105af4ff0f74a4"),
+    "truncated after c2": (
+        dict(seed=12, users=10, truncate_after="c2"),
+        "e6940db30fef9025d51d922479ff92f22131ddd1242dcf0bc4d7fa1163238dc5"),
+    "no attack": (
+        dict(seed=13, users=10, attack=False),
+        "e97ebb543aaa6251989aa3851dfe48938ae7ebb56240c0b975597165668864fa"),
+    "other rates": (
+        dict(seed=14, users=10, rates={k: 2 * v + 1 for k, v in DEFAULT_RATES.items()}),
+        "0264c47f14c026a94277221ea1da046f2e3f751a773eb579ba78a8cb8b1b9260"),
+    "20 users, 2 h": (
+        dict(seed=15, users=20, duration=7200),
+        "b13d8409e7ccb50912c3cd64c58e0c161eab4e3cc7b0009c402472f95f8308e8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATIONS))
+def test_simulate_bytes_are_pinned(name):
+    kwargs, digest = _SIMULATIONS[name]
+    events, truth = simulate(SimConfig(**kwargs))
+    h = hashlib.sha256()
+    for e in events:
+        h.update(encode_event(e).encode() + b"\n")
+    h.update(json.dumps(truth.labels).encode())
+    assert h.hexdigest() == digest
+
+
 def test_seed_changes_stream():
     a, _ = simulate(SimConfig(seed=7, users=20))
     b, _ = simulate(SimConfig(seed=8, users=20))

@@ -108,6 +108,23 @@ def test_reopen_drops_torn_batch(tmp_path):
     assert os.path.getsize(seg) > committed
 
 
+def test_an_empty_last_segment_keeps_the_order_check(tmp_path):
+    # the rollover opens 000001.seg, then the encoder refuses the event:
+    # close() indexes that segment with no rows
+    root = str(tmp_path / "s")
+    store = EventStore(root, segment_events=2)
+    store.append([_mk(1, 10), _mk(2, 20)])
+    with pytest.raises(TypeError):
+        store.append([LogEvent(3, 30, "h0", "logon", "a0", {"x": object()})])
+    store.close()
+    again = EventStore(root, segment_events=2)
+    assert [seg.count for seg in again.segments] == [2, 0]
+    assert again.last_ts == 20
+    with pytest.raises(OutOfOrder):
+        again.append([_mk(3, 5)])
+    assert [e.ts for e in again.query()] == [10, 20]
+
+
 def test_index_without_byte_lengths_loads(tmp_path):
     root = str(tmp_path / "s")
     store = EventStore(root)
@@ -376,3 +393,65 @@ def test_full_read_refuses_a_ts_outside_its_segment(tmp_path, parts, ts, n):
     parts(n)
     with pytest.raises(DecodeError, match=re.escape(expected)):
         store.map_parts(list)
+
+
+B = store_module.WRITE_BATCH_LINES
+
+
+def _write_reference(root, events, segment_events):
+    """The files a store of ``events`` holds, written line by line."""
+    os.makedirs(root)
+    segments = []
+    for lo in range(0, len(events), segment_events):
+        part = events[lo:lo + segment_events]
+        name = f"{len(segments):06d}.seg"
+        with open(os.path.join(root, name), "w", encoding="utf-8") as fh:
+            for e in part:
+                fh.write(encode_event(e) + "\n")
+        segments.append({"path": name, "min_ts": part[0].ts, "max_ts": part[-1].ts,
+                         "min_id": part[0].id, "max_id": part[-1].id, "count": len(part),
+                         "sealed": True, "bytes": os.path.getsize(os.path.join(root, name))})
+    segments[-1]["sealed"] = False
+    with open(os.path.join(root, "index.json"), "w", encoding="utf-8") as fh:
+        json.dump({"segments": segments}, fh)
+
+
+def _files(root):
+    return {name: (root / name).read_bytes() for name in sorted(os.listdir(root))}
+
+
+@pytest.mark.parametrize("segment_events", [3, B - 1, B, B + 1])
+@pytest.mark.parametrize("k", [1, B - 1, B, B + 1, 2 * B])
+def test_append_fault_at_event_k_keeps_the_valid_prefix(tmp_path, monkeypatch,
+                                                        segment_events, k):
+    # the bytes, not their durability, are under test: segments of 3 rows
+    # would cost thousands of fsyncs
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
+    # two committed events, then a batch whose k-th event regresses in ts
+    committed = [_mk(1, 10), _mk(2, 20)]
+    prefix = [_mk(i, 10 * i) for i in range(3, k + 2)]
+    batch = prefix + [_mk(k + 2, 5)]
+    _write_reference(str(tmp_path / "ref"), committed + prefix, segment_events)
+    expected = _files(tmp_path / "ref")
+
+    def faulted(name):
+        store = EventStore(str(tmp_path / name), segment_events=segment_events)
+        store.append(committed)
+        with pytest.raises(OutOfOrder):
+            store.append(iter(batch))
+        return store
+
+    # close() commits exactly the valid prefix
+    store = faulted("closed")
+    store.close()
+    assert _files(tmp_path / "closed") == expected
+
+    # a process that dies instead leaves the prefix's rows on disk, but a
+    # reopen drops them: appending the prefix again must not regress
+    store = faulted("died")
+    store._fh.close()
+    assert _ids(EventStore(str(tmp_path / "died"), create=False)) == [1, 2]
+    again = EventStore(str(tmp_path / "died"), segment_events=segment_events)
+    assert again.append(prefix) == k - 1
+    again.close()
+    assert _files(tmp_path / "died") == expected
