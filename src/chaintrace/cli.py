@@ -29,7 +29,6 @@ from .graph import (
     apply_rules,
     build_graph,
     export_graph,
-    line_prefilter,
     load_rules,
 )
 from .killchain import (
@@ -83,19 +82,17 @@ def _write_manifest(command: str, argv: list[str], args: argparse.Namespace,
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
-def _input_events(args: argparse.Namespace, prefilter=None):
-    """The event stream named by ``--store`` or ``--events``, and the
-    store or file it reads, whose ``rows_scanned`` and ``rows_skipped``
-    are complete once the stream is.
+def _input_events(args: argparse.Namespace) -> EventStore | TextLines:
+    """The store named by ``--store`` or the events of the ``--events``
+    file; each counts the lines a read of it scanned and skipped in
+    ``rows_scanned`` and ``rows_skipped``.
 
     A ``--store`` that is not an existing store is an error, not an empty
-    stream. ``prefilter`` applies to store lines only (``EventStore.query``).
+    stream.
     """
     if args.store:
-        store = EventStore(args.store, create=False)
-        return store.query(prefilter=prefilter), store
-    events = TextLines(args.events, decode_event)
-    return events, events
+        return EventStore(args.store, create=False)
+    return TextLines(args.events, decode_event)
 
 
 # --- subcommands ---
@@ -192,14 +189,13 @@ def cmd_detect(args) -> int:
         args.killchain or _default_resource("default_killchain.json"), rules
     )
     with committing(args.out, args.export) as (out, export):
-        # Canonical store lines that no layer-1 rule can accept are skipped
-        # undecoded; an --events file need not be canonical, and the exported
-        # graph needs every event.
-        prefilter = line_prefilter(rules) if args.store and not args.export else None
-        events, source = _input_events(args, prefilter)
+        # a store is read in parts, its lines prefiltered (apply_rules); an
+        # --events file in one part, as is the stream the exported graph
+        # needs whole
+        events = source = _input_events(args)
         if args.export:
             # the exported graph carries the host/user/event layer as well
-            events = list(events)
+            events = list(source.query() if args.store else source)
             graph = build_graph(events)
         else:
             graph = PropertyGraph()
@@ -238,7 +234,7 @@ def _vectors_from_args(args):
     from . import features as feats
 
     # a store is read in parts, one per usable CPU; an --events file in one
-    source = _input_events(args)[1]
+    source = _input_events(args)
     stats = feats.ExtractionStats()
     vectors = feats.extract_features(source, window=args.window_secs, stats=stats)
     args.counters = {

@@ -22,10 +22,11 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import RuleCycle, UnknownInputKind, UnsortedInput
 from .events import EVENT_TYPES, NS, LogEvent, load_json
+from .store import EventStore
 
 GROUP_FIELDS = ("source_host", "actor", "dst_ip")
 
@@ -88,12 +89,17 @@ def _event_id(eid: int) -> str:
     return f"event:{eid}"
 
 
-def _in_order(events: Iterable[LogEvent]) -> Iterator[LogEvent]:
-    """Yield ``events``, raising UnsortedInput at the first step back in (ts, id)."""
-    last = (-1, -1)
+def _unsorted(ts: int, eid: int) -> UnsortedInput:
+    return UnsortedInput(f"event id={eid} ts={ts} out of order")
+
+
+def _in_order(events: Iterable[LogEvent],
+              last: tuple[int, int] = (-1, -1)) -> Iterator[LogEvent]:
+    """Yield ``events``, raising UnsortedInput at the first step back in
+    (ts, id), the first event's step from ``last`` included."""
     for e in events:
         if (e.ts, e.id) <= last:
-            raise UnsortedInput(f"event id={e.id} ts={e.ts} out of order")
+            raise _unsorted(e.ts, e.id)
         last = (e.ts, e.id)
         yield e
 
@@ -202,9 +208,9 @@ class SeqItem:
 
 
 class _Windower:
-    """The greedy windows of one rule over items offered in ts order, one
-    deque per group key. A head window is closed once an offered item
-    falls outside it; ``flush`` closes the rest."""
+    """The greedy windows of one rule over items pushed in ts order, one
+    deque per group key. A head window is closed once a pushed item falls
+    outside it; ``flush`` closes the rest."""
 
     __slots__ = ("rule", "where", "window_ns", "buffers", "windows", "skips")
 
@@ -216,15 +222,21 @@ class _Windower:
         self.windows: list[tuple[tuple[str, ...], list[SeqItem]]] = []
         self.skips = 0  # items that passed ``where`` but lack a group_by field
 
-    def offer(self, attrs: dict, fields: dict, item: SeqItem) -> None:
-        """Offer ``item``; ``where`` tests ``attrs``, group_by reads ``fields``."""
+    def accept(self, attrs: dict, fields: dict) -> tuple[str, ...] | None:
+        """The group key of an item whose ``attrs`` pass ``where``, read
+        from its ``fields``; None, and a skip counted if a group_by field
+        is missing, for an item the rule does not take."""
         for k, v in self.where:
             if attrs.get(k) != v:
-                return
+                return None
         key = tuple(fields.get(f, "") for f in self.rule.group_by)
         if not all(key):
             self.skips += 1
-            return
+            return None
+        return key
+
+    def push(self, key: tuple[str, ...], item: SeqItem) -> None:
+        """Add an accepted ``item`` to its group's windows."""
         buf = self.buffers.get(key)
         if buf is None:
             buf = self.buffers[key] = deque()
@@ -304,33 +316,128 @@ def line_prefilter(rules: list[SequenceRule]) -> Callable[[str], bool]:
     return keep
 
 
+@dataclass(slots=True)
+class _Columns:
+    """One layer-1 rule's accepted events in one part of a stream: the
+    group keys in first-seen order, each key's index, and per event in
+    stream order its key's index, ts and id. The ts and id columns are
+    arrays of 64-bit integers until a value does not fit; then lists."""
+
+    keys: dict[tuple[str, ...], int]
+    key_at: Sequence[int]
+    ts: Sequence[int]
+    ids: Sequence[int]
+    skips: int = 0  # events that passed ``where`` but lack a group_by field
+
+    def add(self, key: tuple[str, ...], ts: int, eid: int) -> None:
+        k = self.keys.get(key)
+        if k is None:
+            k = self.keys[key] = len(self.keys)
+        try:
+            self.ts.append(ts)
+            self.ids.append(eid)
+        except OverflowError:
+            n = len(self.key_at)
+            self.ts, self.ids = [*self.ts[:n], ts], [*self.ids[:n], eid]
+        self.key_at.append(k)
+
+
+@dataclass(slots=True)
+class _Part:
+    """What the layer-1 rules take from one contiguous part of a stream:
+    the (ts, id) of its first and last event (None: it has none) and
+    each rule's columns, in rule order."""
+
+    first: tuple[int, int] | None
+    last: tuple[int, int] | None
+    columns: list[_Columns]
+
+
+class _FirstLayer:
+    """The layer-1 rules over a stream read in contiguous parts: ``read``
+    takes a part's events to a ``_Part``, wherever the part is read, and
+    ``push`` adds the parts, in stream order, to the rules' windows.
+
+    A part read in this process starts its order check from the last
+    event pushed before it, as one pass does; a forked worker starts
+    before any part is pushed, from (-1, -1), and ``push`` checks its
+    first event.
+    """
+
+    def __init__(self, rules: list[SequenceRule]):
+        self.rules = [r for r in rules if r.layer == 1]
+        self.windowers = [_Windower(r) for r in self.rules]
+        self.last = (-1, -1)  # (ts, id) of the last event pushed
+
+    def read(self, events: Iterable[LogEvent]) -> _Part:
+        from array import array  # loaded by detect alone
+
+        columns = [_Columns({}, array("q"), array("q"), array("q")) for _ in self.rules]
+        # windowers of this part's own, whose accept tests count its skips
+        tests = [_Windower(r) for r in self.rules]
+        by_type: dict[str, list[tuple[_Windower, _Columns]]] = {}
+        for w, col in zip(tests, columns):
+            by_type.setdefault(w.rule.input_kind, []).append((w, col))
+        first = e = None
+        for e in _in_order(events, self.last):
+            if first is None:
+                first = (e.ts, e.id)
+            offered = by_type.get(e.event_type)
+            if offered:
+                fields = {"source_host": e.source_host, "actor": e.actor,
+                          "dst_ip": e.attributes.get("dst_ip", "")}
+                for w, col in offered:
+                    key = w.accept(e.attributes, fields)
+                    if key is not None:
+                        col.add(key, e.ts, e.id)
+        for w, col in zip(tests, columns):
+            col.skips = w.skips
+        return _Part(first, None if e is None else (e.ts, e.id), columns)
+
+    def push(self, part: _Part) -> None:
+        if part.first is None:
+            return
+        if part.first <= self.last:
+            raise _unsorted(*part.first)
+        self.last = part.last
+        for w, col in zip(self.windowers, part.columns):
+            w.skips += col.skips
+            keys = list(col.keys)
+            for k, ts, eid in zip(col.key_at, col.ts, col.ids):
+                w.push(keys[k], SeqItem(ts, ts, eid))
+
+
 def apply_rules(
     graph: PropertyGraph,
     rules: list[SequenceRule],
-    events: Iterable[LogEvent],
+    events: Iterable[LogEvent] | EventStore,
 ) -> PropertyGraph:
     """Apply sequence rules to a time-sorted stream, adding their sequence
     nodes to ``graph`` layer by layer, numbered as the module docstring
     says; a second call on the same stream adds no node or edge.
 
-    Event nodes, where ``graph`` holds them, gain member_of edges.
+    An ``EventStore`` is read in the contiguous parts of its
+    ``map_parts``, its lines prefiltered by ``line_prefilter``; the nodes,
+    ``rule_skips``, the store's counts and any error are those of one
+    pass, whatever the number of parts. Event nodes, where ``graph`` holds
+    them, gain member_of edges.
     """
     validate_rules(rules)
-    by_type: dict[str, list[_Windower]] = {}
-    for r in rules:
-        if r.layer == 1:
-            by_type.setdefault(r.input_kind, []).append(_Windower(r))
-    for e in _in_order(events):
-        offered = by_type.get(e.event_type)
-        if offered:
-            fields = {"source_host": e.source_host, "actor": e.actor,
-                      "dst_ip": e.attributes.get("dst_ip", "")}
-            item = SeqItem(e.ts, e.ts, e.id)
-            for w in offered:
-                w.offer(e.attributes, fields, item)
+    layer1 = _FirstLayer(rules)
+    if isinstance(events, EventStore):
+        parts = events.map_parts(layer1.read, line_prefilter(rules))
+    else:
+        parts = [layer1.read(events)]
+    try:
+        for part in parts:
+            layer1.push(part)
+            del part  # dropped before the next part is collected
+    finally:
+        if isinstance(events, EventStore):
+            parts.close()  # reaps the workers of parts not pushed
 
     made: dict[str, list[Node]] = {}  # emitted type -> its nodes, numbered order
-    windowers = [w for ws in by_type.values() for w in ws]
+    windowers = layer1.windowers
     n = 0
     for layer in sorted({r.layer for r in rules}):
         if layer > 1:
@@ -339,8 +446,9 @@ def apply_rules(
                 lower = made.get(w.rule.input_kind, [])
                 for node in sorted(lower, key=lambda node: node.attributes["t_start"]):
                     a = node.attributes
-                    w.offer(a["group"], a["group"],
-                            SeqItem(a["t_start"], a["t_end"], node.id))
+                    key = w.accept(a["group"], a["group"])
+                    if key is not None:
+                        w.push(key, SeqItem(a["t_start"], a["t_end"], node.id))
         found = sorted(
             ((w.rule, key, members) for w in windowers for key, members in w.flush()),
             key=lambda f: (f[0].id, f[2][0].ts, str(f[2][0].ref)),

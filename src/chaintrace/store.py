@@ -29,7 +29,8 @@ _INDEX_FILE = "index.json"
 # A full read is split into parts, one per usable CPU, each of at least
 # this many lines: a smaller part gains little or loses, since a worker's
 # fork, the lines it reads past and its pickled result cost about what
-# its core saves (benchmarks/BENCH_features.json).
+# its core saves. Feature extraction and detect's rule pass break even
+# near it (benchmarks/BENCH_features.json, benchmarks/BENCH_rules.json).
 MIN_PART_LINES = 10_000
 
 _T = TypeVar("_T")
@@ -261,30 +262,35 @@ class EventStore:
                 self.rows_scanned += reader.rows_scanned
                 self.rows_skipped += reader.rows_skipped
 
-    def map_parts(self, fn: Callable[[Iterator[LogEvent]], _T]) -> list[_T]:
-        """``fn`` of each contiguous part of ``query()``, in stream order.
+    def map_parts(self, fn: Callable[[Iterator[LogEvent]], _T],
+                  prefilter: Callable[[str], bool] | None = None) -> Iterator[_T]:
+        """``fn`` of each contiguous part of ``query(prefilter)``, yielded
+        in stream order.
 
         There is one part per usable CPU, each of at least
-        ``MIN_PART_LINES`` lines. Part 0 is read here while forked
-        workers read the others. A part whose worker failed, died or
-        could not be forked is read here in its turn, so its error, if
-        any, is raised where one pass raises it. ``rows_scanned`` counts
-        the lines of every part, as one pass does. ``fn`` also runs in the
-        forked children, so it must run Python code only, as
-        ``features.accumulate_part`` does, and return a picklable result.
+        ``MIN_PART_LINES`` lines. Forked workers read every part but the
+        first, which is read here when the first result is asked for. A
+        part's result is collected only when it is asked for, so the
+        consumer may use and drop each part before the next arrives. A
+        part whose worker failed, died or could not be forked is read here
+        in its turn, so its error, if any, is raised where one pass raises
+        it. ``rows_scanned`` and ``rows_skipped`` count the lines of every
+        part, as one pass does. ``fn`` also runs in the forked children, so
+        it must run Python code only, as ``features.accumulate_part`` does,
+        and return a picklable result. Closing the generator, or reading it
+        to its end, stops and reaps every worker.
         """
         n_lines = self.count()
         n = max(1, min(_usable_cpus(), n_lines // MIN_PART_LINES))
         cuts = [n_lines * i // n for i in range(n + 1)]
         parts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
-        def read(part: range) -> tuple[_T, int]:
-            before = self.rows_scanned
-            result = fn(self.query(lines=part))
-            return result, self.rows_scanned - before
+        def read(part: range) -> tuple[_T, int, int]:
+            scanned, skipped = self.rows_scanned, self.rows_skipped
+            result = fn(self.query(prefilter, lines=part))
+            return result, self.rows_scanned - scanned, self.rows_skipped - skipped
 
         workers: list[_Worker] = []
-        results: list[_T] = []
         try:
             for part in parts[1:] if hasattr(os, "fork") else ():
                 try:
@@ -292,16 +298,19 @@ class EventStore:
                 except OSError:  # no process to spare: the rest are read here
                     break
             for i, part in enumerate(parts):
-                done = workers[i - 1].result() if 0 < i <= len(workers) else None
-                if done is None:
-                    results.append(read(part)[0])
-                else:
-                    results.append(done[0])
-                    self.rows_scanned += done[1]
+                sent = workers[i - 1].result() if 0 < i <= len(workers) else None
+                if sent is None:
+                    yield fn(self.query(prefilter, lines=part))
+                    continue
+                result, scanned, skipped = sent
+                del sent
+                self.rows_scanned += scanned
+                self.rows_skipped += skipped
+                yield result
+                del result  # dropped before the next part is collected
         finally:
             for w in workers:
                 w.close()
-        return results
 
 
 def _in_segment(seg: StoreSegment) -> Callable[[str], LogEvent]:
@@ -337,7 +346,7 @@ class _Worker:
     """
 
     def __init__(self, fn, arg):
-        import pickle  # here, so that detect, which never forks, skips it
+        import pickle  # here, so that a command that reads no store in parts skips it
 
         rfd, wfd = os.pipe()
         try:

@@ -15,9 +15,6 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import padding, rsa
-
 from .errors import (
     IntegrityFailure,
     TokenCollision,
@@ -42,7 +39,13 @@ DEFAULT_IDENTITY_FIELDS: dict[str, str] = {
 }
 
 
+# cryptography is imported by the code that encrypts, decrypts or makes a
+# key, so that loading a vault, or this module, does not load it.
+
 def _oaep() -> padding.OAEP:
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import padding
+
     return padding.OAEP(
         mgf=padding.MGF1(algorithm=hashes.SHA256()),
         algorithm=hashes.SHA256(),
@@ -90,6 +93,8 @@ class PseudonymVault:
         if existing is None:
             if self.read_only:
                 raise VaultSealed(f"vault is read-only; cannot add token {token}")
+            from cryptography.hazmat.primitives import serialization
+
             pub = serialization.load_pem_public_key(self.public_key_pem)
             ciphertext = pub.encrypt(plaintext.encode(), _oaep())
             self.entries[token] = {
@@ -130,6 +135,8 @@ class PseudonymVault:
         if entry is None:
             raise UnknownToken(token)
         der = reconstruct_secret(shares, threshold=self.k)
+        from cryptography.hazmat.primitives import serialization
+
         try:
             priv = serialization.load_der_private_key(der, password=None)
             plaintext = priv.decrypt(
@@ -195,6 +202,9 @@ class _VaultFile:
 
 def create_vault(k: int, n: int) -> tuple[PseudonymVault, list[ShamirShare]]:
     """Generate a fresh vault and the n shares of its private key."""
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import rsa
+
     key = rsa.generate_private_key(public_exponent=65537, key_size=2048)
     private_der = key.private_bytes(
         encoding=serialization.Encoding.DER,

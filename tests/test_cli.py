@@ -21,8 +21,9 @@ import chaintrace
 from chaintrace.cli import EXIT_ERROR, build_parser, main
 from chaintrace.events import TextLines, decode_event, encode_event
 from chaintrace.features import SOURCE_SETS, ExtractionStats, extract_features
-from chaintrace.graph import apply_rules, build_graph, export_graph, load_rules
-from chaintrace.simulate import read_truth_file
+from chaintrace.graph import (apply_rules, build_graph, export_graph, line_prefilter,
+                              load_rules)
+from chaintrace.simulate import SCENARIOS, STEP_ORDER, read_truth_file
 from chaintrace.store import EventStore
 
 
@@ -167,15 +168,17 @@ def test_pseudonymize_and_reveal(workdir):
     assert rc == 0
 
 
-# Runs commands through main in a fresh interpreter and prints, after
-# each group, which of the heavy modules it has loaded.
+# Runs commands through main (a step given as a string imports that
+# module) in a fresh interpreter and prints, after each group, which of
+# the heavy modules it has loaded.
 _FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 from chaintrace.cli import main
 heavy = ("numpy", "cryptography", "xml.etree.ElementTree")
 for group in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
-        codes = [main(argv) for argv in group]
+        codes = [importlib.import_module(step).__name__ if isinstance(step, str)
+                 else main(step) for step in group]
     print(json.dumps([codes, [m for m in heavy if m in sys.modules]]))
 """
 
@@ -187,6 +190,7 @@ def test_commands_load_only_what_they_run(workdir):
         [["ingest", "--store", "store", "--events", "raw.tsv", "--format", "raw"],
          ["detect", "--store", "store", "--out", "report.jsonl"],
          ["detect", "--events", "events.jsonl", "--out", "report2.jsonl"]],
+        ["chaintrace.vault"],
         [["pseudonymize", "--events", "events.jsonl", "--out", "pseudo.jsonl",
           "--vault", "vault.json", "-k", "2", "-n", "3"]],
         [["simulate", "--expand-factor", "2", "--out", "x.jsonl", "--truth", "x.tsv"]],
@@ -199,6 +203,7 @@ def test_commands_load_only_what_they_run(workdir):
     assert [json.loads(line) for line in out] == [
         [[0], []],
         [[0, 4, 4], []],
+        [["chaintrace.vault"], []],
         [[0], ["cryptography"]],
         [[0], ["numpy", "cryptography"]],
     ]
@@ -1022,40 +1027,42 @@ def test_huge_bytes_out_is_a_bad_numeric_attr(workdir, model_file):
     assert counters["bad_numeric_attrs"] == 1
 
 
-# --- train and score read a store in parts, one per usable CPU ---
+# --- detect, train and score read a store in parts, one per usable CPU ---
 
 @pytest.fixture(scope="module")
 def parts_store(tmp_path_factory):
-    """A clean 811-event store and the train and score outputs of one pass."""
+    """An attacked 862-event store and the detect, train and score outputs
+    of one pass."""
     root = tmp_path_factory.mktemp("parts")
     (root / "cfg.json").write_text(json.dumps({"users": 10, "duration": 3600}))
     for argv in (["simulate", "--seed", "1", "--config", root / "cfg.json",
-                  "--attack", "false", "--out", root / "events.jsonl",
-                  "--truth", root / "truth.tsv"],
+                  "--out", root / "events.jsonl", "--truth", root / "truth.tsv"],
                  ["ingest", "--store", root / "store", "--events", root / "events.jsonl"]):
         assert main([str(a) for a in argv]) == 0
-    return root, _train_and_score(root / "store", root / "one")
+    return root, _read_in_parts(root / "store", root / "one")
 
 
-def _train_and_score(store, out):
-    """(exit status, stderr, output bytes and manifest counters) of train,
-    then of score if train succeeded."""
+def _read_in_parts(store, out):
+    """(exit status, stderr, output bytes and manifest counters) of detect,
+    of train, and of score if train succeeded."""
     os.makedirs(out)
+    window = ["--window-secs", "600"]
     runs = []
-    for argv in (["train", "--store", store, "--out", out / "model.json"],
+    for argv in (["detect", "--store", store, "--out", out / "report.jsonl"],
+                 ["train", "--store", store, "--out", out / "model.json", *window],
                  ["score", "--store", store, "--model", out / "model.json",
-                  "--out", out / "scored.jsonl"]):
+                  "--out", out / "scored.jsonl", *window]):
+        if argv[0] == "score" and runs[-1][0]:
+            break
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main([str(a) for a in argv + ["--window-secs", "600"]])
+            rc = main([str(a) for a in argv])
         result = [rc, err.getvalue()]
-        if rc == 0:
-            result.append(Path(argv[-1]).read_bytes())
+        if rc in (0, 3, 4):
+            result.append(Path(argv[argv.index("--out") + 1]).read_bytes())
             manifest = json.loads((out / f"manifest.{argv[0]}.json").read_text())
             result.append(manifest["counters"])
         runs.append(result)
-        if rc:
-            break
     with pytest.raises(ChildProcessError):  # no worker is left behind
         os.waitpid(-1, os.WNOHANG)
     return runs
@@ -1081,10 +1088,19 @@ def _damaged_copy(root, tmp_path, edits):
     return store
 
 
+def _detect_decodes(lines, at):
+    """The number of the first of ``lines`` from ``at`` on that detect's
+    prefilter keeps, so that detect decodes it."""
+    rules = load_rules(str(resources.files("chaintrace.data") / "default_rules.json"))
+    keep = line_prefilter(rules)
+    return next(i for i in range(at, len(lines)) if keep(lines[i] + "\n"))
+
+
 def test_parts_give_the_outputs_of_one_pass(parts_store, tmp_path, four_parts):
     root, one = parts_store
-    assert [rc for rc, *_ in one] == [0, 0]
-    assert _train_and_score(root / "store", tmp_path / "four") == one
+    assert [rc for rc, *_ in one] == [4, 0, 0]
+    assert one[0][3]["events_decoded"] < one[0][3]["rows_scanned"] == 862
+    assert _read_in_parts(root / "store", tmp_path / "four") == one
 
 
 @pytest.mark.parametrize("fork", ["missing", "fails after one worker"])
@@ -1103,7 +1119,7 @@ def test_parts_without_a_worker_are_read_in_order(parts_store, tmp_path, four_pa
             return real()
 
         monkeypatch.setattr(os, "fork", fork_once)
-    assert _train_and_score(root / "store", tmp_path / "four") == one
+    assert _read_in_parts(root / "store", tmp_path / "four") == one
 
 
 def test_killed_worker_part_is_read_again(parts_store, tmp_path, four_parts, monkeypatch):
@@ -1111,8 +1127,9 @@ def test_killed_worker_part_is_read_again(parts_store, tmp_path, four_parts, mon
 
     root, one = parts_store
     parent, decode = os.getpid(), store_module.decode_event
-    # line 500 is in part 2: only its worker decodes it, halfway through
-    target = (root / "store" / "000000.seg").read_text().splitlines(True)[500]
+    # from line 500 on is part 2: only its worker decodes the line, halfway through
+    lines = (root / "store" / "000000.seg").read_text().splitlines(True)
+    target = lines[_detect_decodes(lines, 500)]
 
     def dies_in_worker(line):
         if line == target and os.getpid() != parent:
@@ -1120,7 +1137,7 @@ def test_killed_worker_part_is_read_again(parts_store, tmp_path, four_parts, mon
         return decode(line)
 
     monkeypatch.setattr(store_module, "decode_event", dies_in_worker)
-    assert _train_and_score(root / "store", tmp_path / "four") == one
+    assert _read_in_parts(root / "store", tmp_path / "four") == one
 
 
 def _bad_ts(line, ts):
@@ -1129,26 +1146,94 @@ def _bad_ts(line, ts):
     return encode_event(e)
 
 
-@pytest.mark.parametrize("damage", ["later part", "two parts", "past t1 hides"])
+@pytest.mark.parametrize("damage", ["later part", "two parts", "past t1 hides",
+                                    "unsorted", "unsorted, then bad"])
 def test_parts_fail_as_one_pass(parts_store, tmp_path, request, damage):
     root, _ = parts_store
     lines = (root / "store" / "000000.seg").read_text().splitlines()
-    # with four parts of about 200 lines: part 0 is lines 0-201, part 2 from 405
+    # with four parts of about 215 lines: part 0 is lines 0-214, part 2 from 431
+    at = _detect_decodes(lines, 431)  # part 2's first line that detect decodes
+    unsorted = _bad_ts(lines[at], decode_event(lines[0]).ts)
     edits = {
         "later part": {500: "{bad"},
         "two parts": {300: _bad_ts(lines[300], -5), 700: "{bad"},
         "past t1 hides": {100: _bad_ts(lines[100], 1 << 62), 300: "{bad"},
+        # the step back is found where the parts meet
+        "unsorted": {at: unsorted},
+        # its worker fails at the bad line; one pass fails at the step back
+        "unsorted, then bad": {at: unsorted, at + 20: "{bad"},
     }[damage]
     store = _damaged_copy(root, tmp_path, edits)
-    one = _train_and_score(store, tmp_path / "one")
+    one = _read_in_parts(store, tmp_path / "one")
     request.getfixturevalue("four_parts")
-    assert _train_and_score(store, tmp_path / "four") == one
-    assert one[0][0] == EXIT_ERROR
-    assert one[0][1].startswith("error: ") and one[0][1].count("\n") == 1
-    assert ("ts must be > 0" in one[0][1]) == (damage == "two parts")
+    assert _read_in_parts(store, tmp_path / "four") == one
+    (detect_rc, detect_err, *_), (train_rc, train_err, *_), *_ = one
+    assert detect_rc == EXIT_ERROR
+    assert (train_rc == EXIT_ERROR) == (damage != "unsorted")
+    for err in (detect_err, train_err) if train_rc else (detect_err,):
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("ts must be > 0" in train_err) == (damage == "two parts")
     # a ts past the index is an error at its line, not the end of the read
-    assert ("line 101: ts 4611686018427387904 lies outside" in one[0][1]) \
+    assert ("line 101: ts 4611686018427387904 lies outside" in train_err) \
         == (damage == "past t1 hides")
+    if damage.startswith("unsorted"):
+        e = decode_event(unsorted)
+        assert detect_err == f"error: event id={e.id} ts={e.ts} out of order\n"
+    elif damage == "two parts":  # detect's prefilter skips line 301 undecoded
+        assert "line 701: invalid JSON" in detect_err
+    else:
+        assert detect_err == train_err
+
+
+def _detect_run(argv):
+    """(exit status, stdout, stderr, report bytes, manifest counters) of a detect."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    report = Path(argv[argv.index("--out") + 1])
+    manifest = json.loads((report.parent / "manifest.detect.json").read_text())
+    with pytest.raises(ChildProcessError):  # no worker is left behind
+        os.waitpid(-1, os.WNOHANG)
+    return rc, out.getvalue(), err.getvalue(), report.read_bytes(), manifest["counters"]
+
+
+@given(scenario=st.sampled_from(SCENARIOS), victims=st.integers(0, 3),
+       truncate=st.one_of(st.none(), st.sampled_from(STEP_ORDER)),
+       factor=st.sampled_from([1, 1.5, 2, 3]), seed=st.integers(0, 1 << 16),
+       n_parts=st.integers(1, 4), segment=st.sampled_from([40, 150, 1 << 20]))
+@settings(max_examples=40, deadline=None)
+def test_detect_store_in_parts_is_one_pass(scenario, victims, truncate, factor, seed,
+                                           n_parts, segment):
+    """``detect --store`` read in 1-4 parts, across segments, gives the
+    outputs of one part; its report is that of ``detect --events``."""
+    from chaintrace import store as store_module
+    from chaintrace.simulate import SimConfig, expand_with_noise, simulate
+
+    cfg = SimConfig(seed=seed, users=8, duration=600 * max(victims, 1), attack=victims > 0,
+                    victims=max(victims, 1), scenario=scenario, truncate_after=truncate)
+    events, _ = simulate(cfg)
+    if factor > 1:
+        events = list(expand_with_noise(events, factor, seed))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        root = Path(tmp)
+        (root / "events.jsonl").write_text("".join(encode_event(e) + "\n" for e in events))
+        store = EventStore(str(root / "store"), segment_events=segment)
+        store.append(events)
+        store.close()
+        mp.setattr(store_module, "MIN_PART_LINES", 1)
+        runs = []
+        for n in (n_parts, 1):
+            mp.setattr(store_module, "_usable_cpus", lambda n=n: n)
+            os.makedirs(root / str(n), exist_ok=True)
+            runs.append(_detect_run(["detect", "--store", root / "store",
+                                     "--out", root / str(n) / "report.jsonl"]))
+        assert runs[0] == runs[1]
+        rc, _, err, report, counters = runs[0]
+        assert err == "" and counters["rows_scanned"] == len(events)
+        by_events = _detect_run(["detect", "--events", root / "events.jsonl",
+                                 "--out", root / "report.jsonl"])
+        assert (by_events[0], by_events[3]) == (rc, report)
+        assert by_events[4]["rule_skips"] == counters["rule_skips"]
 
 
 _BAD_JSON = "invalid JSON: Expecting property name enclosed in double quotes (byte offset 1)"

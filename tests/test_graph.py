@@ -1,3 +1,4 @@
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -184,6 +185,36 @@ def test_missing_group_field_skips_and_counts():
     g = apply_rules(build_graph(events), [rule], events)
     assert len(g.sequences()) == 1
     assert g.rule_skips == 1
+
+
+def test_ts_and_ids_past_64_bits_are_windowed():
+    rule = _rule(group_by=[])
+    events = [LogEvent(i, ts, "ws000", "file_read", "u000", {})
+              for i, ts in [(1, 1), (2, 2), (3, 1 << 63), (1 << 64, (1 << 63) + 1)]]
+    seqs = apply_rules(PropertyGraph(), [rule], events).sequences()
+    assert [(n.attributes["t_start"], n.attributes["members"]) for n in seqs] \
+        == [(1, [1, 2]), (1 << 63, [3, 1 << 64])]
+
+
+def test_a_step_back_where_parts_meet_reaps_the_workers(tmp_path, monkeypatch):
+    from chaintrace import store as store_module
+    from chaintrace.store import EventStore
+
+    store = EventStore(str(tmp_path / "s"))
+    store.append(_ev(i, i) for i in range(1, 41))
+    store.close()
+    seg = tmp_path / "s" / "000000.seg"
+    lines = seg.read_text().splitlines(keepends=True)
+    lines[20] = lines[20].replace(f'"ts":{21 * NS},', f'"ts":{NS},')  # part 2's first
+    seg.write_text("".join(lines))
+    monkeypatch.setattr(store_module, "MIN_PART_LINES", 1)
+    monkeypatch.setattr(store_module, "_usable_cpus", lambda: 4)
+    with pytest.raises(UnsortedInput, match=f"^event id=21 ts={NS} out of order$") as raised:
+        apply_rules(PropertyGraph(), [_rule()], store)
+    # its traceback, and with it the parts being read, is still alive
+    assert raised.tb is not None
+    with pytest.raises(ChildProcessError):  # no worker is left behind
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_streaming_equals_offline(case_study, default_rules):

@@ -367,12 +367,37 @@ def test_map_parts_concatenate_to_query_all(tmp_path, parts, n):
     store.append(_mk(i, 100 * i) for i in range(1, 11))
     store.close()
     parts(n)
-    got = store.map_parts(list)
+    got = list(store.map_parts(list))
     assert len(got) == n and all(got)
     assert store.rows_scanned == 10
     assert [e for part in got for e in part] == list(store.query())
     with pytest.raises(ChildProcessError):  # no worker is left behind
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_map_parts_prefilter_counts_as_one_query(tmp_path, parts, n):
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    store.append(_mk(i, 100 * i) for i in range(1, 11))
+    store.close()
+    odd = re.compile(r'^\{"id":\d*[13579],')
+    parts(n)
+    got = [e.id for part in store.map_parts(list, odd.match) for e in part]
+    assert got == [1, 3, 5, 7, 9]
+    assert (store.rows_scanned, store.rows_skipped) == (10, 5)
+
+
+def test_map_parts_closed_early_reaps_its_workers(tmp_path, parts):
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    store.append(_mk(i, 100 * i) for i in range(1, 11))
+    store.close()
+    parts(4)
+    results = store.map_parts(list)
+    assert [e.id for e in next(results)] == [1, 2]
+    results.close()
+    with pytest.raises(ChildProcessError):  # every worker was stopped and reaped
+        os.waitpid(-1, os.WNOHANG)
+    assert store.rows_scanned == 2
 
 
 @pytest.mark.parametrize("ts", [1 << 62, 350], ids=["past the store", "before its segment"])
@@ -392,7 +417,7 @@ def test_full_read_refuses_a_ts_outside_its_segment(tmp_path, parts, ts, n):
         list(store.query())
     parts(n)
     with pytest.raises(DecodeError, match=re.escape(expected)):
-        store.map_parts(list)
+        list(store.map_parts(list))
 
 
 B = store_module.WRITE_BATCH_LINES
