@@ -21,13 +21,14 @@ import sys
 import time
 from importlib import resources
 
-from .errors import BadConfig, ChaintraceError, MalformedLine, NoNetworkElementMatched
+from .errors import BadConfig, ChaintraceError, MalformedLine
 from .events import (RawLine, TextLines, committing, decode_event, encode_event,
                      from_json, load_json, parse_raw_line, render_raw_line)
 from .graph import (
     PropertyGraph,
     apply_rules,
     build_graph,
+    draw_detection,
     export_graph,
     load_rules,
 )
@@ -207,19 +208,16 @@ def cmd_detect(args) -> int:
             "rule_skips": graph.rule_skips,
         }
 
-        matches = match_killchain(graph, model)
+        matches = match_killchain(graph.sequences(), model)
         with open(out, "w", encoding="utf-8") as fh:
             for m in matches:
-                if m.status in ("partial", "full"):
-                    try:
-                        identify_adversary(m, graph, model)
-                    except NoNetworkElementMatched:
-                        pass
+                identify_adversary(m, graph.nodes, model)
                 row = m.to_report()
-                row["reconstruction"] = reconstruct_attack(m, graph, model)
+                row["reconstruction"] = reconstruct_attack(m, graph.nodes, model)
                 fh.write(json.dumps(row, sort_keys=True))
                 fh.write("\n")
         if export:
+            draw_detection(graph, matches, {e.id: e.name for e in model.elements})
             with open(export, "w", encoding="utf-8") as fh:
                 fh.write(export_graph(graph, args.format))
     code = exit_code_for(matches)

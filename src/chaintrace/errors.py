@@ -91,15 +91,12 @@ class UnknownInputKind(ChaintraceError):
 # --- kill chain ---
 
 class SchemaError(ChaintraceError):
-    """A JSON input document is not UTF-8 JSON or does not fit its schema."""
+    """A JSON input document is not UTF-8 JSON or does not fit its schema;
+    an event to write does not fit the event schema."""
 
 
 class UnknownSequenceType(ChaintraceError):
     """Kill-chain element accepts a sequence type absent from the rule set."""
-
-
-class NoNetworkElementMatched(ChaintraceError):
-    """No matched element carries a network (dst_ip) group key."""
 
 
 # --- anomaly svm ---

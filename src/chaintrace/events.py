@@ -44,8 +44,6 @@ _GRAMMARS: dict[str, tuple[str, str, tuple[str, ...]]] = {
 
 EVENT_TYPES = frozenset(_GRAMMARS)
 
-RAW_SOURCE_KINDS = frozenset(kind for kind, _, _ in _GRAMMARS.values())
-
 NS = 1_000_000_000  # LogEvent.ts ticks per second
 
 _T = TypeVar("_T")
@@ -73,9 +71,8 @@ class RawLine:
 
 # --- canonical codec ---
 
-# One encoder and one decoder for every line: json.dumps and json.loads
+# One quoter and one decoder for every line: json.dumps and json.loads
 # would build or wrap them again on each call.
-_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
 _quote = json.encoder.encode_basestring_ascii  # the C quoter where available
 _scan_once = json.JSONDecoder().scan_once  # the C scanner where available
 _JSON_WS = " \t\n\r"
@@ -84,11 +81,9 @@ _JSON_WS = " \t\n\r"
 def encode_event(e: LogEvent) -> str:
     """Serialize one event to its canonical single-line JSON form.
 
-    An event of int id and ts and a dict of string attributes is written
-    directly, each string quoted as ``_ENCODER`` quotes it; ``_quote``
-    raises TypeError on anything but a string. Every other event goes
-    through ``_ENCODER``, so its output and its exceptions are json's.
-    """
+    An id or ts that is not an int, attributes that are not a dict, or any
+    other member that is not a string (``_quote`` raises TypeError on it)
+    is a SchemaError."""
     eid, ts, attrs = e.id, e.ts, e.attributes
     if type(eid) is int and type(ts) is int and type(attrs) is dict:
         try:
@@ -98,14 +93,8 @@ def encode_event(e: LogEvent) -> str:
                     f'"attrs":{{{members}}}}}')
         except TypeError:
             pass
-    return _ENCODER.encode({
-        "id": e.id,
-        "ts": e.ts,
-        "host": e.source_host,
-        "type": e.event_type,
-        "actor": e.actor,
-        "attrs": e.attributes,
-    })
+    raise SchemaError(f"event id={eid!r}: id and ts must be integers, host, type "
+                      "and actor strings, attrs a dict of strings")
 
 
 def _parse(text: str):

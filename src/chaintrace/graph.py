@@ -1,6 +1,10 @@
 """Directed property graph over hosts, users and events, plus the layered
 sequence rules that aggregate events into event-sequence nodes.
 
+Detection reads only the sequence nodes; ``draw_detection`` adds what it
+found for ``detect --export``. This module alone spells the graph's node
+ids (``host:``, ``user:``, ``event:``, ``seq:``, ``kc:``).
+
 Rule semantics: within one (rule, group key), members accumulate greedily
 from the earliest unconsumed item; the window is anchored at the first
 member, absorbs further members (loop) until the window or the loop cap
@@ -414,13 +418,13 @@ def apply_rules(
 ) -> PropertyGraph:
     """Apply sequence rules to a time-sorted stream, adding their sequence
     nodes to ``graph`` layer by layer, numbered as the module docstring
-    says; a second call on the same stream adds no node or edge.
+    says, and counting ``rule_skips``; it adds no edge, and a second call
+    on the same stream adds no node.
 
     An ``EventStore`` is read in the contiguous parts of its
     ``map_parts``, its lines prefiltered by ``line_prefilter``; the nodes,
     ``rule_skips``, the store's counts and any error are those of one
-    pass, whatever the number of parts. Event nodes, where ``graph`` holds
-    them, gain member_of edges.
+    pass, whatever the number of parts.
     """
     validate_rules(rules)
     layer1 = _FirstLayer(rules)
@@ -466,15 +470,31 @@ def apply_rules(
                 "t_end": max(m.t_end for m in members),
             }))
             made.setdefault(rule.emit, []).append(node)
-            for ref in refs:
-                member = _event_id(ref) if isinstance(ref, int) else ref
-                if member in graph.nodes:
-                    graph.add_edge(member, node.id, "member_of")
         graph.rule_skips += sum(w.skips for w in windowers)
     return graph
 
 
 # --- export ---
+
+def draw_detection(graph: PropertyGraph, matches: Iterable, names: dict[str, str]) -> None:
+    """Add to ``graph``, for export, what detection found: a member_of edge
+    from each member of a sequence that ``graph`` holds, a ``kc:<element
+    id>`` node labelled ``names[element id]`` with a matches edge from each
+    sequence bound to the element, and each adversary host marked as one.
+    ``matches`` are ``killchain.ChainMatch`` objects."""
+    for seq in graph.sequences():
+        for ref in seq.attributes["members"]:
+            member = _event_id(ref) if isinstance(ref, int) else ref
+            if member in graph.nodes:
+                graph.add_edge(member, seq.id, "member_of")
+    for m in matches:
+        for eid, binding in m.matched.items():
+            kc = graph.add_node(Node(f"kc:{eid}", "kc_element", names[eid]))
+            graph.add_edge(binding.sequence_id, kc.id, "matches")
+        if m.adversary:
+            host = graph.add_node(Node(_host_id(m.adversary), "host", m.adversary))
+            host.kind = "adversary"
+
 
 def _dot_escape(s: str) -> str:
     return s.replace("\\", "\\\\").replace('"', '\\"')

@@ -1,13 +1,14 @@
 """Staged attack model with variants, per-victim matching, completeness
-scoring, adversary identification and attack reconstruction."""
+scoring, adversary identification and attack reconstruction. These read
+the sequence nodes and write no graph: ``graph.draw_detection`` does."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import NoNetworkElementMatched, SchemaError, UnknownSequenceType
+from .errors import SchemaError, UnknownSequenceType
 from .events import load_json
-from .graph import Node, PropertyGraph, SequenceRule
+from .graph import Node, SequenceRule
 
 DEFAULT_ALERT_THRESHOLD = 0.4
 
@@ -106,18 +107,18 @@ class ChainMatch:
         }
 
 
-def match_killchain(graph: PropertyGraph, model: KillChainModel) -> list[ChainMatch]:
+def match_killchain(sequences: list[Node], model: KillChainModel) -> list[ChainMatch]:
     """Bind event sequences to kill-chain elements, one match per victim.
 
-    Each victim (a sequence's ``source_host``) keeps its unbound sequences
-    in (t_start, id) order, ids compared as strings. Required elements bind
-    in attack order, each at or after the previous binding; then optional
-    ones bind between their bound neighbours, so they never displace a
-    required one. An element binds the earliest sequence in range that its
-    first variant with any accepts, linked to a ``kc:<element id>`` node.
+    ``sequences`` come in (t_start, id) order, as ``PropertyGraph.sequences``
+    gives them; each victim (a sequence's ``source_host``) keeps its unbound
+    ones in that order. Required elements bind in attack order, each at or
+    after the previous binding; then optional ones bind between their bound
+    neighbours, so they never displace a required one. An element binds the
+    earliest sequence in range that its first variant with any accepts.
     """
     waiting: dict[str, list[Node]] = {}
-    for s in graph.sequences():  # in (t_start, id) order
+    for s in sequences:
         host = s.attributes["group"].get("source_host")
         if host:
             waiting.setdefault(host, []).append(s)
@@ -136,9 +137,6 @@ def match_killchain(graph: PropertyGraph, model: KillChainModel) -> list[ChainMa
                     if ts >= lo and s.attributes["type"] in variant.accepts:
                         del seqs[i]
                         match.matched[element.id] = Binding(s.id, variant.id, ts)
-                        kc = graph.add_node(
-                            Node(f"kc:{element.id}", "kc_element", element.name))
-                        graph.add_edge(s.id, kc.id, "matches")
                         return ts
             return None
 
@@ -168,36 +166,26 @@ def match_killchain(graph: PropertyGraph, model: KillChainModel) -> list[ChainMa
     return matches
 
 
-def identify_adversary(match: ChainMatch, graph: PropertyGraph,
-                       model: KillChainModel) -> str:
-    """Back-trace the external host behind the matched network elements.
-
-    Among matched elements whose sequence groups by dst_ip, the one
-    latest in chain order wins (exfiltration over command-and-control).
-    """
+def identify_adversary(match: ChainMatch, nodes: dict[str, Node],
+                       model: KillChainModel) -> str | None:
+    """Back-trace the external host behind the matched network elements,
+    set as ``match.adversary``: the dst_ip of the matched element latest in
+    chain order (exfiltration over command-and-control) whose sequence in
+    ``nodes`` groups by one. None if the match does not alert or has none."""
     if match.status not in (STATUS_PARTIAL, STATUS_FULL):
-        raise NoNetworkElementMatched(f"match status {match.status}")
-    chosen_ip: str | None = None
-    for element in model.elements:  # later elements overwrite earlier ones
+        return None
+    for element in reversed(model.elements):
         binding = match.matched.get(element.id)
         if binding is None:
             continue
-        seq = graph.nodes[binding.sequence_id]
-        dst = seq.attributes["group"].get("dst_ip")
+        dst = nodes[binding.sequence_id].attributes["group"].get("dst_ip")
         if dst:
-            chosen_ip = dst
-    if chosen_ip is None:
-        raise NoNetworkElementMatched(
-            f"no matched element of {match.victim_host} carries a dst_ip group"
-        )
-    node_id = f"host:{chosen_ip}"
-    node = graph.add_node(Node(node_id, "host", chosen_ip))
-    node.kind = "adversary"
-    match.adversary = chosen_ip
-    return node_id
+            match.adversary = dst
+            return dst
+    return None
 
 
-def reconstruct_attack(match: ChainMatch, graph: PropertyGraph,
+def reconstruct_attack(match: ChainMatch, nodes: dict[str, Node],
                        model: KillChainModel) -> list[dict]:
     """Per matched element: its sequence node and member event ids in ts order."""
     report: list[dict] = []
@@ -208,19 +196,18 @@ def reconstruct_attack(match: ChainMatch, graph: PropertyGraph,
             if isinstance(ref, int):
                 out.append(ref)
             else:
-                out.extend(event_ids(graph.nodes[ref]))
+                out.extend(event_ids(nodes[ref]))
         return sorted(out)
 
     for element in model.elements:
         binding = match.matched.get(element.id)
         if binding is None:
             continue
-        seq = graph.nodes[binding.sequence_id]
         report.append({
             "element": element.id,
             "sequence": binding.sequence_id,
             "variant": binding.variant_id,
-            "event_ids": event_ids(seq),
+            "event_ids": event_ids(nodes[binding.sequence_id]),
         })
     return report
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DecodeError, IoFailure, OutOfOrder, SchemaError
-from .events import LogEvent, TextLines, decode_event, encode_event, load_json
+from .events import EVENT_TYPES, LogEvent, TextLines, decode_event, encode_event, load_json
 
 DEFAULT_SEGMENT_EVENTS = 1 << 20
 WRITE_BATCH_LINES = 4096  # rows per write call: under 1 MiB of this store's lines
@@ -164,6 +164,11 @@ class EventStore:
         lines: list[str] = []  # encoded rows of the active segment, not yet written
         try:
             for e in events:
+                # what decode_event refuses and encode_event lets through
+                if e.ts <= 0:
+                    raise SchemaError(f"event id={e.id}: ts must be > 0, got {e.ts}")
+                if e.event_type not in EVENT_TYPES:
+                    raise SchemaError(f"event id={e.id}: unknown type {e.event_type!r}")
                 if e.ts < last_ts or e.id <= last_id:
                     raise OutOfOrder(
                         f"event id={e.id} ts={e.ts} regresses behind "

@@ -63,7 +63,7 @@ def criterion(n: int, capfd):
 
 def _detect(events, rules, model):
     graph = apply_rules(build_graph(events), rules, events)
-    matches = match_killchain(graph, model)
+    matches = match_killchain(graph.sequences(), model)
     return graph, matches
 
 
@@ -77,7 +77,7 @@ def test_acceptance_01_case_study_end_to_end(default_rules, default_model, capfd
         assert len(full) == 1
         m = full[0]
         assert m.victim_host == truth.victim_host
-        identify_adversary(m, graph, default_model)
+        identify_adversary(m, graph.nodes, default_model)
         assert m.adversary == "172.18.0.3"
         assert exit_code_for(matches) == EXIT_FULL
         assert time.monotonic() - t0 < 5.0
@@ -230,8 +230,8 @@ def test_acceptance_10_pseudonymization_invariance(default_rules, default_model,
             for m in sorted(matches, key=lambda m: m.victim_host):
                 if m.status == STATUS_NONE:
                     continue
-                identify_adversary(m, graph, default_model)
-                rec = reconstruct_attack(m, graph, default_model)
+                identify_adversary(m, graph.nodes, default_model)
+                rec = reconstruct_attack(m, graph.nodes, default_model)
                 out.append((
                     m.victim_host, m.status, m.completeness, m.adversary,
                     [(r["element"], r["variant"], r["event_ids"]) for r in rec],

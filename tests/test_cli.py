@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -21,8 +22,8 @@ import chaintrace
 from chaintrace.cli import EXIT_ERROR, build_parser, main
 from chaintrace.events import TextLines, decode_event, encode_event
 from chaintrace.features import SOURCE_SETS, ExtractionStats, extract_features
-from chaintrace.graph import (apply_rules, build_graph, export_graph, line_prefilter,
-                              load_rules)
+from chaintrace.graph import (apply_rules, build_graph, draw_detection, export_graph,
+                              line_prefilter, load_rules)
 from chaintrace.simulate import SCENARIOS, STEP_ORDER, read_truth_file
 from chaintrace.store import EventStore
 
@@ -336,8 +337,9 @@ def test_detect_export_is_the_export_graph_plus_the_chain(workdir, fmt):
     # the graph of the events and their sequences, without the kill chain
     events = list(TextLines("events.jsonl", decode_event))
     rules = load_rules(str(resources.files("chaintrace.data") / "default_rules.json"))
-    (workdir / "export.graph").write_text(
-        export_graph(apply_rules(build_graph(events), rules, events), fmt))
+    plain = apply_rules(build_graph(events), rules, events)
+    draw_detection(plain, [], {})  # the member_of edges alone
+    (workdir / "export.graph").write_text(export_graph(plain, fmt))
     nodes, edges = _exported_graph(workdir / "detect.graph", fmt)
     plain_nodes, plain_edges = _exported_graph(workdir / "export.graph", fmt)
     rows = [json.loads(line) for line in report.splitlines()]
@@ -354,6 +356,94 @@ def test_detect_export_is_the_export_graph_plus_the_chain(workdir, fmt):
         {kc: "kc_element" for _, kc in bound}
     assert plain_edges < edges
     assert edges - plain_edges == {(seq, kc, "matches") for seq, kc in bound}
+
+
+_PINNED_INPUTS = {
+    "seed 42": ["--seed", "42"],
+    "seed 77": ["--seed", "77"],
+    "usb, 3 victims, expanded 2x": ["--seed", "13", "--config", "usb.json",
+                                    "--expand-factor", "2"],
+}
+
+# SHA-256 of detect's outputs on each input. The counters depend on the
+# read path (a store's prefilter skips lines); the rest must not.
+_DETECT_DIGESTS = {
+    "seed 42": {
+        "dot": "5746173a79b7204bc2fe57366ce6cf1326ebe46017885026606eba4e9a2b47d4",
+        "graphml": "00c3cb25b90f3e5019e70d7500c8d47705c28db99a71d3c2f2e377a5937c3b7b",
+        "report": "bd69c8162ababf0ff267d2b7aecb05f87cf6cc0ed5f4d2e91627f909513876da",
+        "stdout": "ccce76d89b3f01f0de3a226846ecdbc27c68a0e4d80293cc428dbe8256c7adf9",
+        "exit": "4b227777d4dd1fc61c6f884f48641d02b4d121d3fd328cb08b5531fcacdabf8a",
+        "counters --events": "8c48945124abfe267c95828c8076876302fb0c46be89e6d6df19a8cde3e4e2f2",
+        "counters --store": "eb97668eb50b71fe00b20eef1dd3c5466e34fc19525f205828a1f21a045e4cd6",
+    },
+    "seed 77": {
+        "dot": "90fdf0bd1ee2d5f9eb27f734810c450fbb05a966013788821478e95770ff67dc",
+        "graphml": "6d8901b06db8904a4b6632e0af9c76453235ab27529ad5aae8618a76d5a57616",
+        "report": "b9c3840a02655d53c0c2f1fc0b28d2af96b5b7602cd4230e8668a3c7f6c6de14",
+        "stdout": "cf0d669d7b92c796436282c45bad5cb1499337725865b2e1316b1950fec24a5a",
+        "exit": "4b227777d4dd1fc61c6f884f48641d02b4d121d3fd328cb08b5531fcacdabf8a",
+        "counters --events": "cdc46ebb7a12b9c1242c24823a865864c50c1a471a60a554d4743dc063620139",
+        "counters --store": "8e85a1a239d7c3c96a9366dcbe60f9bd8322e964c00df90ec47463e8686e218f",
+    },
+    "usb, 3 victims, expanded 2x": {
+        "dot": "46f5cafcfc6bbbfd0c5700adfdf110a601dcaa28f2f663da44eec24070a88fac",
+        "graphml": "119827eb2fc1f8b63a6ba4102d0e29f9d6ebe40add966839b956132114ebb9d9",
+        "report": "ac9b7c9dbe02737cdcb64beee5ffe3f3648766f40384ae9bdae2b06fc1efe128",
+        "stdout": "08d25db2d3883fb37d40a9ff6f6a4d922e37c6838524e70b781d501ba0e67ba6",
+        "exit": "4b227777d4dd1fc61c6f884f48641d02b4d121d3fd328cb08b5531fcacdabf8a",
+        "counters --events": "93c8bc071fe84d12174ea6009183298de47a50da138f306be4e0b753e633eb40",
+        "counters --store": "d34ce3c6cca0f8663f4d2832576e3b4bff23e9a957e15a2ce187ab047dacee66",
+    },
+}
+
+
+def _detect_digests(source: list[str]) -> dict[str, str]:
+    """SHA-256 of the report, stdout, exit code and manifest counters of a
+    detect on ``source``, and of its DOT and GraphML exports."""
+    def sha(data: str | bytes) -> str:
+        return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+    digests = {}
+    for fmt in ("dot", "graphml"):
+        assert main(["detect", *source, "--out", "exported.jsonl",
+                     "--export", f"graph.{fmt}", "--format", fmt]) in (0, 3, 4)
+        digests[fmt] = sha(Path(f"graph.{fmt}").read_bytes())
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["detect", *source, "--out", "report.jsonl"])
+    report = Path("report.jsonl").read_bytes()
+    assert Path("exported.jsonl").read_bytes() == report
+    counters = json.loads(Path("manifest.detect.json").read_text())["counters"]
+    return digests | {
+        "report": sha(report),
+        "stdout": sha(stdout.getvalue()),
+        "exit": sha(str(rc)),
+        "counters": sha(json.dumps(counters, sort_keys=True)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_INPUTS))
+def test_detect_bytes_are_pinned(workdir, monkeypatch, case):
+    from chaintrace import store as store_module
+
+    (workdir / "usb.json").write_text(json.dumps(
+        {"scenario": "usb_jpeg_exfil", "victims": 3, "users": 20, "duration": 1200}))
+    assert main(["simulate", *_PINNED_INPUTS[case],
+                 "--out", "events.jsonl", "--truth", "truth.tsv"]) == 0
+    assert main(["ingest", "--store", "store", "--events", "events.jsonl"]) == 0
+    got = {
+        "--events": _detect_digests(["--events", "events.jsonl"]),
+        "--store": _detect_digests(["--store", "store"]),
+    }
+    monkeypatch.setattr(store_module, "MIN_PART_LINES", 1)
+    monkeypatch.setattr(store_module, "_usable_cpus", lambda: 3)
+    assert _detect_digests(["--store", "store"]) == got["--store"]
+    pinned = _DETECT_DIGESTS[case]
+    for path, digests in got.items():
+        counters = digests.pop("counters")
+        assert counters == pinned[f"counters {path}"], path
+        assert digests == {k: v for k, v in pinned.items() if not k.startswith("counters")}, path
 
 
 def test_missing_input_is_io_error(workdir, capsys):

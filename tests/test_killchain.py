@@ -1,14 +1,11 @@
+import copy
 import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chaintrace.errors import (
-    NoNetworkElementMatched,
-    SchemaError,
-    UnknownSequenceType,
-)
-from chaintrace.graph import Node, PropertyGraph, apply_rules, build_graph
+from chaintrace.errors import SchemaError, UnknownSequenceType
+from chaintrace.graph import Node, PropertyGraph, apply_rules, build_graph, draw_detection
 from chaintrace.killchain import (
     EXIT_FULL,
     EXIT_NO_ALERT,
@@ -16,6 +13,7 @@ from chaintrace.killchain import (
     STATUS_FULL,
     STATUS_NONE,
     STATUS_PARTIAL,
+    Binding,
     ChainMatch,
     Element,
     KillChainModel,
@@ -33,14 +31,14 @@ from oracles import match_killchain_ref
 def _detect(cfg, rules, model):
     events, truth = simulate(cfg)
     graph = apply_rules(build_graph(events), rules, events)
-    matches = match_killchain(graph, model)
+    matches = match_killchain(graph.sequences(), model)
     return events, truth, graph, matches
 
 
 def test_full_chain_on_case_study(case_study, default_rules, default_model):
     _, events, truth = case_study
     graph = apply_rules(build_graph(events), default_rules, events)
-    matches = match_killchain(graph, default_model)
+    matches = match_killchain(graph.sequences(), default_model)
     alerting = [m for m in matches if m.status != STATUS_NONE]
     assert len(alerting) == 1
     m = alerting[0]
@@ -59,7 +57,7 @@ def _victim_match(matches, truth):
 def test_bindings_are_temporally_ordered(case_study, default_rules, default_model):
     _, events, truth = case_study
     graph = apply_rules(build_graph(events), default_rules, events)
-    m = _victim_match(match_killchain(graph, default_model), truth)
+    m = _victim_match(match_killchain(graph.sequences(), default_model), truth)
     order = [e.id for e in default_model.elements]
     bound = [m.matched[eid].ts for eid in order if eid in m.matched]
     assert bound == sorted(bound)
@@ -68,22 +66,47 @@ def test_bindings_are_temporally_ordered(case_study, default_rules, default_mode
 def test_adversary_identified(case_study, default_rules, default_model):
     _, events, truth = case_study
     graph = apply_rules(build_graph(events), default_rules, events)
-    m = _victim_match(match_killchain(graph, default_model), truth)
-    node_id = identify_adversary(m, graph, default_model)
+    m = _victim_match(match_killchain(graph.sequences(), default_model), truth)
+    assert identify_adversary(m, graph.nodes, default_model) == truth.attacker_ip
     assert m.adversary == truth.attacker_ip
-    assert graph.nodes[node_id].kind == "adversary"
 
 
 def test_reconstruction_covers_labels(case_study, default_rules, default_model):
     _, events, truth = case_study
     graph = apply_rules(build_graph(events), default_rules, events)
-    m = _victim_match(match_killchain(graph, default_model), truth)
-    report = reconstruct_attack(m, graph, default_model)
+    m = _victim_match(match_killchain(graph.sequences(), default_model), truth)
+    report = reconstruct_attack(m, graph.nodes, default_model)
     covered = set()
     for entry in report:
         assert entry["event_ids"] == sorted(entry["event_ids"])
         covered |= set(entry["event_ids"])
     assert truth.labeled_ids() <= covered
+
+
+def test_report_stage_only_reads_and_drawing_adds_the_chain(case_study, default_rules,
+                                                            default_model):
+    _, events, truth = case_study
+    assert apply_rules(PropertyGraph(), default_rules, events).edge_count() == 0
+    graph = apply_rules(build_graph(events), default_rules, events)
+    nodes, edges = copy.deepcopy(graph.nodes), set(graph.edges())
+    matches = match_killchain(graph.sequences(), default_model)
+    for m in matches:
+        identify_adversary(m, graph.nodes, default_model)
+        reconstruct_attack(m, graph.nodes, default_model)
+    assert graph.nodes == nodes and set(graph.edges()) == edges
+
+    names = {e.id: e.name for e in default_model.elements}
+    draw_detection(graph, matches, names)
+    bound = {(b.sequence_id, eid) for m in matches for eid, b in m.matched.items()}
+    member_of = {(f"event:{ref}" if isinstance(ref, int) else ref, s.id, "member_of")
+                 for s in graph.sequences() for ref in s.attributes["members"]}
+    assert {(e.src, e.dst, e.kind) for e in set(graph.edges()) - edges} == \
+        member_of | {(seq, f"kc:{eid}", "matches") for seq, eid in bound}
+    assert {nid: (n.kind, n.label) for nid, n in graph.nodes.items() if nid not in nodes} \
+        == {f"kc:{eid}": ("kc_element", names[eid]) for _, eid in bound}
+    adversary = f"host:{truth.attacker_ip}"
+    assert [nid for nid in nodes if graph.nodes[nid] != nodes[nid]] == [adversary]
+    assert graph.nodes[adversary].kind == "adversary"
 
 
 def test_truncated_chain_is_partial(default_rules, default_model):
@@ -135,7 +158,7 @@ def test_optional_binding_never_breaks_required(default_rules, default_model):
         {"path": "C:\\Users\\u000\\backup.zip", "ext": "zip"},
     ))
     graph = apply_rules(build_graph(events), default_rules, events)
-    m = _victim_match(match_killchain(graph, default_model), truth)
+    m = _victim_match(match_killchain(graph.sequences(), default_model), truth)
     assert m.status == STATUS_FULL
     if "prepare_exfiltration" in m.matched:
         assert m.matched["prepare_exfiltration"].ts \
@@ -144,8 +167,12 @@ def test_optional_binding_never_breaks_required(default_rules, default_model):
 
 def test_adversary_requires_network_element(default_model):
     m = ChainMatch(victim_host="ws000", status=STATUS_NONE)
-    with pytest.raises(NoNetworkElementMatched):
-        identify_adversary(m, build_graph([]), default_model)
+    assert identify_adversary(m, build_graph([]).nodes, default_model) is None
+    # an alerting match whose bound sequences group by no dst_ip
+    seq = Node("seq:a:1", "sequence", "burst", {"group": {"source_host": "ws000"}})
+    m = ChainMatch("ws000", {"e1": Binding(seq.id, "v", 1)}, 1.0, STATUS_FULL)
+    assert identify_adversary(m, {seq.id: seq}, _tiny_model()) is None
+    assert m.adversary is None
 
 
 def test_exit_codes():
@@ -261,12 +288,9 @@ def test_match_killchain_matches_reference(case):
                   for eid, required, variants in elements],
         alert_threshold=threshold,
     )
-    matches = match_killchain(graph, model)
+    matches = match_killchain(graph.sequences(), model)
     got = [(m.victim_host,
             {eid: (b.sequence_id, b.variant_id, b.ts) for eid, b in m.matched.items()},
             m.completeness, m.status)
            for m in matches]
     assert got == match_killchain_ref(sequences, elements, threshold)
-    assert {(e.src, e.dst) for e in graph.edges() if e.kind == "matches"} == {
-        (b.sequence_id, f"kc:{eid}") for m in matches for eid, b in m.matched.items()
-    }

@@ -114,7 +114,7 @@ def test_an_empty_last_segment_keeps_the_order_check(tmp_path):
     root = str(tmp_path / "s")
     store = EventStore(root, segment_events=2)
     store.append([_mk(1, 10), _mk(2, 20)])
-    with pytest.raises(TypeError):
+    with pytest.raises(SchemaError):
         store.append([LogEvent(3, 30, "h0", "logon", "a0", {"x": object()})])
     store.close()
     again = EventStore(root, segment_events=2)
@@ -123,6 +123,28 @@ def test_an_empty_last_segment_keeps_the_order_check(tmp_path):
     with pytest.raises(OutOfOrder):
         again.append([_mk(3, 5)])
     assert [e.ts for e in again.query()] == [10, 20]
+
+
+@pytest.mark.parametrize("bad", [
+    LogEvent(4, 40, "h0", "logon", "a0", {"k": 5}),
+    LogEvent(4, 0, "h0", "logon", "a0", {}),
+    LogEvent(4, 40, "h0", "bogus", "a0", {}),
+], ids=["non-string attr", "ts 0", "unknown type"])
+def test_append_refuses_what_query_would_refuse(tmp_path, bad):
+    root = str(tmp_path / "s")
+    store = EventStore(root)
+    store.append([_mk(1, 10), _mk(2, 20)])
+    with pytest.raises(SchemaError):
+        store.append([bad])
+    assert [e.id for e in store.query()] == [1, 2]
+    assert store.append([_mk(3, 30)]) == 1
+    store.close()
+    assert [e.id for e in EventStore(root, create=False).query()] == [1, 2, 3]
+    # nor does a new store take it as its first event
+    new = EventStore(str(tmp_path / "new"))
+    with pytest.raises(SchemaError):
+        new.append([bad])
+    assert list(new.query()) == []
 
 
 def test_index_without_byte_lengths_loads(tmp_path):

@@ -46,7 +46,8 @@ traced = [
           "--out", "scored.jsonl"]),
 ]
 print(json.dumps({"exits": inputs + traced, "missing": t.missing,
-                  "counts": dict(t.counts)}))
+                  "counts": dict(t.counts),
+                  "calls": {name: st[0] for name, st in t.stats.items()}}))
 """
 
 
@@ -67,3 +68,6 @@ def test_tracer_finds_every_layer(tmp_path):
     for name in ("graph.build.nodes", "graph.rules.sequences", "killchain.candidates",
                  "ocsvm.train.iterations"):
         assert counts.get(name, 0) > 0, name
+    # the report stage is timed only through calls at the names cli uses
+    for name in ("killchain.match", "killchain.report"):
+        assert result["calls"].get(name, 0) > 0, name
