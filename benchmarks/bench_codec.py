@@ -15,8 +15,20 @@ events per second (kev/s):
 - ``raw_render`` and ``raw_parse``: ``render_raw_line`` over the same
   events and ``parse_raw_line`` over their raw lines, best of REPEATS;
 - ``store_append``: ``EventStore.append`` of all STORE_EVENTS events in
-  batches of BATCH_EVENTS (only the append calls are timed);
-- ``store_scan``: a full ``query`` of that store, best of SCANS.
+  lists of BATCH_EVENTS (only the append calls are timed). A list of at
+  least ``2 * store.MIN_PART_LINES`` events is encoded in parts, so on
+  more than one CPU each of these lists is written in parts;
+- ``store_scan``: a full ``query`` of that store, best of SCANS;
+- ``store_build`` and ``store_build_one_part``: one
+  ``EventStore.append(expand_with_noise(...))`` of STORE_EVENTS events
+  into a new store, as the ``large_store`` benchmark and acceptance
+  criterion 6 build theirs, encoded in parts as shipped and in one part,
+  interleaved, BUILDS times each; the medians are recorded.
+
+The write crossover table appends the first N events of the stream, as
+a list, to a new store as one part and as two parts (no minimum part
+size), interleaved, BUILDS times each, and records the median seconds:
+a write in two parts must win from ``2 * MIN_PART_LINES`` events on.
 
 Usage:
   python benchmarks/bench_codec.py [--src DIR] [--label NAME] [--out FILE]
@@ -33,9 +45,11 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import sys
 import tempfile
 import time
+from itertools import islice
 
 SEED = 61
 STORE_EVENTS = 500_000
@@ -45,6 +59,8 @@ REPEATS = 5
 SCANS = 3
 SIM_SECONDS = 72_000  # about 154k events
 SIM_VICTIMS = 70
+BUILDS = 5
+CROSSOVER_EVENTS = (10_000, 20_000, 50_000, 100_000)
 
 
 def _best_rate(n: int, fn, repeats: int) -> float:
@@ -73,8 +89,7 @@ def measure() -> dict:
             pass
 
     expand_rate = _best_rate(STORE_EVENTS, expand, REPEATS)
-    stream = expand_with_noise(base, STORE_EVENTS / len(base), SEED + 1)
-    del base
+    stream = iter(expand_with_noise(base, STORE_EVENTS / len(base), SEED + 1))
     root = tempfile.mkdtemp(prefix="bench_codec.")
     try:
         store = EventStore(os.path.join(root, "store"))
@@ -130,6 +145,7 @@ def measure() -> dict:
         scan_rate = _best_rate(appended, scan, SCANS)
         seg_bytes = sum(os.path.getsize(os.path.join(root, "store", s.path))
                         for s in reader.segments)
+        build_rates, crossover = _split_writes(base, root)
     finally:
         shutil.rmtree(root)
     return {
@@ -141,9 +157,56 @@ def measure() -> dict:
         "raw_parse_kev_s": round(parse_rate, 1),
         "store_append_kev_s": round(appended / append_s / 1e3, 1),
         "store_scan_kev_s": round(scan_rate, 1),
+        **build_rates,
         "store_events": appended,
         "store_bytes_per_event": round(seg_bytes / appended, 1),
+        "write_crossover": crossover,
     }
+
+
+def _split_writes(base, root: str) -> tuple[dict, dict]:
+    """The ``store_build`` rows and the write crossover table."""
+    from chaintrace import store as store_module
+    from chaintrace.simulate import expand_with_noise
+    from chaintrace.store import EventStore
+
+    factor = STORE_EVENTS / len(base)
+    shipped_min, shipped_cpus = store_module.MIN_PART_LINES, store_module._usable_cpus
+
+    def seconds(make_events, cpus: int, min_lines: int) -> float:
+        """One append of ``make_events()`` into a new store, closed."""
+        store_module.MIN_PART_LINES = min_lines
+        store_module._usable_cpus = lambda: cpus
+        path = os.path.join(root, "build")
+        shutil.rmtree(path, ignore_errors=True)
+        store, events = EventStore(path), make_events()
+        t0 = time.perf_counter()
+        store.append(events)
+        store.close()
+        return time.perf_counter() - t0
+
+    def interleaved(make_events, settings: list[tuple[int, int]]) -> list[float]:
+        times = [[] for _ in settings]
+        for run in range(BUILDS):
+            order = range(len(settings)) if run % 2 == 0 else reversed(range(len(settings)))
+            for i in order:
+                times[i].append(seconds(make_events, *settings[i]))
+        return [statistics.median(t) for t in times]
+
+    try:
+        shipped, one = interleaved(lambda: expand_with_noise(base, factor, SEED + 1),
+                                   [(shipped_cpus(), shipped_min), (1, shipped_min)])
+        head = list(islice(expand_with_noise(base, factor, SEED + 1), max(CROSSOVER_EVENTS)))
+        crossover = {}
+        for n in CROSSOVER_EVENTS:
+            a, b = interleaved(lambda: head[:n], [(1, 1), (2, 1)])
+            crossover[str(n)] = {"one_part_s": round(a, 4), "two_parts_s": round(b, 4)}
+    finally:
+        store_module.MIN_PART_LINES = shipped_min
+        store_module._usable_cpus = shipped_cpus
+    rates = {"store_build_kev_s": round(STORE_EVENTS / shipped / 1e3, 1),
+             "store_build_one_part_kev_s": round(STORE_EVENTS / one / 1e3, 1)}
+    return rates, crossover
 
 
 def main() -> int:
@@ -159,7 +222,11 @@ def main() -> int:
     result = measure()
     width = max(map(len, result))
     for name, value in result.items():
-        print(f"{name:<{width}} {value:>10}")
+        if name == "write_crossover":
+            for n, row in value.items():
+                print(f"{'write ' + n:<{width}} {row['one_part_s']:>10} {row['two_parts_s']:>10}")
+        else:
+            print(f"{name:<{width}} {value:>10}")
     if args.out:
         doc = {"runs": {}}
         if os.path.exists(args.out):
@@ -171,7 +238,7 @@ def main() -> int:
                          "codec_events": CODEC_EVENTS,
                          "batch_events": BATCH_EVENTS, "repeats": REPEATS,
                          "scans": SCANS, "sim_seconds": SIM_SECONDS,
-                         "sim_victims": SIM_VICTIMS}
+                         "sim_victims": SIM_VICTIMS, "builds": BUILDS}
         doc["runs"][args.label] = result
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)

@@ -83,7 +83,8 @@ def encode_event(e: LogEvent) -> str:
 
     An id or ts that is not an int, attributes that are not a dict, or any
     other member that is not a string (``_quote`` raises TypeError on it)
-    is a SchemaError."""
+    is a SchemaError, and so is an id or ts past Python's int-to-string
+    digit limit."""
     eid, ts, attrs = e.id, e.ts, e.attributes
     if type(eid) is int and type(ts) is int and type(attrs) is dict:
         try:
@@ -93,6 +94,9 @@ def encode_event(e: LogEvent) -> str:
                     f'"attrs":{{{members}}}}}')
         except TypeError:
             pass
+        except ValueError:  # past Python's int-to-string digit limit, so no repr either
+            raise SchemaError("event: id or ts has more digits than Python "
+                              "converts to text") from None
     raise SchemaError(f"event id={eid!r}: id and ts must be integers, host, type "
                       "and actor strings, attrs a dict of strings")
 

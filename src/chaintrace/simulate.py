@@ -13,6 +13,8 @@ from __future__ import annotations
 import gc
 import math
 import random
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from operator import attrgetter
@@ -341,15 +343,17 @@ def expand_with_noise(
     factor: float,
     seed: int,
     id_map: dict[int, int] | None = None,
-) -> Iterator[LogEvent]:
+) -> Sequence[LogEvent]:
     """Interleave seeded benign-only noise to reach factor x len(events).
 
     ``events`` must be sorted by ts. The result is renumbered 1, 2, ...
     in ts order; an original goes before any noise event of the same ts.
-    Pass ``id_map`` to receive old id -> new id for the original events
-    (ground-truth relabeling); it is complete when this call returns,
-    before the stream is read. All other fields of the original events
-    are preserved verbatim; every noise event has its own attrs dict.
+    It is a sized, re-iterable and sliceable sequence whose events are
+    made as they are read. Pass ``id_map`` to receive old id -> new id for
+    the original events (ground-truth relabeling); it is complete when
+    this call returns, before the stream is read. All other fields of the
+    original events are preserved verbatim; every noise event has its own
+    attrs dict.
     """
     if factor < 1:
         raise BadConfig("factor must be >= 1")
@@ -371,54 +375,96 @@ def expand_with_noise(
     aux = rng.integers(0, 1 << 30, size=n_noise)
 
     orig_ts = np.array([e.ts for e in events], dtype=np.int64)
-    # the number of noise events before each original, and its new id
-    cuts = np.searchsorted(ts_arr, orig_ts, "left")
-    orig_ids = (cuts + np.arange(1, n_orig + 1)).tolist()
+    # each original's place in the stream: the noise events before it, and
+    # the originals
+    places = (np.searchsorted(ts_arr, orig_ts, "left") + np.arange(n_orig)).tolist()
     if id_map is not None:
-        id_map.update(zip([e.id for e in events], orig_ids))
+        id_map.update(zip([e.id for e in events], [at + 1 for at in places]))
+    columns = (orig_ts, ts_arr, type_idx, user_idx, aux)
+    return _Expansion(events, places, columns, 0, n_orig + n_noise)
 
-    def noise() -> Iterator[LogEvent]:
-        # Python ints, converted a chunk of each array at a time: indexing
-        # numpy arrays and formatting their scalars per event costs more,
-        # and whole-array lists would hold about 100 B per noise event
-        for lo in range(0, n_noise, _NOISE_CHUNK):
-            hi = min(lo + _NOISE_CHUNK, n_noise)
-            ts_c = ts_arr[lo:hi]
-            ids = np.searchsorted(orig_ts, ts_c, "right") + np.arange(lo + 1, hi + 1)
-            for nid, ts, ti, u, a in zip(ids.tolist(), ts_c.tolist(), type_idx[lo:hi].tolist(),
-                                         user_idx[lo:hi].tolist(), aux[lo:hi].tolist()):
-                host = _NOISE_HOSTS[u]
-                if ti == 0:  # http_request, logged by the proxy
-                    host = "proxy"
-                    attrs = {"dst_ip": _EXTERNAL_IPS[a % 40], "dst_port": "443",
-                             "method": "GET", "via": "proxy",
-                             "bytes_out": _HTTP_BYTES[a % 3800]}
-                elif ti == 1:  # fw_conn
-                    attrs = {"dst_ip": _EXTERNAL_IPS[a % 40], "dst_port": "443",
-                             "verdict": "allow" if a % 100 < 97 else "deny",
-                             "bytes_out": _FW_BYTES[a % 1900]}
-                elif ti <= 3:  # file_read, file_write
-                    k = a % 200
-                    attrs = {"path": _NOISE_DOCS[u] + _NOISE_DOC_NAMES[k],
-                             "ext": _NOISE_DOC_EXTS[k]}
-                elif ti <= 5:  # logon, logoff
-                    attrs = {"session_id": f"{_NOISE_SESSIONS[u]}{a % 97}"}
-                elif ti == 6:  # logon_failed
-                    attrs = {}
-                else:  # email_received
-                    attrs = {"email_from": _SENDERS[a % 30]}
-                yield LogEvent(nid, ts, host, _NOISE_TYPES[ti], _NOISE_USERS[u], attrs)
 
-    def stream() -> Iterator[LogEvent]:
-        rest = noise()
-        done = 0
-        for cut, new_id, e in zip(cuts.tolist(), orig_ids, events):
-            yield from islice(rest, cut - done)
-            done = cut
-            yield LogEvent(new_id, e.ts, e.source_host, e.event_type, e.actor, e.attributes)
-        yield from rest
+def _noise(columns: tuple, first: int, stop: int) -> Iterator[LogEvent]:
+    """Noise events ``first`` to ``stop - 1`` of an expansion, in ts order,
+    from its numpy ``columns``: the originals' ts, then the noise ts, type,
+    user and aux draws."""
+    import numpy as np
 
-    return stream()
+    orig_ts, ts_arr, type_idx, user_idx, aux = columns
+    # Python ints, converted a chunk of each array at a time: indexing
+    # numpy arrays and formatting their scalars per event costs more,
+    # and whole-array lists would hold about 100 B per noise event
+    for lo in range(first, stop, _NOISE_CHUNK):
+        hi = min(lo + _NOISE_CHUNK, stop)
+        ts_c = ts_arr[lo:hi]
+        # one more than its place: the noise and the originals of no later ts before it
+        ids = np.searchsorted(orig_ts, ts_c, "right") + np.arange(lo + 1, hi + 1)
+        for nid, ts, ti, u, a in zip(ids.tolist(), ts_c.tolist(), type_idx[lo:hi].tolist(),
+                                     user_idx[lo:hi].tolist(), aux[lo:hi].tolist()):
+            host = _NOISE_HOSTS[u]
+            if ti == 0:  # http_request, logged by the proxy
+                host = "proxy"
+                attrs = {"dst_ip": _EXTERNAL_IPS[a % 40], "dst_port": "443",
+                         "method": "GET", "via": "proxy",
+                         "bytes_out": _HTTP_BYTES[a % 3800]}
+            elif ti == 1:  # fw_conn
+                attrs = {"dst_ip": _EXTERNAL_IPS[a % 40], "dst_port": "443",
+                         "verdict": "allow" if a % 100 < 97 else "deny",
+                         "bytes_out": _FW_BYTES[a % 1900]}
+            elif ti <= 3:  # file_read, file_write
+                k = a % 200
+                attrs = {"path": _NOISE_DOCS[u] + _NOISE_DOC_NAMES[k],
+                         "ext": _NOISE_DOC_EXTS[k]}
+            elif ti <= 5:  # logon, logoff
+                attrs = {"session_id": f"{_NOISE_SESSIONS[u]}{a % 97}"}
+            elif ti == 6:  # logon_failed
+                attrs = {}
+            else:  # email_received
+                attrs = {"email_from": _SENDERS[a % 30]}
+            yield LogEvent(nid, ts, host, _NOISE_TYPES[ti], _NOISE_USERS[u], attrs)
+
+
+class _Expansion(Sequence):
+    """Positions ``start`` to ``stop - 1`` of an expanded stream, made as
+    they are read: each read is one walk of the noise from its first
+    position, with the originals put in their places on the way. A slice
+    is another such view; an index reads one position."""
+
+    def __init__(self, events: list[LogEvent], places: list[int], columns: tuple,
+                 start: int, stop: int):
+        self._events, self._places, self._columns = events, places, columns
+        self._start, self._stop = start, stop
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __iter__(self) -> Iterator[LogEvent]:
+        places = self._places
+        start, stop = self._start, self._stop
+        # originals j to j_end - 1 fall in the view; the noise events in it
+        # are those from start - j on
+        j, j_end = bisect_left(places, start), bisect_left(places, stop)
+        noise = _noise(self._columns, start - j, stop - j_end)
+        at = start
+        for j in range(j, j_end):
+            yield from islice(noise, places[j] - at)
+            e = self._events[j]
+            yield LogEvent(places[j] + 1, e.ts, e.source_host, e.event_type, e.actor,
+                           e.attributes)
+            at = places[j] + 1
+        yield from noise
+
+    def __getitem__(self, i):
+        rows = range(self._start, self._stop)[i]
+        if isinstance(i, slice):
+            if rows.step == 1:
+                return _Expansion(self._events, self._places, self._columns,
+                                  rows.start, max(rows.start, rows.stop))
+            return [self._at(k) for k in rows]
+        return self._at(rows)
+
+    def _at(self, k: int) -> LogEvent:
+        return next(iter(_Expansion(self._events, self._places, self._columns, k, k + 1)))
 
 
 def write_truth_file(path: str, truth: GroundTruth) -> None:

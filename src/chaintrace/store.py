@@ -15,6 +15,7 @@ import json
 import math
 import os
 import signal
+from collections.abc import Sequence
 from dataclasses import dataclass, asdict
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -26,14 +27,24 @@ WRITE_BATCH_LINES = 4096  # rows per write call: under 1 MiB of this store's lin
 
 _INDEX_FILE = "index.json"
 
-# A full read is split into parts, one per usable CPU, each of at least
-# this many lines: a smaller part gains little or loses, since a worker's
-# fork, the lines it reads past and its pickled result cost about what
-# its core saves. Feature extraction and detect's rule pass break even
-# near it (benchmarks/BENCH_features.json, benchmarks/BENCH_rules.json).
+# A full read, and a write of a sequence, is split into parts, one per
+# usable CPU, each of at least this many lines: a smaller part gains little
+# or loses, since a worker's fork, the lines it reads past and its pickled
+# result cost about what its core saves. Feature extraction and detect's
+# rule pass break even near it (benchmarks/BENCH_features.json,
+# benchmarks/BENCH_rules.json), and so does a write: on 2 CPUs, two parts
+# of 10k listed events lost in both rounds of benchmarks/BENCH_codec.json's
+# write_crossover (0.041 s against 0.027 s in one part, 0.050 s against
+# 0.047 s), and two parts of 20k won or tied (0.061 s against 0.081 s,
+# 0.083 s against 0.085 s).
 MIN_PART_LINES = 10_000
+# A worker encodes its whole part of a write before it sends a batch, since
+# a pipe holds 64 KiB and the parent reads none of it until it has encoded
+# its own part; this caps that text at about 45 MB.
+MAX_WRITE_PART_LINES = 1 << 18
 
 _T = TypeVar("_T")
+_A = TypeVar("_A")
 
 
 @dataclass
@@ -130,10 +141,11 @@ class EventStore:
     def append(self, events: Iterable[LogEvent]) -> int:
         """Append a (ts, id)-sorted batch; durable once this returns.
 
-        A batch that raises before it is indexed is dropped at the next
-        reopen; if it was the store's first, it is dropped here, with the
-        segment files and the directories it made, so that no half-made
-        store is left behind.
+        A long enough sequence is encoded in parts, by forked workers too
+        (``_write_parts``); the files are those of one pass. A batch that
+        raises before it is indexed is dropped at the next reopen; if it was
+        the store's first, it is dropped here, with the segment files and
+        the directories it made, so that no half-made store is left behind.
         """
         if self.segments:
             return self._append(events)
@@ -158,53 +170,113 @@ class EventStore:
             raise
 
     def _append(self, events: Iterable[LogEvent]) -> int:
-        last_ts = self.last_ts
-        last_id = self.last_id
-        appended = 0
-        lines: list[str] = []  # encoded rows of the active segment, not yet written
-        try:
-            for e in events:
-                # what decode_event refuses and encode_event lets through
-                if e.ts <= 0:
-                    raise SchemaError(f"event id={e.id}: ts must be > 0, got {e.ts}")
-                if e.event_type not in EVENT_TYPES:
-                    raise SchemaError(f"event id={e.id}: unknown type {e.event_type!r}")
-                if e.ts < last_ts or e.id <= last_id:
-                    raise OutOfOrder(
-                        f"event id={e.id} ts={e.ts} regresses behind "
-                        f"ts={last_ts} id={last_id}"
-                    )
-                if not lines:
-                    if self._active is None or self._active.count >= self.segment_events:
-                        if self._active is not None:
-                            self._seal_active()
-                        self._open_segment()
-                    elif self._fh is None:
-                        self._reopen_active()
-                    first = e
-                    room = min(WRITE_BATCH_LINES, self.segment_events - self._active.count)
-                lines.append(encode_event(e))
-                last_ts, last_id = e.ts, e.id
-                if len(lines) >= room:
-                    batch, lines = lines, []
-                    appended += self._write(batch, first, last_ts, last_id)
-        finally:  # also when an event raises: its valid prefix is written
-            if lines:
-                appended += self._write(lines, first, last_ts, last_id)
+        parts = self._write_parts(events) if isinstance(events, Sequence) else []
+        if len(parts) > 1:
+            appended = self._append_parts(events, parts)
+        else:
+            appended = self._write_batches(events)
         if appended:
             self._sync_active()
             self._write_index()
         return appended
 
-    def _write(self, lines: list[str], first: LogEvent, last_ts: int, last_id: int) -> int:
-        """Write the rows of ``first`` through (``last_ts``, ``last_id``) and index them."""
-        self._fh.write("\n".join(lines) + "\n")
+    def _room(self) -> int:
+        """Rows the next batch's segment has room for: a full or missing
+        active segment gives way to a new one."""
         seg = self._active
-        if seg.count == 0:
-            seg.min_ts, seg.min_id = first.ts, first.id
-        seg.max_ts, seg.max_id = last_ts, last_id
-        seg.count += len(lines)
-        return len(lines)
+        if seg is None or seg.count >= self.segment_events:
+            return self.segment_events
+        return self.segment_events - seg.count
+
+    def _write_batches(self, events: Iterable[LogEvent]) -> int:
+        """Encode ``events`` here, after the rows the store holds, and write them."""
+        appended = 0
+        for batch in _encode_part(events, self.last_ts, self.last_id, self._room(),
+                                  self.segment_events):
+            appended += self._write(*batch)
+        return appended
+
+    def _write_parts(self, events: Sequence[LogEvent]) -> list[tuple[range, int]]:
+        """The contiguous parts that a write of ``events`` is split into,
+        each with the room its segment has at its first row.
+
+        A sequence of fewer than ``2 * MIN_PART_LINES`` events is one
+        part, and so is any sequence on one usable CPU. Otherwise the parts
+        are about equal, each holds at most ``MAX_WRITE_PART_LINES`` rows,
+        and each starts where one pass starts a batch, so that it cuts its
+        batches where one pass does.
+        """
+        n_lines = len(events)
+        group = min(_usable_cpus(), n_lines // MIN_PART_LINES)
+        n = group * -(-n_lines // (group * MAX_WRITE_PART_LINES)) if group > 1 else 1
+        first_room, seg_rows = self._room(), self.segment_events
+        cuts = {0, n_lines}
+        for i in range(1, n):
+            cut = n_lines * i // n
+            # rows since the append or the cut's segment began
+            into = cut if cut < first_room else (cut - first_room) % seg_rows
+            cuts.add(cut - into % WRITE_BATCH_LINES)
+        cuts = sorted(cuts)
+        return [(range(a, b), first_room - a if a < first_room
+                 else seg_rows - (a - first_room) % seg_rows)
+                for a, b in zip(cuts, cuts[1:])]
+
+    def _append_parts(self, events: Sequence[LogEvent],
+                      parts: list[tuple[range, int]]) -> int:
+        """Write ``parts`` of ``events`` in stream order, in groups of one
+        per usable CPU: the group's first part is encoded here while forked
+        workers encode the others, and a worker's batches are written one
+        at a time as they arrive. A part whose worker failed, died or could
+        not be forked is encoded here in its turn, from the first of its
+        batches that did not arrive."""
+        def encode(part: tuple[range, int]) -> list[tuple]:
+            rows, room = part
+            before = events[rows.start - 1]  # the order check starts at it
+            # whole, so that a part that raises sends no batch
+            return list(_encode_part(events[rows.start:rows.stop], before.ts, before.id,
+                                     room, self.segment_events))
+
+        appended = 0
+        group = _usable_cpus()
+        for g in range(0, len(parts), group):
+            workers: list[_Worker] = []
+            try:
+                for part in parts[g + 1:g + group] if hasattr(os, "fork") else ():
+                    try:
+                        workers.append(_Worker(encode, part))
+                    except OSError:  # no process to spare: the rest are encoded here
+                        break
+                for i, (rows, _) in enumerate(parts[g:g + group]):
+                    start = rows.start
+                    if 0 < i <= len(workers):
+                        for batch in workers[i - 1].items():
+                            appended += self._write(*batch)
+                            start += batch[1]
+                    appended += self._write_batches(events[start:rows.stop])
+            finally:
+                for w in workers:
+                    w.close()
+        return appended
+
+    def _write(self, text: str, count: int, first_ts: int, first_id: int,
+               last_ts: int, last_id: int) -> int:
+        """Write one batch of ``count`` rows into the segment it belongs to,
+        opening that segment first if need be, and index them."""
+        seg = self._active
+        if seg is None or seg.count >= self.segment_events:
+            if seg is not None:
+                self._seal_active()
+            self._open_segment()
+            seg = self._active
+        elif self._fh is None:
+            self._reopen_active()
+        if count:
+            self._fh.write(text)
+            if seg.count == 0:
+                seg.min_ts, seg.min_id = first_ts, first_id
+            seg.max_ts, seg.max_id = last_ts, last_id
+            seg.count += count
+        return count
 
     def _sync_active(self) -> None:
         """Make the active segment durable and record its length."""
@@ -299,15 +371,15 @@ class EventStore:
         try:
             for part in parts[1:] if hasattr(os, "fork") else ():
                 try:
-                    workers.append(_Worker(read, part))
+                    workers.append(_Worker(lambda part: [read(part)], part))
                 except OSError:  # no process to spare: the rest are read here
                     break
             for i, part in enumerate(parts):
-                sent = workers[i - 1].result() if 0 < i <= len(workers) else None
-                if sent is None:
+                sent = list(workers[i - 1].items()) if 0 < i <= len(workers) else None
+                if not sent:
                     yield fn(self.query(prefilter, lines=part))
                     continue
-                result, scanned, skipped = sent
+                [(result, scanned, skipped)] = sent
                 del sent
                 self.rows_scanned += scanned
                 self.rows_skipped += skipped
@@ -316,6 +388,65 @@ class EventStore:
         finally:
             for w in workers:
                 w.close()
+
+
+def _encode_part(events: Iterable[LogEvent], last_ts: int, last_id: int, room: int,
+                 segment_events: int) -> Iterator[tuple[str, int, int, int, int, int]]:
+    """The batches of one pass's writer over ``events``, which follow an
+    event at (``last_ts``, ``last_id``) in a segment with ``room`` rows left.
+
+    Each batch is ``(text, count, first ts, first id, last ts, last id)``:
+    up to ``WRITE_BATCH_LINES`` encoded rows, none past the end of its
+    segment. An event that is out of order or refused raises after the
+    batch of the valid rows before it; a batch of no rows, yielded when the
+    first event of a batch is refused only by the encoder, still opens its
+    segment, as one pass has done by then.
+    """
+    lines: list[str] = []
+    first = None  # the first event of the batch being encoded
+    try:
+        for e in events:
+            # what decode_event refuses and encode_event lets through
+            if e.ts <= 0:
+                raise SchemaError(f"event id={_shown(e.id)}: ts must be > 0, got {_shown(e.ts)}")
+            if e.event_type not in EVENT_TYPES:
+                raise SchemaError(f"event id={_shown(e.id)}: unknown type {e.event_type!r}")
+            if e.ts < last_ts or e.id <= last_id:
+                raise OutOfOrder(
+                    f"event id={_shown(e.id)} ts={_shown(e.ts)} regresses behind "
+                    f"ts={last_ts} id={last_id}"
+                )
+            if first is None:
+                first = e
+                size = min(WRITE_BATCH_LINES, room)
+            lines.append(encode_event(e))
+            last_ts, last_id = e.ts, e.id
+            if len(lines) >= size:
+                batch = _batch(lines, first, last_ts, last_id)
+                lines, first = [], None
+                room = room - size or segment_events
+                yield batch
+    except BaseException:  # also when an event raises: its valid prefix is written
+        if first is not None:
+            yield _batch(lines, first, last_ts, last_id)
+        raise
+    if lines:
+        yield _batch(lines, first, last_ts, last_id)
+
+
+def _shown(value) -> str:
+    """``value`` as an error message shows it; an int past Python's
+    int-to-string digit limit is shown by its size."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"<{value.bit_length()}-bit int>"
+
+
+def _batch(lines: list[str], first: LogEvent, last_ts: int,
+           last_id: int) -> tuple[str, int, int, int, int, int]:
+    return ("\n".join(lines) + "\n" if lines else "", len(lines), first.ts, first.id,
+            last_ts, last_id)
 
 
 def _in_segment(seg: StoreSegment) -> Callable[[str], LogEvent]:
@@ -340,18 +471,22 @@ def _usable_cpus() -> int:
 
 
 class _Worker:
-    """``fn(arg)`` run in a forked child, its result pickled back through
-    a pipe; the child always ends in ``os._exit`` and prints nothing.
+    """Each item of ``fn(arg)``, run in a forked child, pickled back one at
+    a time through a pipe, each after its length; the child always ends in
+    ``os._exit`` and prints nothing.
 
     Forked, not spawned: a spawned child would start an interpreter and
     import chaintrace and numpy again, about 0.3 s, most of what a second
-    part saves on a 150k-line store. The child runs Python code only
-    (decode, count, pickle), so it takes no lock that another thread of
-    the parent, such as a BLAS thread, may have held at the fork.
+    part saves on a 150k-line store. The children read a part of a store
+    (decode, count, pickle) or encode a part of a write; a part of
+    ``expand_with_noise``'s stream also slices and searches numpy arrays,
+    but makes no BLAS call. So a child runs no code that takes a lock
+    another thread of the parent, such as a BLAS thread, may have held at
+    the fork.
     """
 
-    def __init__(self, fn, arg):
-        import pickle  # here, so that a command that reads no store in parts skips it
+    def __init__(self, fn: Callable[[_A], Iterable], arg: _A):
+        import pickle  # here, so that a command that makes no worker skips it
 
         rfd, wfd = os.pipe()
         try:
@@ -365,30 +500,36 @@ class _Worker:
             try:
                 os.close(rfd)
                 with open(wfd, "wb") as fh:
-                    pickle.dump(fn(arg), fh, pickle.HIGHEST_PROTOCOL)
+                    for item in fn(arg):
+                        data = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+                        fh.write(len(data).to_bytes(8, "little"))
+                        fh.write(data)
+                        fh.flush()  # in the pipe whole before the next is made
                 code = 0
             finally:
                 os._exit(code)
         os.close(wfd)
-        self.pid, self.fd = pid, rfd
+        self.pid, self.fh = pid, open(rfd, "rb")
 
-    def result(self):
-        """The child's result, or None if it failed or died first."""
+    def items(self) -> Iterator:
+        """The child's items, each loaded when it is asked for; the child is
+        reaped at their end. A child that failed or died sends a prefix of
+        them: the items it wrote whole."""
         import pickle
 
-        with open(self.fd, "rb") as fh:
-            self.fd = None
-            data = fh.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        # a child exits 0 only once it has written its whole result
-        return pickle.loads(data) if status == 0 else None
+        while len(head := self.fh.read(8)) == 8:
+            size = int.from_bytes(head, "little")
+            data = self.fh.read(size)
+            if len(data) < size:  # cut short by the child's death
+                break
+            yield pickle.loads(data)
+        self.close()
 
     def close(self) -> None:
         """Stop and reap the child if it is still there."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
+        if self.fh is not None:
+            self.fh.close()
+            self.fh = None
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 from dataclasses import asdict
 
 import pytest
@@ -256,6 +257,35 @@ def test_store_of_an_expansion_is_pinned(tmp_path, case_study):
         with open(os.path.join(root, name), "rb") as fh:
             h.update(f"{name}\n".encode() + fh.read())
     assert h.hexdigest() == _STORE_DIGEST
+
+
+@pytest.mark.parametrize("factor,tied", [(1.0, False), (3, False), (60.5, False),
+                                         (3.5, True)])
+def test_expansion_is_a_sequence(case_study, factor, tied):
+    base = _TIED if tied else case_study[1]
+    id_map: dict[int, int] = {}
+    x = expand_with_noise(base, factor, 5, id_map)
+    assert sorted(id_map) == sorted(e.id for e in base)  # full before the first read
+    events = list(x)
+    assert len(x) == len(events)
+    assert list(x) == events  # a second walk makes the same events
+    n = len(events)
+    places = [new - 1 for new in id_map.values()]
+    edges = {0, n, *(p + d for p in places for d in (-1, 0, 1) if 0 <= p + d <= n)}
+    rng = random.Random(factor)
+    edges |= {rng.randrange(n + 1) for _ in range(20)}
+    for i in sorted(edges - {n}):
+        assert x[i] == events[i]
+        assert x[i - n] == events[i - n]
+    bounds = sorted(edges)
+    for a, b in [*zip(bounds, bounds[1:]), *(sorted(rng.sample(bounds, 2)) for _ in range(10)),
+                 (0, n), (n, n), (5, 2)]:
+        assert len(x[a:b]) == len(events[a:b])
+        assert list(x[a:b]) == events[a:b]
+        assert list(x[a:b][1:-1]) == events[a:b][1:-1]
+    assert list(x[::7]) == events[::7] and list(x[-3::-11]) == events[-3::-11]
+    with pytest.raises(IndexError):
+        x[n]
 
 
 def test_truth_file_roundtrip(tmp_path, case_study):

@@ -41,6 +41,8 @@ def test_append_out_of_order_ts(tmp_path):
     store.append([_mk(1, 100), _mk(2, 200)])
     with pytest.raises(OutOfOrder):
         store.append([_mk(3, 150)])
+    with pytest.raises(OutOfOrder, match="id=<16610-bit int> ts=150 regresses"):
+        store.append([LogEvent(10 ** 5000, 150, "h0", "logon", "a0", {})])
 
 
 def test_append_id_regression(tmp_path):
@@ -129,7 +131,13 @@ def test_an_empty_last_segment_keeps_the_order_check(tmp_path):
     LogEvent(4, 40, "h0", "logon", "a0", {"k": 5}),
     LogEvent(4, 0, "h0", "logon", "a0", {}),
     LogEvent(4, 40, "h0", "bogus", "a0", {}),
-], ids=["non-string attr", "ts 0", "unknown type"])
+    LogEvent(10 ** 5000, 40, "h0", "logon", "a0", {}),
+    LogEvent(4, 10 ** 5000, "h0", "logon", "a0", {}),
+    LogEvent(10 ** 5000, -10 ** 5000, "h0", "logon", "a0", {}),
+    LogEvent(10 ** 5000, 40, "h0", "bogus", "a0", {}),
+], ids=["non-string attr", "ts 0", "unknown type", "id past the digit limit",
+        "ts past the digit limit", "ts 0, both past the digit limit",
+        "unknown type, id past the digit limit"])
 def test_append_refuses_what_query_would_refuse(tmp_path, bad):
     root = str(tmp_path / "s")
     store = EventStore(root)
@@ -502,3 +510,129 @@ def test_append_fault_at_event_k_keeps_the_valid_prefix(tmp_path, monkeypatch,
     assert again.append(prefix) == k - 1
     again.close()
     assert _files(tmp_path / "died") == expected
+
+
+def _closed_store(path, events, segment_events, committed=()):
+    """The files of a store of ``committed`` then ``events``, appended as
+    given, and the exception the second append raised, if any."""
+    store = EventStore(str(path), segment_events=segment_events)
+    store.append(list(committed))
+    try:
+        store.append(events)
+        raised = None
+    except Exception as exc:
+        raised = (type(exc), str(exc))
+    store.close()
+    return _files(path), raised
+
+
+@pytest.mark.parametrize("segment_events", [3, B - 1, B, B + 1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("max_part", [store_module.MAX_WRITE_PART_LINES, 5],
+                         ids=["one group", "many groups"])
+@pytest.mark.parametrize("n_committed", [0, 2])
+def test_split_write_equals_one_pass(tmp_path, monkeypatch, parts, segment_events, n,
+                                     max_part, n_committed):
+    monkeypatch.setattr(os, "fsync", lambda fd: None)  # see the fault-at-event-k test
+    monkeypatch.setattr(store_module, "MAX_WRITE_PART_LINES", max_part)
+    committed = [_mk(i, 10 * i) for i in range(1, n_committed + 1)]
+    # three segments or batches and a short one; 4,000 segments of 3 rows
+    # would cost seconds
+    events = [_mk(i, 10 * i) for i in range(n_committed + 1, 3 * min(segment_events, B) + 50)]
+    _write_reference(str(tmp_path / "ref"), committed + events, segment_events)
+    # the rows of each write call, in order
+    writes, write = [], EventStore._write
+    monkeypatch.setattr(EventStore, "_write",
+                        lambda self, *batch: writes.append(batch[1:]) or write(self, *batch))
+    _closed_store(tmp_path / "one", iter(events), segment_events, committed)
+    one_pass, writes[:] = writes[:], []
+    parts(n)
+    assert len(EventStore(str(tmp_path / "x"), segment_events)._write_parts(events)) > 1
+    got, raised = _closed_store(tmp_path / "split", events, segment_events, committed)
+    assert raised is None
+    assert got == _files(tmp_path / "ref")
+    assert writes == one_pass
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+_FAULTS = {  # an event that one pass refuses, at id i and ts 10 * i
+    "regresses": lambda i: _mk(i, 5),
+    "encoder refuses": lambda i: LogEvent(i, 10 * i, "h0", "logon", "a0", {"k": 5}),
+    "too many digits": lambda i: LogEvent(10 ** 5000, 10 * i, "h0", "logon", "a0", {}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+@pytest.mark.parametrize("segment_events", [3, B])
+@pytest.mark.parametrize("where", ["part 0", "middle part", "first of a worker part",
+                                   "last part", "last event"])
+def test_split_write_fault_equals_one_pass(tmp_path, monkeypatch, parts, fault,
+                                           segment_events, where):
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
+    committed = [_mk(1, 10), _mk(2, 20)]
+    batch = [_mk(i, 10 * i) for i in range(3, 8 * min(10 * segment_events, B) + 3)]
+    parts(4)
+    store = EventStore(str(tmp_path / "x"), segment_events=segment_events)
+    store.append(committed)
+    rows = [rows for rows, _ in store._write_parts(batch)]
+    assert len(rows) == 4
+    at = {"part 0": 1, "middle part": (rows[1].start + rows[1].stop) // 2,
+          "first of a worker part": rows[2].start,
+          "last part": (rows[3].start + rows[3].stop) // 2, "last event": len(batch) - 1}[where]
+    batch[at] = _FAULTS[fault](at + 3)
+    parts(1)
+    one_pass = _closed_store(tmp_path / "one", iter(batch), segment_events, committed)
+    assert one_pass[1] is not None
+    parts(4)
+    assert _closed_store(tmp_path / "split", batch, segment_events, committed) == one_pass
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_split_write_survives_a_killed_worker(tmp_path, monkeypatch, parts, k):
+    # the worker's part holds 5 batches; it dies by SIGKILL once it has
+    # sent k - 1 of them, and the parent encodes the rest itself
+    import pickle
+    import signal
+
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
+    parent, dumps, dumped, killed = os.getpid(), pickle.dumps, [], tmp_path / "killed"
+
+    def dumps_or_die(*args):
+        if os.getpid() != parent:
+            dumped.append(1)
+            if len(dumped) == k:
+                killed.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+        return dumps(*args)
+    monkeypatch.setattr(pickle, "dumps", dumps_or_die)
+    events = [_mk(i, 10 * i) for i in range(1, 4 * B)]
+    _write_reference(str(tmp_path / "ref"), events, B + 1)
+    parts(2)
+    assert _closed_store(tmp_path / "split", events, B + 1) == (_files(tmp_path / "ref"), None)
+    assert killed.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("forks", [0, 1], ids=["no fork", "fork fails after one worker"])
+@pytest.mark.parametrize("fault", [None, 3 * B + 5])
+def test_split_write_without_workers(tmp_path, monkeypatch, parts, forks, fault):
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
+    events = [_mk(i, 10 * i) for i in range(1, 4 * B)]
+    if fault is not None:
+        events[fault] = _mk(fault + 1, 5)
+    one_pass = _closed_store(tmp_path / "one", iter(events), B - 1)
+    if forks:
+        fork, calls = os.fork, []
+
+        def fork_once():
+            calls.append(1)
+            if len(calls) > forks:
+                raise OSError("no process to spare")
+            return fork()
+        monkeypatch.setattr(os, "fork", fork_once)
+    else:
+        monkeypatch.delattr(os, "fork")
+    parts(4)
+    assert _closed_store(tmp_path / "split", events, B - 1) == one_pass
