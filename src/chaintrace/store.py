@@ -11,6 +11,7 @@ it, dropping whatever a torn append left behind.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -38,9 +39,8 @@ _INDEX_FILE = "index.json"
 # 0.047 s), and two parts of 20k won or tied (0.061 s against 0.081 s,
 # 0.083 s against 0.085 s).
 MIN_PART_LINES = 10_000
-# A worker encodes its whole part of a write before it sends a batch, since
-# a pipe holds 64 KiB and the parent reads none of it until it has encoded
-# its own part; this caps that text at about 45 MB.
+# A worker encodes its whole part of a write before it sends a batch (see
+# _Worker); this caps that text at about 45 MB.
 MAX_WRITE_PART_LINES = 1 << 18
 
 _T = TypeVar("_T")
@@ -170,11 +170,23 @@ class EventStore:
             raise
 
     def _append(self, events: Iterable[LogEvent]) -> int:
+        first = self.last_ts, self.last_id
+
+        def encode(part: tuple[range, int]) -> Iterator[tuple]:
+            rows, room = part
+            # the order check starts at the row before the part
+            last = (events[rows.start - 1].ts, events[rows.start - 1].id) if rows.start else first
+            return _encode_part(events[rows.start:rows.stop], *last, room, self.segment_events)
+
         parts = self._write_parts(events) if isinstance(events, Sequence) else []
         if len(parts) > 1:
-            appended = self._append_parts(events, parts)
+            batches = _in_parts(parts, encode)
         else:
-            appended = self._write_batches(events)
+            batches = _encode_part(events, *first, self._room(), self.segment_events)
+        appended = 0
+        with contextlib.closing(batches):  # its workers are reaped if a write raises
+            for batch in batches:
+                appended += self._write(*batch)
         if appended:
             self._sync_active()
             self._write_index()
@@ -187,14 +199,6 @@ class EventStore:
         if seg is None or seg.count >= self.segment_events:
             return self.segment_events
         return self.segment_events - seg.count
-
-    def _write_batches(self, events: Iterable[LogEvent]) -> int:
-        """Encode ``events`` here, after the rows the store holds, and write them."""
-        appended = 0
-        for batch in _encode_part(events, self.last_ts, self.last_id, self._room(),
-                                  self.segment_events):
-            appended += self._write(*batch)
-        return appended
 
     def _write_parts(self, events: Sequence[LogEvent]) -> list[tuple[range, int]]:
         """The contiguous parts that a write of ``events`` is split into,
@@ -220,43 +224,6 @@ class EventStore:
         return [(range(a, b), first_room - a if a < first_room
                  else seg_rows - (a - first_room) % seg_rows)
                 for a, b in zip(cuts, cuts[1:])]
-
-    def _append_parts(self, events: Sequence[LogEvent],
-                      parts: list[tuple[range, int]]) -> int:
-        """Write ``parts`` of ``events`` in stream order, in groups of one
-        per usable CPU: the group's first part is encoded here while forked
-        workers encode the others, and a worker's batches are written one
-        at a time as they arrive. A part whose worker failed, died or could
-        not be forked is encoded here in its turn, from the first of its
-        batches that did not arrive."""
-        def encode(part: tuple[range, int]) -> list[tuple]:
-            rows, room = part
-            before = events[rows.start - 1]  # the order check starts at it
-            # whole, so that a part that raises sends no batch
-            return list(_encode_part(events[rows.start:rows.stop], before.ts, before.id,
-                                     room, self.segment_events))
-
-        appended = 0
-        group = _usable_cpus()
-        for g in range(0, len(parts), group):
-            workers: list[_Worker] = []
-            try:
-                for part in parts[g + 1:g + group] if hasattr(os, "fork") else ():
-                    try:
-                        workers.append(_Worker(encode, part))
-                    except OSError:  # no process to spare: the rest are encoded here
-                        break
-                for i, (rows, _) in enumerate(parts[g:g + group]):
-                    start = rows.start
-                    if 0 < i <= len(workers):
-                        for batch in workers[i - 1].items():
-                            appended += self._write(*batch)
-                            start += batch[1]
-                    appended += self._write_batches(events[start:rows.stop])
-            finally:
-                for w in workers:
-                    w.close()
-        return appended
 
     def _write(self, text: str, count: int, first_ts: int, first_id: int,
                last_ts: int, last_id: int) -> int:
@@ -345,49 +312,32 @@ class EventStore:
         in stream order.
 
         There is one part per usable CPU, each of at least
-        ``MIN_PART_LINES`` lines. Forked workers read every part but the
-        first, which is read here when the first result is asked for. A
-        part's result is collected only when it is asked for, so the
-        consumer may use and drop each part before the next arrives. A
-        part whose worker failed, died or could not be forked is read here
-        in its turn, so its error, if any, is raised where one pass raises
-        it. ``rows_scanned`` and ``rows_skipped`` count the lines of every
-        part, as one pass does. ``fn`` also runs in the forked children, so
-        it must run Python code only, as ``features.accumulate_part`` does,
-        and return a picklable result. Closing the generator, or reading it
-        to its end, stops and reaps every worker.
+        ``MIN_PART_LINES`` lines, read as ``_in_parts`` runs parts: the
+        first here, the others in forked workers. A part's result is
+        collected only when it is asked for, so the consumer may use and
+        drop each part before the next arrives. ``rows_scanned`` and
+        ``rows_skipped`` count the lines of every part, as one pass does.
+        ``fn`` also runs in the forked children, so it must run Python code
+        only, as ``features.accumulate_part`` does, and return a picklable
+        result.
         """
         n_lines = self.count()
         n = max(1, min(_usable_cpus(), n_lines // MIN_PART_LINES))
         cuts = [n_lines * i // n for i in range(n + 1)]
         parts = [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
-        def read(part: range) -> tuple[_T, int, int]:
-            scanned, skipped = self.rows_scanned, self.rows_skipped
+        def read(part: range) -> Iterator[tuple[_T, int, int]]:
+            before = self.rows_scanned, self.rows_skipped
             result = fn(self.query(prefilter, lines=part))
-            return result, self.rows_scanned - scanned, self.rows_skipped - skipped
+            counts = self.rows_scanned - before[0], self.rows_skipped - before[1]
+            self.rows_scanned, self.rows_skipped = before  # added below, as a worker's are
+            yield result, *counts
 
-        workers: list[_Worker] = []
-        try:
-            for part in parts[1:] if hasattr(os, "fork") else ():
-                try:
-                    workers.append(_Worker(lambda part: [read(part)], part))
-                except OSError:  # no process to spare: the rest are read here
-                    break
-            for i, part in enumerate(parts):
-                sent = list(workers[i - 1].items()) if 0 < i <= len(workers) else None
-                if not sent:
-                    yield fn(self.query(prefilter, lines=part))
-                    continue
-                [(result, scanned, skipped)] = sent
-                del sent
-                self.rows_scanned += scanned
-                self.rows_skipped += skipped
-                yield result
-                del result  # dropped before the next part is collected
-        finally:
-            for w in workers:
-                w.close()
+        for result, scanned, skipped in _in_parts(parts, read):
+            self.rows_scanned += scanned
+            self.rows_skipped += skipped
+            yield result
+            del result  # dropped before the next part is collected
 
 
 def _encode_part(events: Iterable[LogEvent], last_ts: int, last_id: int, room: int,
@@ -470,10 +420,46 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _in_parts(parts: Sequence[_A], work: Callable[[_A], Iterable[_T]]) -> Iterator[_T]:
+    """The items of ``work(part)`` for each of ``parts``, in their order.
+
+    The parts run in groups of one per usable CPU: the group's first part
+    runs here, and forked workers run the others, each of which builds all
+    its items before it sends the first. A part whose worker failed or
+    died, and so sent no end frame, or could not be forked runs here in
+    its turn, and only its items past those that arrived are yielded, so
+    its error, if any, is raised where one pass raises it. Each item is
+    dropped here before the next is loaded. Closing the generator, or
+    reading it to its end, stops and reaps every worker.
+    """
+    group = _usable_cpus()
+    for g in range(0, len(parts), group):
+        workers: list[_Worker] = []
+        try:
+            for part in parts[g + 1:g + group] if hasattr(os, "fork") else ():
+                try:
+                    workers.append(_Worker(work, part))
+                except OSError:  # no process to spare: the rest run here
+                    break
+            # the group's first part, and any not forked, has no worker
+            for part, worker in itertools.zip_longest(parts[g:g + group], [None, *workers]):
+                if worker:
+                    yield from worker.items()
+                    if worker.finished:
+                        continue
+                yield from itertools.islice(work(part), worker.sent if worker else 0, None)
+        finally:
+            for w in workers:
+                w.close()
+
+
 class _Worker:
     """Each item of ``fn(arg)``, run in a forked child, pickled back one at
-    a time through a pipe, each after its length; the child always ends in
-    ``os._exit`` and prints nothing.
+    a time through a pipe, each after its length, and then an end frame, a
+    length of 0; the child always ends in ``os._exit`` and prints nothing.
+    The child builds all its items before it sends the first, since a pipe
+    holds 64 KiB and the parent reads none of it until it has run its own
+    part.
 
     Forked, not spawned: a spawned child would start an interpreter and
     import chaintrace and numpy again, about 0.3 s, most of what a second
@@ -500,29 +486,41 @@ class _Worker:
             try:
                 os.close(rfd)
                 with open(wfd, "wb") as fh:
-                    for item in fn(arg):
+                    for item in list(fn(arg)):
                         data = pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
                         fh.write(len(data).to_bytes(8, "little"))
                         fh.write(data)
                         fh.flush()  # in the pipe whole before the next is made
+                    fh.write(bytes(8))
                 code = 0
             finally:
                 os._exit(code)
         os.close(wfd)
         self.pid, self.fh = pid, open(rfd, "rb")
+        self.sent, self.finished = 0, False
 
     def items(self) -> Iterator:
-        """The child's items, each loaded when it is asked for; the child is
-        reaped at their end. A child that failed or died sends a prefix of
-        them: the items it wrote whole."""
+        """The child's items, each loaded when it is asked for and counted in
+        ``sent``; ``finished`` says whether the end frame followed them. An
+        item is yielded once the frame after it is read, so that the child
+        is reaped before its last item is used. A child that failed or died
+        sends a prefix of them, the items it wrote whole, and no end frame."""
         import pickle
 
-        while len(head := self.fh.read(8)) == 8:
+        head = self.fh.read(8)
+        while len(head) == 8 and head != bytes(8):
             size = int.from_bytes(head, "little")
             data = self.fh.read(size)
             if len(data) < size:  # cut short by the child's death
                 break
-            yield pickle.loads(data)
+            item, data = pickle.loads(data), None  # its bytes go before it is used
+            self.sent += 1
+            head = self.fh.read(8)
+            if head == bytes(8):
+                self.close()
+            yield item
+            del item  # dropped before the next is loaded
+        self.finished = head == bytes(8)
         self.close()
 
     def close(self) -> None:

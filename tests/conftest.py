@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -32,3 +33,15 @@ def case_study():
     cfg = SimConfig()
     events, truth = simulate(cfg)
     return cfg, events, truth
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Every process a test forks, such as a store's worker, is reaped by
+    the time the test ends."""
+    yield
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a forked child outlived the test: (pid, status) {left}")

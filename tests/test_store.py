@@ -1,6 +1,10 @@
+import io
 import json
 import os
+import pickle
 import re
+import signal
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -450,6 +454,122 @@ def test_full_read_refuses_a_ts_outside_its_segment(tmp_path, parts, ts, n):
         list(store.map_parts(list))
 
 
+class _Box:
+    """A part's result. Loaded in the parent, from a worker, it records how
+    many of the boxes in ``alive`` (weakrefs the consumer appends) are still
+    alive."""
+
+    alive: list = []
+    held: list = []
+
+    def __init__(self, ids):
+        self.ids = ids
+
+    def __setstate__(self, state):
+        _Box.held.append(sum(ref() is not None for ref in _Box.alive))
+        self.__dict__.update(state)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_map_parts_drops_a_result_before_the_next_is_loaded(tmp_path, monkeypatch,
+                                                            parts, n):
+    # the parent never holds two parts' results at once: detect's and
+    # train's peak RSS rest on it
+    monkeypatch.setattr(_Box, "alive", [])
+    monkeypatch.setattr(_Box, "held", [])
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    store.append(_mk(i, 100 * i) for i in range(1, 11))
+    store.close()
+    parts(n)
+    ids = []
+    for box in store.map_parts(lambda events: _Box([e.id for e in events])):
+        ids += box.ids
+        _Box.alive.append(weakref.ref(box))
+        del box
+        if ids[-1] == 10:  # the last worker was reaped before its result is used
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+    assert ids == list(range(1, 11))
+    assert _Box.held == [0] * (n - 1)
+
+
+def test_in_parts_drops_an_item_before_the_next_is_loaded(monkeypatch):
+    # a write's worker sends many batches
+    monkeypatch.setattr(_Box, "alive", [])
+    monkeypatch.setattr(_Box, "held", [])
+    monkeypatch.setattr(store_module, "_usable_cpus", lambda: 3)
+    for box in store_module._in_parts(range(5), lambda p: (_Box([p, j]) for j in range(3))):
+        _Box.alive.append(weakref.ref(box))
+        del box
+    assert _Box.held == [0] * 9  # three items from each of the workers of parts 1, 2 and 4
+
+
+def _one_pass(n):
+    """The items of parts ``0 .. n - 1`` in the ``_in_parts`` tests."""
+    return [(p, j) for p in range(n) for j in range(3)]
+
+
+def _run_in_parts(n):
+    """``_in_parts`` over ``n`` parts of three items each, and the parts
+    whose ``work`` ran in the parent."""
+    parent, here = os.getpid(), []
+
+    def work(part):
+        if os.getpid() == parent:
+            here.append(part)
+        return ((part, j) for j in range(3))
+    return list(store_module._in_parts(range(n), work)), here
+
+
+class _NoEndFrame(io.BufferedWriter):
+    """A worker's pipe whose child dies by SIGKILL where it would write the
+    end frame, after its last item."""
+
+    def write(self, data):
+        if bytes(data) == bytes(8):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().write(data)
+
+
+@pytest.mark.parametrize("end_frame", ["sent", "lost"])
+@pytest.mark.parametrize("cpus", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 8))
+def test_in_parts_yields_one_pass(monkeypatch, n, cpus, end_frame):
+    monkeypatch.setattr(store_module, "_usable_cpus", lambda: cpus)
+    if end_frame == "lost":
+        parent = os.getpid()
+
+        def open_pipe(file, mode="r", *args, **kwargs):
+            if os.getpid() != parent and mode == "wb":
+                return _NoEndFrame(io.FileIO(file, "w"))
+            return open(file, mode, *args, **kwargs)
+        monkeypatch.setattr(store_module, "open", open_pipe, raising=False)
+    got, here = _run_in_parts(n)
+    assert got == _one_pass(n)
+    # a worker's part runs here only when its end frame did not arrive:
+    # every item arrived, so none is yielded twice
+    assert here == list(range(0, n, cpus) if end_frame == "sent" else range(n))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("n,cpus", [(2, 2), (5, 2), (7, 4)])
+def test_in_parts_runs_a_killed_workers_part_here_once(monkeypatch, n, cpus, k):
+    # the worker of the last part that has one dies by SIGKILL once it has
+    # sent k of its three items; the parent yields only the items past them
+    victim = max(p for p in range(n) if p % cpus)
+    parent, dumps = os.getpid(), pickle.dumps
+
+    def dumps_or_die(item, *args):
+        if os.getpid() != parent and item == (victim, k):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return dumps(item, *args)
+    monkeypatch.setattr(pickle, "dumps", dumps_or_die)
+    monkeypatch.setattr(store_module, "_usable_cpus", lambda: cpus)
+    got, here = _run_in_parts(n)
+    assert got == _one_pass(n)
+    assert here == sorted([*range(0, n, cpus), victim])
+
+
 B = store_module.WRITE_BATCH_LINES
 
 
@@ -636,3 +756,24 @@ def test_split_write_without_workers(tmp_path, monkeypatch, parts, forks, fault)
         monkeypatch.delattr(os, "fork")
     parts(4)
     assert _closed_store(tmp_path / "split", events, B - 1) == one_pass
+
+
+def test_split_write_reaps_its_workers_when_a_write_fails(tmp_path, monkeypatch, parts):
+    # a write call raises, as on a full disk, before the workers' batches
+    # are collected; the error's traceback keeps the append's frame alive
+    calls, write = [], EventStore._write
+
+    def write_or_fail(self, *batch):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return write(self, *batch)
+    monkeypatch.setattr(EventStore, "_write", write_or_fail)
+    parts(4)
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    with pytest.raises(OSError, match="No space left") as raised:
+        store.append([_mk(i, 10 * i) for i in range(1, 20)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert raised.traceback  # still held
+    assert not (tmp_path / "s").exists()
