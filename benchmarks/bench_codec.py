@@ -9,21 +9,25 @@ events per second (kev/s):
   config (100 users over SIM_SECONDS, SIM_VICTIMS victims, seed SEED),
   its stream dropped after each call, best of REPEATS;
 - ``noise_expand``: a streamed ``expand_with_noise`` to STORE_EVENTS
-  events, its events dropped as they come, best of REPEATS;
+  events, its ``LogEvent`` view (not its canonical rows), the events
+  dropped as they come, best of REPEATS;
 - ``encode`` and ``decode``: ``encode_event`` over the first CODEC_EVENTS
   events and ``decode_event`` over their lines, best of REPEATS passes;
 - ``raw_render`` and ``raw_parse``: ``render_raw_line`` over the same
   events and ``parse_raw_line`` over their raw lines, best of REPEATS;
 - ``store_append``: ``EventStore.append`` of all STORE_EVENTS events in
-  lists of BATCH_EVENTS (only the append calls are timed). A list of at
-  least ``2 * store.MIN_PART_LINES`` events is encoded in parts, so on
-  more than one CPU each of these lists is written in parts;
+  lists of BATCH_EVENTS (only the append calls are timed), each event
+  encoded by ``encode_event``. A list of at least
+  ``2 * store.MIN_PART_LINES`` events is encoded in parts, so on more
+  than one CPU each of these lists is written in parts;
 - ``store_scan``: a full ``query`` of that store, best of SCANS;
 - ``store_build`` and ``store_build_one_part``: one
   ``EventStore.append(expand_with_noise(...))`` of STORE_EVENTS events
   into a new store, as the ``large_store`` benchmark and acceptance
-  criterion 6 build theirs, encoded in parts as shipped and in one part,
-  interleaved, BUILDS times each; the medians are recorded.
+  criterion 6 build theirs, written in parts as shipped and in one part,
+  interleaved, BUILDS times each; the medians are recorded. Both take
+  the expansion's canonical rows: its noise lines are written as they
+  are, and only its originals are encoded.
 
 The write crossover table appends the first N events of the stream, as
 a list, to a new store as one part and as two parts (no minimum part

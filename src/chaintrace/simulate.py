@@ -16,12 +16,13 @@ import random
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
+from functools import cache
+from itertools import accumulate, chain, islice
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import BadConfig, MalformedLine
-from .events import NS, LogEvent, TextLines
+from .events import NS, LogEvent, TextLines, _quote
 
 SCENARIOS = ("cooltype_jpeg_exfil", "usb_jpeg_exfil")
 
@@ -320,22 +321,36 @@ def simulate(cfg: SimConfig) -> tuple[list[LogEvent], GroundTruth]:
 
 
 _NOISE_CHUNK = 1 << 16  # noise events converted to Python ints at once
-_NOISE_TYPES = (
-    "http_request", "fw_conn", "file_read", "file_write",
-    "logon", "logoff", "logon_failed", "email_received",
-)
-_NOISE_WEIGHTS = (30, 20, 8, 4, 4, 3, 0.4, 2)
-_NOISE_USERS = [f"n{u:04d}" for u in range(500)]
-_NOISE_HOSTS = [f"nws{u:04d}" for u in range(500)]
-_NOISE_DOCS = [f"C:\\Users\\{user}\\Documents\\doc" for user in _NOISE_USERS]
-_NOISE_SESSIONS = [f"N{u:04d}-" for u in range(500)]
-# doc names by aux % 200; 5 divides 200, so the extension is _DOC_EXTS[aux % 5]
-_NOISE_DOC_NAMES = [f"{k}.{_DOC_EXTS[k % 5]}" for k in range(200)]
-_NOISE_DOC_EXTS = [_DOC_EXTS[k % 5] for k in range(200)]
 _HTTP_BYTES = [str(200 + k) for k in range(3800)]
 _FW_BYTES = [str(100 + k) for k in range(1900)]
-# the noise loop takes aux % 40 and aux % 30 for these
-assert len(_EXTERNAL_IPS) == 40 and len(_SENDERS) == 30
+_NOISE_USERS = [f"n{u:04d}" for u in range(500)]
+_NOISE_HOSTS = [f"nws{u:04d}" for u in range(500)]
+# doc names by aux % 200; 5 divides 200, so the extension is _DOC_EXTS[aux % 5]
+_NOISE_FILE = (("path", [f"C:\\Users\\{user}\\Documents\\doc" for user in _NOISE_USERS],
+                [f"{k}.{_DOC_EXTS[k % 5]}" for k in range(200)]),
+               ("ext", None, [_DOC_EXTS[k % 5] for k in range(200)]))
+_NOISE_SESSION = (("session_id", [f"N{u:04d}-" for u in range(500)],
+                   [str(k) for k in range(97)]),)
+# The noise types in draw order: each one's name, its draw weight, its
+# host by user index, and its attributes in line order as (key, values by
+# user index or None, values by aux draw). A value is its user's entry, if
+# any, then entry aux % len of its aux values; only the first attribute
+# may have values by user. The noise events and their canonical lines are
+# both made from this table (_noise_makers).
+_NOISE_KINDS = (
+    ("http_request", 30, ["proxy"] * 500,  # logged by the proxy
+     (("dst_ip", None, _EXTERNAL_IPS), ("dst_port", None, ["443"]), ("method", None, ["GET"]),
+      ("via", None, ["proxy"]), ("bytes_out", None, _HTTP_BYTES))),
+    ("fw_conn", 20, _NOISE_HOSTS,
+     (("dst_ip", None, _EXTERNAL_IPS), ("dst_port", None, ["443"]),
+      ("verdict", None, ["allow"] * 97 + ["deny"] * 3), ("bytes_out", None, _FW_BYTES))),
+    ("file_read", 8, _NOISE_HOSTS, _NOISE_FILE),
+    ("file_write", 4, _NOISE_HOSTS, _NOISE_FILE),
+    ("logon", 4, _NOISE_HOSTS, _NOISE_SESSION),
+    ("logoff", 3, _NOISE_HOSTS, _NOISE_SESSION),
+    ("logon_failed", 0.4, _NOISE_HOSTS, ()),
+    ("email_received", 2, _NOISE_HOSTS, (("email_from", None, _SENDERS),)),
+)
 
 
 def expand_with_noise(
@@ -349,11 +364,14 @@ def expand_with_noise(
     ``events`` must be sorted by ts. The result is renumbered 1, 2, ...
     in ts order; an original goes before any noise event of the same ts.
     It is a sized, re-iterable and sliceable sequence whose events are
-    made as they are read. Pass ``id_map`` to receive old id -> new id for
-    the original events (ground-truth relabeling); it is complete when
-    this call returns, before the stream is read. All other fields of the
-    original events are preserved verbatim; every noise event has its own
-    attrs dict.
+    made as they are read; its ``rows()`` gives the same stream as
+    canonical rows, the noise as lines made from pre-quoted tables, which
+    ``EventStore.append`` writes as they are. Pass ``id_map`` to receive
+    old id -> new id for the original events (ground-truth relabeling); it
+    is complete when this call returns, before the stream is read. All
+    other fields of the original events are preserved verbatim; every
+    noise event has its own attrs dict. A factor whose noise draws do not
+    fit in memory is a BadConfig.
     """
     if factor < 1:
         raise BadConfig("factor must be >= 1")
@@ -367,12 +385,16 @@ def expand_with_noise(
     rng = np.random.default_rng(seed)
     t_lo, t_hi = events[0].ts, events[-1].ts
 
-    ts_arr = np.sort(rng.integers(t_lo, t_hi + 1, size=n_noise, dtype=np.int64))
-    weights = np.array(_NOISE_WEIGHTS, dtype=np.float64)
-    probs = weights / weights.sum()
-    type_idx = rng.choice(len(_NOISE_TYPES), size=n_noise, p=probs)
-    user_idx = rng.integers(0, 500, size=n_noise)
-    aux = rng.integers(0, 1 << 30, size=n_noise)
+    try:
+        ts_arr = np.sort(rng.integers(t_lo, t_hi + 1, size=n_noise, dtype=np.int64))
+        weights = np.array([kind[1] for kind in _NOISE_KINDS], dtype=np.float64)
+        probs = weights / weights.sum()
+        type_idx = rng.choice(len(_NOISE_KINDS), size=n_noise, p=probs)
+        user_idx = rng.integers(0, 500, size=n_noise)
+        aux = rng.integers(0, 1 << 30, size=n_noise)
+    except MemoryError:
+        raise BadConfig(f"expand factor {factor}: {n_noise} noise events "
+                        "do not fit in memory") from None
 
     orig_ts = np.array([e.ts for e in events], dtype=np.int64)
     # each original's place in the stream: the noise events before it, and
@@ -381,54 +403,99 @@ def expand_with_noise(
     if id_map is not None:
         id_map.update(zip([e.id for e in events], [at + 1 for at in places]))
     columns = (orig_ts, ts_arr, type_idx, user_idx, aux)
+    _noise_makers()  # made here, so that a forked writer's worker shares them
     return _Expansion(events, places, columns, 0, n_orig + n_noise)
 
 
-def _noise(columns: tuple, first: int, stop: int) -> Iterator[LogEvent]:
+def _noise(columns: tuple, first: int, stop: int, rows: bool) -> Iterator:
     """Noise events ``first`` to ``stop - 1`` of an expansion, in ts order,
     from its numpy ``columns``: the originals' ts, then the noise ts, type,
-    user and aux draws."""
+    user and aux draws. Each is a ``LogEvent``, or with ``rows`` its
+    canonical row (see ``_noise_makers``)."""
     import numpy as np
 
+    periods, offsets, event, row = _noise_makers()
+    make = row if rows else event
     orig_ts, ts_arr, type_idx, user_idx, aux = columns
-    # Python ints, converted a chunk of each array at a time: indexing
-    # numpy arrays and formatting their scalars per event costs more,
-    # and whole-array lists would hold about 100 B per noise event
-    for lo in range(first, stop, _NOISE_CHUNK):
-        hi = min(lo + _NOISE_CHUNK, stop)
-        ts_c = ts_arr[lo:hi]
-        # one more than its place: the noise and the originals of no later ts before it
-        ids = np.searchsorted(orig_ts, ts_c, "right") + np.arange(lo + 1, hi + 1)
-        for nid, ts, ti, u, a in zip(ids.tolist(), ts_c.tolist(), type_idx[lo:hi].tolist(),
-                                     user_idx[lo:hi].tolist(), aux[lo:hi].tolist()):
-            host = _NOISE_HOSTS[u]
-            if ti == 0:  # http_request, logged by the proxy
-                host = "proxy"
-                attrs = {"dst_ip": _EXTERNAL_IPS[a % 40], "dst_port": "443",
-                         "method": "GET", "via": "proxy",
-                         "bytes_out": _HTTP_BYTES[a % 3800]}
-            elif ti == 1:  # fw_conn
-                attrs = {"dst_ip": _EXTERNAL_IPS[a % 40], "dst_port": "443",
-                         "verdict": "allow" if a % 100 < 97 else "deny",
-                         "bytes_out": _FW_BYTES[a % 1900]}
-            elif ti <= 3:  # file_read, file_write
-                k = a % 200
-                attrs = {"path": _NOISE_DOCS[u] + _NOISE_DOC_NAMES[k],
-                         "ext": _NOISE_DOC_EXTS[k]}
-            elif ti <= 5:  # logon, logoff
-                attrs = {"session_id": f"{_NOISE_SESSIONS[u]}{a % 97}"}
-            elif ti == 6:  # logon_failed
-                attrs = {}
-            else:  # email_received
-                attrs = {"email_from": _SENDERS[a % 30]}
-            yield LogEvent(nid, ts, host, _NOISE_TYPES[ti], _NOISE_USERS[u], attrs)
+
+    def chunks() -> Iterator[Iterator]:
+        # Python ints, converted a chunk of each array at a time: indexing
+        # numpy arrays and formatting their scalars per event costs more,
+        # and whole-array lists would hold about 100 B per noise event
+        for lo in range(first, stop, _NOISE_CHUNK):
+            hi = min(lo + _NOISE_CHUNK, stop)
+            ts_c, t = ts_arr[lo:hi], type_idx[lo:hi]
+            # one more than its place: the noise and the originals of no later ts before it
+            ids = np.searchsorted(orig_ts, ts_c, "right") + np.arange(lo + 1, hi + 1)
+            by_user = t * len(_NOISE_USERS) + user_idx[lo:hi]
+            by_aux = offsets[t] + aux[lo:hi] % periods[t]
+            yield map(make, ids.tolist(), ts_c.tolist(), t.tolist(), by_user.tolist(),
+                      by_aux.tolist())
+    return chain.from_iterable(chunks())
+
+
+@cache
+def _noise_makers() -> tuple:
+    """``_NOISE_KINDS`` as the noise walk reads it: each kind's aux period
+    and the offset of its first entry by aux draw, then the two makers of
+    a noise event from its id, ts, kind, entry by user (kind and user
+    index) and entry by aux draw (offset plus aux % period). One makes
+    the ``LogEvent``, the other its canonical row ``(ts, id, type,
+    line)``, whose line is its id and ts digits, the quoted text up to the
+    aux part of its first value, by user, and the rest, by aux draw, as
+    ``encode_event`` writes it; every value is quoted here once."""
+    import numpy as np
+
+    names, firsts, periods = [], [], []
+    hosts, actors, prefixes, heads = [], [], [], []  # by user
+    templates, tails = [], []  # by aux draw
+
+    def inner(s: str) -> str:  # quoted, but without its quotes
+        return _quote(s)[1:-1]
+
+    for name, _, kind_hosts, attrs in _NOISE_KINDS:
+        assert not any(values for _, values, _ in attrs[1:])
+        keys = [key for key, _, _ in attrs]
+        by_user = attrs[0][1] if attrs else None
+        names.append(name)
+        firsts.append(keys[0] if by_user else None)
+        hosts += kind_hosts
+        actors += _NOISE_USERS
+        user_parts = by_user or [""] * len(_NOISE_USERS)
+        prefixes += user_parts
+        head = f',"type":{_quote(name)},"actor":'
+        heads += [f',"host":{_quote(host)}{head}{_quote(user)},"attrs":{{'
+                  + (f'{_quote(keys[0])}:"{inner(prefix)}' if keys else "")
+                  for host, user, prefix in zip(kind_hosts, _NOISE_USERS, user_parts)]
+        periods.append(math.lcm(*(len(table) for _, _, table in attrs)))
+        for k in range(periods[-1]):
+            values = [table[k % len(table)] for _, _, table in attrs]
+            templates.append(dict(zip(keys, values)))
+            tails.append("".join([f'{inner(values[0])}"', *(f",{_quote(key)}:{_quote(v)}"
+                                  for key, v in zip(keys[1:], values[1:])), "}}"])
+                         if keys else "}}")
+    offsets = [0, *accumulate(periods)][:-1]
+
+    def event(nid: int, ts: int, t: int, h: int, k: int) -> LogEvent:
+        attrs = templates[k].copy()
+        first = firsts[t]
+        if first:
+            attrs[first] = prefixes[h] + attrs[first]
+        return LogEvent(nid, ts, hosts[h], names[t], actors[h], attrs)
+
+    def row(nid: int, ts: int, t: int, h: int, k: int) -> tuple:
+        return ts, nid, names[t], f'{{"id":{nid},"ts":{ts}{heads[h]}{tails[k]}'
+
+    return np.array(periods), np.array(offsets), event, row
 
 
 class _Expansion(Sequence):
     """Positions ``start`` to ``stop - 1`` of an expanded stream, made as
     they are read: each read is one walk of the noise from its first
     position, with the originals put in their places on the way. A slice
-    is another such view; an index reads one position."""
+    is another such view; an index reads one position. Iterating gives
+    ``LogEvent``s, and ``rows()`` the canonical rows that the store
+    writes."""
 
     def __init__(self, events: list[LogEvent], places: list[int], columns: tuple,
                  start: int, stop: int):
@@ -439,20 +506,35 @@ class _Expansion(Sequence):
         return self._stop - self._start
 
     def __iter__(self) -> Iterator[LogEvent]:
+        return self._walk(False)
+
+    def rows(self) -> Iterator[tuple[int, int, str, str | LogEvent]]:
+        """The view's events as ``EventStore.append`` takes them, one
+        ``(ts, id, type, payload)`` row each: a noise event's payload is
+        its canonical line, equal to ``encode_event`` of the event that
+        iterating gives; an original's is its renumbered ``LogEvent``,
+        which the store encodes."""
+        return self._walk(True)
+
+    def _walk(self, rows: bool) -> Iterator:
         places = self._places
         start, stop = self._start, self._stop
         # originals j to j_end - 1 fall in the view; the noise events in it
         # are those from start - j on
         j, j_end = bisect_left(places, start), bisect_left(places, stop)
-        noise = _noise(self._columns, start - j, stop - j_end)
-        at = start
-        for j in range(j, j_end):
-            yield from islice(noise, places[j] - at)
-            e = self._events[j]
-            yield LogEvent(places[j] + 1, e.ts, e.source_host, e.event_type, e.actor,
-                           e.attributes)
-            at = places[j] + 1
-        yield from noise
+        noise = _noise(self._columns, start - j, stop - j_end, rows)
+
+        def runs() -> Iterator[Iterable]:  # the noise before each original, and it
+            at = start
+            for i in range(j, j_end):
+                yield islice(noise, places[i] - at)
+                e = self._events[i]
+                e = LogEvent(places[i] + 1, e.ts, e.source_host, e.event_type, e.actor,
+                             e.attributes)
+                yield [(e.ts, e.id, e.event_type, e) if rows else e]
+                at = places[i] + 1
+            yield noise
+        return chain.from_iterable(runs())
 
     def __getitem__(self, i):
         rows = range(self._start, self._stop)[i]

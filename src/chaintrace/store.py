@@ -39,8 +39,8 @@ _INDEX_FILE = "index.json"
 # 0.047 s), and two parts of 20k won or tied (0.061 s against 0.081 s,
 # 0.083 s against 0.085 s).
 MIN_PART_LINES = 10_000
-# A worker encodes its whole part of a write before it sends a batch (see
-# _Worker); this caps that text at about 45 MB.
+# A worker writes its whole part of a write to text before it sends a batch
+# (see _Worker); this caps that text at about 45 MB.
 MAX_WRITE_PART_LINES = 1 << 18
 
 _T = TypeVar("_T")
@@ -141,7 +141,10 @@ class EventStore:
     def append(self, events: Iterable[LogEvent]) -> int:
         """Append a (ts, id)-sorted batch; durable once this returns.
 
-        A long enough sequence is encoded in parts, by forked workers too
+        An input with a ``rows()`` method, such as ``expand_with_noise``'s
+        stream, is written from the canonical rows it gives (see
+        ``_encode_part``); any other is written event by event. A long
+        enough sequence is written in parts, by forked workers too
         (``_write_parts``); the files are those of one pass. A batch that
         raises before it is indexed is dropped at the next reopen; if it was
         the store's first, it is dropped here, with the segment files and
@@ -176,13 +179,14 @@ class EventStore:
             rows, room = part
             # the order check starts at the row before the part
             last = (events[rows.start - 1].ts, events[rows.start - 1].id) if rows.start else first
-            return _encode_part(events[rows.start:rows.stop], *last, room, self.segment_events)
+            return _encode_part(_rows(events[rows.start:rows.stop]), *last, room,
+                                self.segment_events)
 
         parts = self._write_parts(events) if isinstance(events, Sequence) else []
         if len(parts) > 1:
             batches = _in_parts(parts, encode)
         else:
-            batches = _encode_part(events, *first, self._room(), self.segment_events)
+            batches = _encode_part(_rows(events), *first, self._room(), self.segment_events)
         appended = 0
         with contextlib.closing(batches):  # its workers are reaped if a write raises
             for batch in batches:
@@ -340,43 +344,59 @@ class EventStore:
             del result  # dropped before the next part is collected
 
 
-def _encode_part(events: Iterable[LogEvent], last_ts: int, last_id: int, room: int,
-                 segment_events: int) -> Iterator[tuple[str, int, int, int, int, int]]:
-    """The batches of one pass's writer over ``events``, which follow an
-    event at (``last_ts``, ``last_id``) in a segment with ``room`` rows left.
+def _rows(events: Iterable[LogEvent]) -> Iterator[tuple]:
+    """The rows that ``_encode_part`` writes: ``events.rows()`` where
+    ``events`` offers canonical rows, as a noise expansion does, else one
+    ``(ts, id, type, event)`` row for each event, which is encoded."""
+    rows = getattr(events, "rows", None)
+    if rows is not None:
+        return rows()
+    return ((e.ts, e.id, e.event_type, e) for e in events)
 
-    Each batch is ``(text, count, first ts, first id, last ts, last id)``:
-    up to ``WRITE_BATCH_LINES`` encoded rows, none past the end of its
-    segment. An event that is out of order or refused raises after the
-    batch of the valid rows before it; a batch of no rows, yielded when the
-    first event of a batch is refused only by the encoder, still opens its
-    segment, as one pass has done by then.
+
+def _encode_part(rows: Iterable[tuple], last_ts: int, last_id: int, room: int,
+                 segment_events: int) -> Iterator[tuple[str, int, int, int, int, int]]:
+    """The batches of one pass's writer over ``rows``, which follow a row
+    at (``last_ts``, ``last_id``) in a segment with ``room`` rows left.
+
+    A row is ``(ts, id, type, payload)``, whose payload is either the
+    row's canonical line, written as it is, or the ``LogEvent`` that
+    ``encode_event`` writes. Each batch is ``(text, count, first ts, first
+    id, last ts, last id)``: up to ``WRITE_BATCH_LINES`` rows, none past
+    the end of its segment. A row that is out of order or refused raises
+    after the batch of the valid rows before it; a batch of no rows,
+    yielded when the first event of a batch is refused only by the
+    encoder, still opens its segment, as one pass has done by then.
     """
     lines: list[str] = []
-    first = None  # the first event of the batch being encoded
+    first = None  # the (ts, id) of the first row of the batch being written
     try:
-        for e in events:
-            # what decode_event refuses and encode_event lets through
-            if e.ts <= 0:
-                raise SchemaError(f"event id={_shown(e.id)}: ts must be > 0, got {_shown(e.ts)}")
-            if e.event_type not in EVENT_TYPES:
-                raise SchemaError(f"event id={_shown(e.id)}: unknown type {e.event_type!r}")
-            if e.ts < last_ts or e.id <= last_id:
+        for ts, eid, etype, payload in rows:
+            # what decode_event refuses and encode_event lets through, or
+            # that the checks below could not compare
+            if type(ts) is not int or type(eid) is not int:
+                raise SchemaError(f"event id={_shown(eid)}: id and ts must be integers, "
+                                  f"got {type(eid).__name__} and {type(ts).__name__}")
+            if ts <= 0:
+                raise SchemaError(f"event id={_shown(eid)}: ts must be > 0, got {_shown(ts)}")
+            if type(etype) is not str or etype not in EVENT_TYPES:
+                raise SchemaError(f"event id={_shown(eid)}: unknown type {etype!r}")
+            if ts < last_ts or eid <= last_id:
                 raise OutOfOrder(
-                    f"event id={_shown(e.id)} ts={_shown(e.ts)} regresses behind "
+                    f"event id={_shown(eid)} ts={_shown(ts)} regresses behind "
                     f"ts={last_ts} id={last_id}"
                 )
             if first is None:
-                first = e
+                first = ts, eid
                 size = min(WRITE_BATCH_LINES, room)
-            lines.append(encode_event(e))
-            last_ts, last_id = e.ts, e.id
+            lines.append(payload if type(payload) is str else encode_event(payload))
+            last_ts, last_id = ts, eid
             if len(lines) >= size:
                 batch = _batch(lines, first, last_ts, last_id)
                 lines, first = [], None
                 room = room - size or segment_events
                 yield batch
-    except BaseException:  # also when an event raises: its valid prefix is written
+    except BaseException:  # also when a row raises: its valid prefix is written
         if first is not None:
             yield _batch(lines, first, last_ts, last_id)
         raise
@@ -393,10 +413,9 @@ def _shown(value) -> str:
         return f"<{value.bit_length()}-bit int>"
 
 
-def _batch(lines: list[str], first: LogEvent, last_ts: int,
+def _batch(lines: list[str], first: tuple[int, int], last_ts: int,
            last_id: int) -> tuple[str, int, int, int, int, int]:
-    return ("\n".join(lines) + "\n" if lines else "", len(lines), first.ts, first.id,
-            last_ts, last_id)
+    return ("\n".join(lines) + "\n" if lines else "", len(lines), *first, last_ts, last_id)
 
 
 def _in_segment(seg: StoreSegment) -> Callable[[str], LogEvent]:
@@ -464,11 +483,11 @@ class _Worker:
     Forked, not spawned: a spawned child would start an interpreter and
     import chaintrace and numpy again, about 0.3 s, most of what a second
     part saves on a 150k-line store. The children read a part of a store
-    (decode, count, pickle) or encode a part of a write; a part of
-    ``expand_with_noise``'s stream also slices and searches numpy arrays,
-    but makes no BLAS call. So a child runs no code that takes a lock
-    another thread of the parent, such as a BLAS thread, may have held at
-    the fork.
+    (decode, count, pickle) or write the rows of a part of a write; a part
+    of ``expand_with_noise``'s stream also slices, searches and indexes
+    numpy arrays, but makes no BLAS call. So a child runs no code that
+    takes a lock another thread of the parent, such as a BLAS thread, may
+    have held at the fork.
     """
 
     def __init__(self, fn: Callable[[_A], Iterable], arg: _A):

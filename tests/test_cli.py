@@ -581,6 +581,16 @@ def test_non_positive_start_ts_is_error(workdir, capsys):
     assert not (workdir / "x.jsonl").exists()
 
 
+def test_expand_factor_past_memory_is_error(workdir, capsys):
+    # 1e12 asks for more noise draws than a 64-bit address space holds, so
+    # the allocation fails at once; a smaller huge factor could be granted
+    # and fill memory instead
+    rc = main(["simulate", "--expand-factor", "1e12", "--out", "x.jsonl", "--truth", "t.tsv"])
+    assert rc == EXIT_ERROR
+    assert "expand factor" in _one_line_error(capsys)
+    assert not (workdir / "x.jsonl").exists() and not (workdir / "t.tsv").exists()
+
+
 @pytest.mark.parametrize("config", [{"users": "5"}, {"rates": {"session": "x"}},
                                     {"users": 1.5}, {"rates": {}}],
                          ids=["users-string", "rate-string", "users-float", "rates-empty"])

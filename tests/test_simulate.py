@@ -9,7 +9,9 @@ import pytest
 from chaintrace.errors import BadConfig
 from chaintrace.events import EVENT_TYPES, NS, LogEvent, encode_event, from_json
 from chaintrace.simulate import (
+    _NOISE_CHUNK,
     DEFAULT_RATES,
+    SCENARIOS,
     SimConfig,
     expand_with_noise,
     read_truth_file,
@@ -286,6 +288,53 @@ def test_expansion_is_a_sequence(case_study, factor, tied):
     assert list(x[::7]) == events[::7] and list(x[-3::-11]) == events[-3::-11]
     with pytest.raises(IndexError):
         x[n]
+
+
+def _rows_are_the_events(view, events):
+    """Each row of ``view`` is the event at its position, its line that
+    event encoded; the noise rows' types, and whether a deny occurs."""
+    rows = list(view.rows())
+    assert len(rows) == len(events)
+    types, deny = set(), False
+    for (ts, eid, etype, payload), e in zip(rows, events):
+        assert (ts, eid, etype) == (e.ts, e.id, e.event_type)
+        if type(payload) is str:
+            types.add(etype)
+            deny |= e.attributes.get("verdict") == "deny"
+            assert payload == encode_event(e)
+        else:  # an original, which the store encodes
+            assert payload == e
+    return types, deny
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.5, 60.5])
+@pytest.mark.parametrize("base", [*SCENARIOS, "all tied"])
+def test_expansion_rows_are_its_events_encoded(case_study, base, factor):
+    if base == "all tied":
+        events = _TIED
+    elif base == case_study[0].scenario:
+        events = case_study[1]
+    else:
+        events = simulate(SimConfig(scenario=base))[0]
+    id_map: dict[int, int] = {}
+    x = expand_with_noise(events, factor, 5, id_map)
+    stream = list(x)
+    n = len(stream)
+    types, deny = _rows_are_the_events(x, stream)
+    if n > _NOISE_CHUNK:
+        assert types == {"http_request", "fw_conn", "file_read", "file_write", "logon",
+                         "logoff", "logon_failed", "email_received"} and deny
+    # slices that start and end at noise chunk boundaries, at originals and
+    # next to them
+    places = sorted(new - 1 for new in id_map.values())
+    noise_at = sorted(set(range(n)) - set(places))
+    bounds = {0, n}
+    for at in [*noise_at[::_NOISE_CHUNK][1:], *places[::max(1, len(places) // 20)]]:
+        bounds |= {max(at - 1, 0), at, min(at + 1, n)}
+    bounds = sorted(bounds)
+    rng = random.Random(factor)
+    for a, b in [*zip(bounds, bounds[1:]), *(sorted(rng.sample(bounds, 2)) for _ in range(10))]:
+        _rows_are_the_events(x[a:b], stream[a:b])
 
 
 def test_truth_file_roundtrip(tmp_path, case_study):

@@ -777,3 +777,104 @@ def test_split_write_reaps_its_workers_when_a_write_fails(tmp_path, monkeypatch,
         os.waitpid(-1, os.WNOHANG)
     assert raised.traceback  # still held
     assert not (tmp_path / "s").exists()
+
+
+_ILL_TYPED = {  # events whose ts, id or type the writer's checks cannot compare
+    "str ts": lambda i: LogEvent(i, "5", "h0", "logon", "a0", {}),
+    "None ts": lambda i: LogEvent(i, None, "h0", "logon", "a0", {}),
+    "str id": lambda i: LogEvent("1", 10 * i, "h0", "logon", "a0", {}),
+    "list type": lambda i: LogEvent(i, 10 * i, "h0", ["logon"], "a0", {}),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_ILL_TYPED))
+@pytest.mark.parametrize("cpus", [1, 4], ids=["one part", "split"])
+def test_append_refuses_ill_typed_events(tmp_path, monkeypatch, parts, bad, cpus):
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
+    root = str(tmp_path / "s")
+    store = EventStore(root)
+    store.append([_mk(1, 10), _mk(2, 20)])
+    batch = [_mk(i, 10 * i) for i in range(3, 4 * B)]
+    parts(4)
+    at = store._write_parts(batch)[2][0].start  # the first event of a worker's part
+    batch[at] = _ILL_TYPED[bad](at + 3)
+    parts(cpus)
+    with pytest.raises(SchemaError):
+        store.append(batch)
+    store.close()
+    # the store holds the committed events and the valid prefix, and takes more
+    again = EventStore(root, create=False)
+    assert [e.id for e in again.query()] == list(range(1, at + 3))
+    assert again.append(batch[at + 1:]) == len(batch) - at - 1
+    again.close()
+    assert [e.ts for e in EventStore(root, create=False).query()] == \
+        [10 * i for i in range(1, len(batch) + 3) if i != at + 3]
+
+
+def _noise_expansion(factor):
+    from chaintrace.simulate import expand_with_noise
+
+    base, _ = simulate(SimConfig(seed=3, users=10))
+    return expand_with_noise(base, factor, 5)
+
+
+@pytest.mark.parametrize("segment_events", [999, B + 1])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_append_of_an_expansion_writes_what_its_events_write(tmp_path, monkeypatch, parts,
+                                                              segment_events, n):
+    # an expansion is appended through its canonical lines, a list of its
+    # events through encode_event; both are split into n parts
+    monkeypatch.setattr(os, "fsync", lambda fd: None)
+    x = _noise_expansion(200)
+    committed, rest = list(x[:100]), x[100:]
+    parts(n)
+    probe = EventStore(str(tmp_path / "x"), segment_events)
+    probe.append(committed)
+    assert len(probe._write_parts(rest)) == n
+    got = _closed_store(tmp_path / "lines", rest, segment_events, committed)
+    assert got == _closed_store(tmp_path / "events", list(rest), segment_events, committed)
+    assert got[1] is None
+    assert len(EventStore(str(tmp_path / "lines"), create=False).segments) > n
+
+
+_KILL_POINTS = {  # where the writer dies: (owner, name, call)
+    "1st _write": (EventStore, "_write", 1),
+    "2nd _write": (EventStore, "_write", 2),
+    "3rd _write": (EventStore, "_write", 3),
+    "_sync_active": (EventStore, "_sync_active", 1),
+    "_seal_active": (EventStore, "_seal_active", 1),
+    "index os.replace": (os, "replace", 1),
+}
+
+
+@pytest.mark.parametrize("at", list(_KILL_POINTS))
+@pytest.mark.parametrize("path", ["lines", "events"])
+def test_a_writer_killed_in_an_append_leaves_its_last_committed_append(tmp_path, path, at):
+    x = _noise_expansion(3)
+    first, second = x[:40], x[40:80]
+    feed = (lambda view: view) if path == "lines" else list
+    root = str(tmp_path / "s")
+    pid = os.fork()
+    if pid == 0:  # the writer: one append, then SIGKILL inside the next
+        try:
+            store = EventStore(root, segment_events=7)
+            store.append(feed(first))
+            owner, name, k = _KILL_POINTS[at]
+            calls, orig = [], getattr(owner, name)
+
+            def die_at_call_k(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == k:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return orig(*args, **kwargs)
+            setattr(owner, name, die_at_call_k)
+            store.append(feed(second))
+        finally:
+            os._exit(1)  # not killed: the probe missed its point
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+    store = EventStore(root, segment_events=7)
+    assert list(EventStore(root, create=False).query()) == list(first)
+    assert store.append(feed(second)) == len(second)
+    store.close()
+    assert list(EventStore(root, create=False).query()) == list(x[:80])
