@@ -13,6 +13,11 @@ The serial tail of a two-part read: the pickled bytes of the second
 part, as a worker sends it, and the median time in ms the parent takes
 to unpickle it and push its items into the windows, over RUNS.
 
+The parent's memory: the traced peak (``tracemalloc``) of the process
+that calls ``apply_rules`` over the 520k store, in MiB above what it
+held before the call, read once as one part and once as two parts.
+Workers are not counted.
+
 The crossover table times the first N lines of the same stream, each in
 its own store, as one part and as two parts (no minimum part size),
 interleaved, RUNS times each, and records the median seconds. It checks
@@ -41,6 +46,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from importlib import resources
 from itertools import islice
 
@@ -112,6 +118,22 @@ def measure() -> dict:
                     pushes.append(time.perf_counter() - t0)
                 tail = {"worker_part_bytes": len(sent),
                         "unpickle_push_ms": round(statistics.median(pushes) * 1e3, 1)}
+            peaks = {}
+            for name, cpus in (("one_part_peak_mib", 1), ("two_parts_peak_mib", 2)):
+                if cpus > 1 and not in_parts:
+                    continue
+                split(cpus, shipped_min)
+                store = EventStore(os.path.join(root, str(STORE_LINES)), create=False)
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    graph.apply_rules(graph.PropertyGraph(), rules, store if in_parts else
+                                      store.query(prefilter=graph.line_prefilter(rules)))
+                    peaks[name] = round((tracemalloc.get_traced_memory()[1] - before) / 2**20, 2)
+                finally:
+                    tracemalloc.stop()
             medians = interleaved(STORE_LINES, settings)
             crossover = {
                 str(n): dict(zip(("one_part_s", "two_parts_s"),
@@ -130,6 +152,7 @@ def measure() -> dict:
         "min_part_lines": shipped_min,
         **dict(zip(("one_part_kev_s", "parts_kev_s"), kev_s)),
         **tail,
+        **peaks,
         "crossover": crossover,
     }
 

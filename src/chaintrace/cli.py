@@ -11,7 +11,6 @@ primary output.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import itertools
 import json
@@ -39,7 +38,7 @@ from .killchain import (
     match_killchain,
     reconstruct_attack,
 )
-from .store import EventStore
+from .store import EventStore, _rows
 
 # features, ocsvm and simulate load numpy, vault loads cryptography: each
 # is imported by the commands that use it, so the others start without them.
@@ -99,8 +98,9 @@ def _input_events(args: argparse.Namespace) -> EventStore | TextLines:
 # --- subcommands ---
 
 def cmd_simulate(args) -> int:
-    """Write ``--out`` and ``--raw`` from one pass over the same stream,
-    noise-expanded or not, and the ground truth of its ids."""
+    """Write ``--out`` from the canonical rows of the stream, noise-expanded
+    or not, ``--raw`` from a second walk over its events, and the ground
+    truth of its ids."""
     from .simulate import GroundTruth, SimConfig, expand_with_noise, simulate, write_truth_file
 
     def settle(cfg: SimConfig) -> None:
@@ -127,13 +127,13 @@ def cmd_simulate(args) -> int:
             attacker_ip=truth.attacker_ip,
         )
     with committing(args.out, args.raw, args.truth) as (out_tmp, raw_tmp, truth_tmp):
-        with contextlib.ExitStack() as files:
-            out = files.enter_context(open(out_tmp, "w", encoding="utf-8"))
-            raw = files.enter_context(open(raw_tmp, "w", encoding="utf-8")) if raw_tmp else None
-            for e in events:
-                out.write(encode_event(e))
-                out.write("\n")
-                if raw:
+        with open(out_tmp, "w", encoding="utf-8") as out:
+            # a noise line is written as the expansion made it
+            out.writelines(f"{p if type(p) is str else encode_event(p)}\n"
+                           for *_, p in _rows(events))
+        if raw_tmp:
+            with open(raw_tmp, "w", encoding="utf-8") as raw:
+                for e in events:
                     line = render_raw_line(e)
                     raw.write(f"{line.source_kind}\t{line.text}\n")
         write_truth_file(truth_tmp, truth)

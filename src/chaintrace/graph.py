@@ -214,7 +214,9 @@ class SeqItem:
 class _Windower:
     """The greedy windows of one rule over items pushed in ts order, one
     deque per group key. A head window is closed once a pushed item falls
-    outside it; ``flush`` closes the rest."""
+    outside it; ``flush`` closes the rest. A closed window keeps its group
+    key, t_start, t_end and its members' refs, not their items: the refs
+    list becomes the sequence node's ``members``."""
 
     __slots__ = ("rule", "where", "window_ns", "buffers", "windows", "skips")
 
@@ -223,7 +225,7 @@ class _Windower:
         self.where = tuple(rule.where.items())
         self.window_ns = int(rule.window * NS)
         self.buffers: dict[tuple[str, ...], deque[SeqItem]] = {}
-        self.windows: list[tuple[tuple[str, ...], list[SeqItem]]] = []
+        self.windows: list[tuple[tuple[str, ...], int, int, list[int | str]]] = []
         self.skips = 0  # items that passed ``where`` but lack a group_by field
 
     def accept(self, attrs: dict, fields: dict) -> tuple[str, ...] | None:
@@ -264,10 +266,13 @@ class _Windower:
         if count < self.rule.min_count:
             buf.popleft()
         else:
-            self.windows.append((key, [buf.popleft() for _ in range(count)]))
+            members = [buf.popleft() for _ in range(count)]
+            self.windows.append((key, head_ts, max(m.t_end for m in members),
+                                 [m.ref for m in members]))
 
-    def flush(self) -> list[tuple[tuple[str, ...], list[SeqItem]]]:
-        """Every window of the rule, as (group key, members)."""
+    def flush(self) -> list[tuple[tuple[str, ...], int, int, list[int | str]]]:
+        """Every window of the rule, as (group key, t_start, t_end, member
+        refs)."""
         for key, buf in self.buffers.items():
             while buf:
                 self._close(key, buf)
@@ -419,7 +424,9 @@ def apply_rules(
     """Apply sequence rules to a time-sorted stream, adding their sequence
     nodes to ``graph`` layer by layer, numbered as the module docstring
     says, and counting ``rule_skips``; it adds no edge, and a second call
-    on the same stream adds no node.
+    on the same stream adds no node. Each node is made from a closed
+    window's record (group key, t_start, t_end, member refs), and takes
+    the record's refs list as its ``members``.
 
     An ``EventStore`` is read in the contiguous parts of its
     ``map_parts``, its lines prefiltered by ``line_prefilter``; the nodes,
@@ -454,20 +461,19 @@ def apply_rules(
                     if key is not None:
                         w.push(key, SeqItem(a["t_start"], a["t_end"], node.id))
         found = sorted(
-            ((w.rule, key, members) for w in windowers for key, members in w.flush()),
-            key=lambda f: (f[0].id, f[2][0].ts, str(f[2][0].ref)),
+            ((w.rule, *window) for w in windowers for window in w.flush()),
+            key=lambda f: (f[0].id, f[2], str(f[4][0])),
         )
-        for rule, key, members in found:
+        for rule, key, t_start, t_end, refs in found:
             n += 1
-            refs = [m.ref for m in members]
             node = graph.add_node(Node(f"seq:{rule.id}:{n}", "sequence", rule.emit, {
                 "rule": rule.id,
                 "layer": rule.layer,
                 "type": rule.emit,
                 "group": dict(zip(rule.group_by, key)),
                 "members": refs,
-                "t_start": members[0].ts,
-                "t_end": max(m.t_end for m in members),
+                "t_start": t_start,
+                "t_end": t_end,
             }))
             made.setdefault(rule.emit, []).append(node)
         graph.rule_skips += sum(w.skips for w in windowers)

@@ -95,9 +95,15 @@ class EventStore:
             return
         self.segments = load_json(path, "store index", _Index).segments
         for i, seg in enumerate(self.segments):
-            if seg.count < 0:
-                raise SchemaError(f"store index {path}: malformed: "
-                                  f"segments[{i}].count: must be >= 0, got {seg.count}")
+            # segment i is the file _open_segment names, so no index can
+            # make a reader or the writer open a file outside the store
+            if seg.path != f"{i:06d}.seg":
+                fault = f"path: must be {i:06d}.seg, got {seg.path!r}"
+            elif seg.count < 0:
+                fault = f"count: must be >= 0, got {seg.count}"
+            else:
+                continue
+            raise SchemaError(f"store index {path}: malformed: segments[{i}].{fault}")
         if self.segments and not self.segments[-1].sealed:
             self._active = self.segments[-1]
 
@@ -345,9 +351,10 @@ class EventStore:
 
 
 def _rows(events: Iterable[LogEvent]) -> Iterator[tuple]:
-    """The rows that ``_encode_part`` writes: ``events.rows()`` where
-    ``events`` offers canonical rows, as a noise expansion does, else one
-    ``(ts, id, type, event)`` row for each event, which is encoded."""
+    """The rows that ``_encode_part`` and ``simulate --out`` write:
+    ``events.rows()`` where ``events`` offers canonical rows, as a noise
+    expansion does, else one ``(ts, id, type, event)`` row for each event,
+    which is encoded."""
     rows = getattr(events, "rows", None)
     if rows is not None:
         return rows()

@@ -149,6 +149,28 @@ def test_expanded_raw_log_builds_the_expanded_store(workdir):
         assert body(stored[new]) == body(by_old_id[old])
 
 
+@pytest.mark.parametrize("factor", ["1", "2.5", "60"])
+@pytest.mark.parametrize("raw", [False, True], ids=["no-raw", "raw"])
+def test_expanded_out_is_the_encoded_stream(workdir, factor, raw):
+    # --out is written from the expansion's rows, noise lines as they are
+    # made, and --raw from its events; both are the stream's events,
+    # encoded and rendered one by one
+    from chaintrace.events import render_raw_line
+    from chaintrace.simulate import SimConfig, expand_with_noise, simulate
+
+    _simulate(workdir, extra=("--expand-factor", factor, *(("--raw", "raw.log") if raw else ())))
+    events, _ = simulate(SimConfig(seed=42))
+    if float(factor) > 1:
+        events = expand_with_noise(events, float(factor), 42)
+    assert (workdir / "events.jsonl").read_text() == "".join(
+        f"{encode_event(e)}\n" for e in events)
+    if raw:
+        assert (workdir / "raw.log").read_text() == "".join(
+            f"{line.source_kind}\t{line.text}\n" for line in map(render_raw_line, events))
+    else:
+        assert not (workdir / "raw.log").exists()
+
+
 def test_pseudonymize_and_reveal(workdir):
     _simulate(workdir)
     rc = main([
@@ -706,6 +728,35 @@ def _one_line_error(capsys) -> str:
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
     return err
+
+
+@pytest.mark.parametrize("seg_path", ["../victim.txt", "absolute", "sub/000000.seg",
+                                      "000001.seg", ""])
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--store", "st", "--events", "events.jsonl"],
+    ["detect", "--store", "st", "--out", "report.jsonl"],
+    ["train", "--store", "st", "--out", "model.json"],
+], ids=lambda argv: argv[0])
+def test_store_index_names_no_file_outside_the_store(workdir, capsys, seg_path, argv):
+    # a segment's path is the name the writer gives segment i; any other
+    # would let a reader, or a writer reopening its unsealed last segment,
+    # open a file the store does not own
+    _simulate(workdir)
+    assert main(["ingest", "--store", "st", "--events", "events.jsonl"]) == 0
+    victim = workdir / "victim.txt"
+    victim.write_bytes(b"not a segment\n")
+    if seg_path == "absolute":
+        seg_path = str(victim)
+    index = workdir / "st" / "index.json"
+    payload = json.loads(index.read_text())
+    assert len(payload["segments"]) == 1
+    payload["segments"][0].update(path=seg_path, sealed=False, bytes=7)
+    index.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(argv) == EXIT_ERROR
+    err = _one_line_error(capsys)
+    assert f"malformed: segments[0].path: must be 000000.seg, got {seg_path!r}" in err
+    assert victim.read_bytes() == b"not a segment\n"
 
 
 @pytest.mark.parametrize("garble", ["logon_cut_in_half", "no_type_member",
