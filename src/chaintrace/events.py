@@ -45,6 +45,9 @@ _GRAMMARS: dict[str, tuple[str, str, tuple[str, ...]]] = {
 EVENT_TYPES = frozenset(_GRAMMARS)
 
 NS = 1_000_000_000  # LogEvent.ts ticks per second
+# Every id and ts lies in 1 .. MAX_ID_TS, so each fits a signed 64-bit
+# integer; a ts of 2**63 ns would fall in the year 2262.
+MAX_ID_TS = (1 << 63) - 1
 
 _T = TypeVar("_T")
 
@@ -81,12 +84,13 @@ _JSON_WS = " \t\n\r"
 def encode_event(e: LogEvent) -> str:
     """Serialize one event to its canonical single-line JSON form.
 
-    An id or ts that is not an int, attributes that are not a dict, or any
-    other member that is not a string (``_quote`` raises TypeError on it)
-    is a SchemaError, and so is an id or ts past Python's int-to-string
-    digit limit."""
+    An id or ts that is not an int in 1 .. MAX_ID_TS, attributes that are
+    not a dict, or any other member that is not a string (``_quote``
+    raises TypeError on it) is a SchemaError, whose message shows neither
+    id nor ts: an int past Python's digit limit cannot be printed."""
     eid, ts, attrs = e.id, e.ts, e.attributes
-    if type(eid) is int and type(ts) is int and type(attrs) is dict:
+    if (type(eid) is int and type(ts) is int and type(attrs) is dict
+            and 0 < ts <= MAX_ID_TS >= eid > 0):
         try:
             members = ",".join([f"{_quote(k)}:{_quote(v)}" for k, v in attrs.items()])
             return (f'{{"id":{eid},"ts":{ts},"host":{_quote(e.source_host)},'
@@ -94,11 +98,8 @@ def encode_event(e: LogEvent) -> str:
                     f'"attrs":{{{members}}}}}')
         except TypeError:
             pass
-        except ValueError:  # past Python's int-to-string digit limit, so no repr either
-            raise SchemaError("event: id or ts has more digits than Python "
-                              "converts to text") from None
-    raise SchemaError(f"event id={eid!r}: id and ts must be integers, host, type "
-                      "and actor strings, attrs a dict of strings")
+    raise SchemaError("event: id and ts must be integers from 1 to 2**63 - 1, host, "
+                      "type and actor strings, attrs a dict of strings")
 
 
 def _parse(text: str):
@@ -127,8 +128,9 @@ def _parse(text: str):
 def decode_event(text: str) -> LogEvent:
     """Inverse of :func:`encode_event`; raises DecodeError.
 
-    Its checks are what makes an event valid: integer id, ts > 0, a known
-    type, string host and actor, and string attribute values.
+    Its checks are what makes an event valid: integer id and ts, each in
+    1 .. MAX_ID_TS, a known type, string host and actor, and string
+    attribute values.
     """
     obj = _parse(text)
     if type(obj) is not dict:
@@ -140,8 +142,9 @@ def decode_event(text: str) -> LogEvent:
         raise DecodeError(f"missing member {exc.args[0]!r}") from None
     if type(eid) is not int or type(ts) is not int:  # bool is not an integer here
         raise DecodeError("id and ts must be integers")
-    if ts <= 0:
-        raise DecodeError(f"ts must be > 0, got {ts}")
+    if not 0 < ts <= MAX_ID_TS >= eid > 0:
+        raise DecodeError(f"ts must be > 0, got {ts}" if ts <= 0
+                          else "id and ts must lie in 1 .. 2**63 - 1")
     if type(etype) is not str or etype not in EVENT_TYPES:
         raise DecodeError(f"unknown type {etype!r}")
     if type(host) is not str or type(actor) is not str:
@@ -347,8 +350,8 @@ def parse_raw_line(line: RawLine, event_id: int = 0) -> LogEvent:
         ts = int(cols[0], 10)
     except ValueError:
         raise MalformedLine(f"{kind}: bad timestamp {cols[0]!r}") from None
-    if ts <= 0:
-        raise MalformedLine(f"{kind}: non-positive timestamp {ts}")
+    if not 0 < ts <= MAX_ID_TS:
+        raise MalformedLine(f"{kind}: timestamp {cols[0]!r} outside 1 .. 2**63 - 1")
     user_at, key_at, what, rows = grammar
     try:
         etype, width, pairs, optional = rows[cols[key_at]] if key_at else rows[""]

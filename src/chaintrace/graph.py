@@ -329,8 +329,8 @@ def line_prefilter(rules: list[SequenceRule]) -> Callable[[str], bool]:
 class _Columns:
     """One layer-1 rule's accepted events in one part of a stream: the
     group keys in first-seen order, each key's index, and per event in
-    stream order its key's index, ts and id. The ts and id columns are
-    arrays of 64-bit integers until a value does not fit; then lists."""
+    stream order its key's index, ts and id, each column an array of
+    64-bit integers, which holds any id and ts (see ``MAX_ID_TS``)."""
 
     keys: dict[tuple[str, ...], int]
     key_at: Sequence[int]
@@ -342,12 +342,8 @@ class _Columns:
         k = self.keys.get(key)
         if k is None:
             k = self.keys[key] = len(self.keys)
-        try:
-            self.ts.append(ts)
-            self.ids.append(eid)
-        except OverflowError:
-            n = len(self.key_at)
-            self.ts, self.ids = [*self.ts[:n], ts], [*self.ids[:n], eid]
+        self.ts.append(ts)
+        self.ids.append(eid)
         self.key_at.append(k)
 
 

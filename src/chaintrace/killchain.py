@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import SchemaError, UnknownSequenceType
-from .events import load_json
+from .events import MAX_ID_TS, load_json
 from .graph import Node, SequenceRule
 
 DEFAULT_ALERT_THRESHOLD = 0.4
@@ -19,8 +19,6 @@ STATUS_FULL = "full"
 EXIT_NO_ALERT = 0
 EXIT_PARTIAL = 3
 EXIT_FULL = 4
-
-_LATEST = 1 << 62  # later than any t_start
 
 
 @dataclass
@@ -143,7 +141,7 @@ def match_killchain(sequences: list[Node], model: KillChainModel) -> list[ChainM
         last_ts = -1
         for element in model.elements:
             if element.required:
-                ts = bind(element, last_ts, _LATEST)
+                ts = bind(element, last_ts, MAX_ID_TS)
                 if ts is not None:
                     last_ts = ts
         for idx, element in enumerate(model.elements):
@@ -152,7 +150,7 @@ def match_killchain(sequences: list[Node], model: KillChainModel) -> list[ChainM
             lo = max((match.matched[e.id].ts for e in model.elements[:idx]
                       if e.id in match.matched), default=-1)
             hi = min((match.matched[e.id].ts for e in model.elements[idx + 1:]
-                      if e.id in match.matched), default=_LATEST)
+                      if e.id in match.matched), default=MAX_ID_TS)
             bind(element, lo, hi)
         if not match.matched:
             continue

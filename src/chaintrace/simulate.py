@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import BadConfig, MalformedLine
-from .events import NS, LogEvent, TextLines, _quote
+from .events import MAX_ID_TS, NS, LogEvent, TextLines, _quote
 
 SCENARIOS = ("cooltype_jpeg_exfil", "usb_jpeg_exfil")
 
@@ -79,6 +79,8 @@ class SimConfig:
             raise BadConfig("duration must be > 0")
         if self.start_ts <= 0:  # every reader refuses an event with ts <= 0
             raise BadConfig("start_ts must be > 0")
+        if self.start_ts + self.duration * NS > MAX_ID_TS + 1:  # every ts is below it
+            raise BadConfig("start_ts + duration * 10**9 must be <= 2**63")
         if self.scenario not in SCENARIOS:
             raise BadConfig(f"unknown scenario {self.scenario!r}")
         if self.jpeg_count < 1:
@@ -386,7 +388,7 @@ def expand_with_noise(
     t_lo, t_hi = events[0].ts, events[-1].ts
 
     try:
-        ts_arr = np.sort(rng.integers(t_lo, t_hi + 1, size=n_noise, dtype=np.int64))
+        ts_arr = np.sort(rng.integers(t_lo, t_hi, size=n_noise, dtype=np.int64, endpoint=True))
         weights = np.array([kind[1] for kind in _NOISE_KINDS], dtype=np.float64)
         probs = weights / weights.sum()
         type_idx = rng.choice(len(_NOISE_KINDS), size=n_noise, p=probs)

@@ -21,7 +21,8 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import DecodeError, IoFailure, OutOfOrder, SchemaError
-from .events import EVENT_TYPES, LogEvent, TextLines, decode_event, encode_event, load_json
+from .events import (EVENT_TYPES, MAX_ID_TS, LogEvent, TextLines, decode_event, encode_event,
+                     load_json)
 
 DEFAULT_SEGMENT_EVENTS = 1 << 20
 WRITE_BATCH_LINES = 4096  # rows per write call: under 1 MiB of this store's lines
@@ -370,7 +371,9 @@ def _encode_part(rows: Iterable[tuple], last_ts: int, last_id: int, room: int,
     row's canonical line, written as it is, or the ``LogEvent`` that
     ``encode_event`` writes. Each batch is ``(text, count, first ts, first
     id, last ts, last id)``: up to ``WRITE_BATCH_LINES`` rows, none past
-    the end of its segment. A row that is out of order or refused raises
+    the end of its segment. A row's id and ts must be ints in 1 ..
+    ``MAX_ID_TS``; a message refusing them names the id of the row before,
+    not a value refused. A row that is out of order or refused raises
     after the batch of the valid rows before it; a batch of no rows,
     yielded when the first event of a batch is refused only by the
     encoder, still opens its segment, as one pass has done by then.
@@ -379,19 +382,19 @@ def _encode_part(rows: Iterable[tuple], last_ts: int, last_id: int, room: int,
     first = None  # the (ts, id) of the first row of the batch being written
     try:
         for ts, eid, etype, payload in rows:
-            # what decode_event refuses and encode_event lets through, or
-            # that the checks below could not compare
+            # here, not in encode_event alone: a line payload is written as
+            # it is, and the checks below compare and print id and ts
             if type(ts) is not int or type(eid) is not int:
-                raise SchemaError(f"event id={_shown(eid)}: id and ts must be integers, "
+                raise SchemaError(f"event after id={last_id}: id and ts must be integers, "
                                   f"got {type(eid).__name__} and {type(ts).__name__}")
-            if ts <= 0:
-                raise SchemaError(f"event id={_shown(eid)}: ts must be > 0, got {_shown(ts)}")
+            if not 0 < ts <= MAX_ID_TS >= eid > 0:
+                raise SchemaError(f"event after id={last_id}: id and ts must lie "
+                                  "in 1 .. 2**63 - 1")
             if type(etype) is not str or etype not in EVENT_TYPES:
-                raise SchemaError(f"event id={_shown(eid)}: unknown type {etype!r}")
+                raise SchemaError(f"event id={eid}: unknown type {etype!r}")
             if ts < last_ts or eid <= last_id:
                 raise OutOfOrder(
-                    f"event id={_shown(eid)} ts={_shown(ts)} regresses behind "
-                    f"ts={last_ts} id={last_id}"
+                    f"event id={eid} ts={ts} regresses behind ts={last_ts} id={last_id}"
                 )
             if first is None:
                 first = ts, eid
@@ -409,15 +412,6 @@ def _encode_part(rows: Iterable[tuple], last_ts: int, last_id: int, room: int,
         raise
     if lines:
         yield _batch(lines, first, last_ts, last_id)
-
-
-def _shown(value) -> str:
-    """``value`` as an error message shows it; an int past Python's
-    int-to-string digit limit is shown by its size."""
-    try:
-        return str(value)
-    except ValueError:
-        return f"<{value.bit_length()}-bit int>"
 
 
 def _batch(lines: list[str], first: tuple[int, int], last_ts: int,

@@ -198,8 +198,8 @@ def decode_event_ref(text: str, event_types) -> tuple:
         raise RefDecodeError(0)
     eid, ts, host, etype, actor, attrs = (obj[name] for name in names)
     ok = (
-        isinstance(eid, int) and not isinstance(eid, bool)
-        and isinstance(ts, int) and not isinstance(ts, bool) and ts > 0
+        isinstance(eid, int) and not isinstance(eid, bool) and 0 < eid < 1 << 63
+        and isinstance(ts, int) and not isinstance(ts, bool) and 0 < ts < 1 << 63
         and isinstance(etype, str) and etype in event_types
         and isinstance(host, str) and isinstance(actor, str)
         and isinstance(attrs, dict)

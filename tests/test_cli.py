@@ -20,11 +20,11 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import chaintrace
 from chaintrace.cli import EXIT_ERROR, build_parser, main
-from chaintrace.events import TextLines, decode_event, encode_event
+from chaintrace.events import NS, TextLines, decode_event, encode_event
 from chaintrace.features import SOURCE_SETS, ExtractionStats, extract_features
 from chaintrace.graph import (apply_rules, build_graph, draw_detection, export_graph,
                               line_prefilter, load_rules)
-from chaintrace.simulate import SCENARIOS, STEP_ORDER, read_truth_file
+from chaintrace.simulate import SCENARIOS, STEP_ORDER, SimConfig, read_truth_file
 from chaintrace.store import EventStore
 
 
@@ -701,7 +701,9 @@ def test_raw_line_without_tab_is_error(workdir, capsys):
 @pytest.mark.parametrize("name,line,fault", [
     ("bad.log", "windows\tgarbage", "windows: bad timestamp 'garbage'"),
     ("bad2.log", "notab", "no tab after the source kind"),
-], ids=["bad timestamp", "no tab"])
+    *((f"ts{ts}.log", f"windows\t{ts}\tws000\t4624\tu000\tS1",
+       f"windows: timestamp '{ts}' outside 1 .. 2**63 - 1") for ts in (0, -1, 1 << 63)),
+], ids=["bad timestamp", "no tab", "ts 0", "ts -1", "ts 2**63"])
 def test_raw_ingest_error_names_the_file_and_line(workdir, capsys, name, line, fault):
     _simulate(workdir, extra=("--raw", "raw.log"))
     lines = (workdir / "raw.log").read_text().splitlines()
@@ -710,6 +712,91 @@ def test_raw_ingest_error_names_the_file_and_line(workdir, capsys, name, line, f
     assert main(["ingest", "--store", "store", "--events", name,
                  "--format", "raw"]) == EXIT_ERROR
     assert _one_line_error(capsys) == f"error: {name}: line 6: {fault}\n"
+
+
+_TOP = (1 << 63) - 1  # the largest id and ts
+_BOUND = "id and ts must lie in 1 .. 2**63 - 1"
+
+
+def _canonical(eid, ts):
+    return f'{{"id":{eid},"ts":{ts},"host":"ws000","type":"logon","actor":"u000","attrs":{{}}}}'
+
+
+@pytest.mark.parametrize("member", ["id", "ts"])
+@pytest.mark.parametrize("value", [1, _TOP, 0, -1, 1 << 63])
+def test_detect_events_takes_ids_and_ts_up_to_the_bound(workdir, capsys, member, value):
+    # the value goes on line 1 if it is below the other event's, else on line 2
+    at = 1 if value < 5 else 2
+    pairs = [[5, 5], [6, 6]]
+    pairs[at - 1][member == "ts"] = value
+    (workdir / "e.jsonl").write_text("".join(_canonical(*p) + "\n" for p in pairs))
+    capsys.readouterr()
+    rc = main(["detect", "--events", "e.jsonl", "--out", "r.jsonl"])
+    if 0 < value <= _TOP:
+        assert rc == 0
+        return
+    assert rc == EXIT_ERROR
+    fault = f"ts must be > 0, got {value}" if member == "ts" and value <= 0 else _BOUND
+    assert _one_line_error(capsys) == f"error: e.jsonl: line {at}: {fault}\n"
+    assert not (workdir / "r.jsonl").exists()
+
+
+def _raw_logon(ts):
+    return f"windows\t{ts}\tws000\t4624\tu000\tS1\n"
+
+
+def test_raw_ingest_takes_ts_up_to_the_bound(workdir):
+    (workdir / "raw.log").write_text(_raw_logon(1) + _raw_logon(_TOP))
+    assert main(["ingest", "--store", "store", "--events", "raw.log", "--format", "raw"]) == 0
+    assert [(e.id, e.ts) for e in EventStore("store", create=False).query()] \
+        == [(1, 1), (2, _TOP)]
+
+
+def test_raw_ingest_past_the_last_id_is_error(workdir, capsys):
+    # raw ingest numbers its events on from the store's last id, which is
+    # the largest an id may be
+    store = EventStore("store")
+    store.append([decode_event(_canonical(_TOP - 1, 10)), decode_event(_canonical(_TOP, 20))])
+    store.close()
+    (workdir / "raw.log").write_text(_raw_logon(30))
+    capsys.readouterr()
+    assert main(["ingest", "--store", "store", "--events", "raw.log",
+                 "--format", "raw"]) == EXIT_ERROR
+    assert _one_line_error(capsys) == f"error: event after id={_TOP}: {_BOUND}\n"
+    assert [e.id for e in EventStore("store", create=False).query()] == [_TOP - 1, _TOP]
+
+
+def _shifted(rows, by):
+    """The report ``rows`` with every ``ts`` member moved by ``by``."""
+    if isinstance(rows, dict):
+        return {k: v + by if k == "ts" else _shifted(v, by) for k, v in rows.items()}
+    if isinstance(rows, list):
+        return [_shifted(v, by) for v in rows]
+    return rows
+
+
+@pytest.mark.parametrize("start_ts", [1 << 62, (1 << 63) - 600 * NS],
+                         ids=["2**62", "the largest"])
+def test_detect_finds_the_attack_at_any_start_ts(workdir, start_ts):
+    _simulate(workdir)
+    assert main(["detect", "--events", "events.jsonl", "--out", "ref.jsonl"]) == 4
+    (workdir / "cfg.json").write_text(json.dumps({"start_ts": start_ts}))
+    _simulate(workdir, extra=("--config", "cfg.json"))
+    assert main(["detect", "--events", "events.jsonl", "--out", "late.jsonl"]) == 4
+    ref, late = ([json.loads(line) for line in (workdir / name).read_text().splitlines()]
+                 for name in ("ref.jsonl", "late.jsonl"))
+    assert late == _shifted(ref, start_ts - SimConfig().start_ts)
+
+
+@pytest.mark.parametrize("start_ts", [9223372036854000000, (1 << 63) - 600 * NS + 1])
+@pytest.mark.parametrize("extra", [(), ("--expand-factor", "2")], ids=["plain", "expanded"])
+def test_simulate_refuses_a_ts_past_the_bound(workdir, capsys, start_ts, extra):
+    (workdir / "cfg.json").write_text(json.dumps({"start_ts": start_ts}))
+    rc = main(["simulate", "--config", "cfg.json", "--out", "x.jsonl", "--truth", "t.tsv",
+               *extra])
+    assert rc == EXIT_ERROR
+    assert "start_ts + duration" in _one_line_error(capsys)
+    assert not (workdir / "x.jsonl").exists() and not (workdir / "t.tsv").exists()
 
 
 def test_rule_missing_layer_is_error(workdir, capsys):
@@ -1291,10 +1378,8 @@ def test_killed_worker_part_is_read_again(parts_store, tmp_path, four_parts, mon
     assert _read_in_parts(root / "store", tmp_path / "four") == one
 
 
-def _bad_ts(line, ts):
-    e = decode_event(line)
-    e.ts = ts
-    return encode_event(e)
+def _bad_ts(line, ts):  # by text: the encoder refuses a ts <= 0
+    return line.replace(f'"ts":{decode_event(line).ts},', f'"ts":{ts},', 1)
 
 
 @pytest.mark.parametrize("damage", ["later part", "two parts", "past t1 hides",

@@ -183,8 +183,35 @@ def _raw_events(draw):
             attrs[name] = draw(_raw_value)
     for i, value in enumerate(draw(st.lists(_raw_value, max_size=3))):
         attrs[f"x{i}"] = value
-    return LogEvent(draw(st.integers(1, 2**63)), draw(st.integers(1, 2**63)),
+    return LogEvent(draw(st.integers(1, 2**63 - 1)), draw(st.integers(1, 2**63 - 1)),
                     draw(_raw_value), etype, draw(_raw_value), attrs)
+
+
+_TOP = 2**63 - 1  # the largest id and ts
+
+
+@pytest.mark.parametrize("eid, ts", [(1, 1), (_TOP, _TOP), (1, _TOP), (_TOP, 1)])
+def test_codec_takes_ids_and_ts_at_the_bound(eid, ts):
+    e = LogEvent(eid, ts, "h", "logon", "a", {})
+    assert decode_event(encode_event(e)) == e
+    assert parse_raw_line(render_raw_line(e), eid) == e
+
+
+@pytest.mark.parametrize("member", ["id", "ts"])
+@pytest.mark.parametrize("value", [0, -1, 2**63, 10**5000],
+                         ids=["0", "-1", "2**63", "10**5000"])
+def test_codec_refuses_ids_and_ts_past_the_bound(member, value):
+    e = LogEvent(7, 7, "h", "logon", "a", {})
+    setattr(e, member, value)
+    with pytest.raises(SchemaError, match="^event: id and ts must be integers from 1 to "):
+        encode_event(e)
+    digits = "1" + "0" * 5000 if value == 10**5000 else f"{value}"  # str() has a digit limit
+    line = f'{{"id":7,"ts":7,"host":"h","type":"logon","actor":"a","attrs":{{}}}}'
+    with pytest.raises(DecodeError):
+        decode_event(line.replace(f'"{member}":7', f'"{member}":{digits}'))
+    if member == "ts":
+        with pytest.raises(MalformedLine, match="timestamp"):
+            parse_raw_line(RawLine("windows", f"{digits}\th\t4624\ta\t-"), 7)
 
 
 @given(e=_raw_events())

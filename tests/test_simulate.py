@@ -160,6 +160,13 @@ def test_start_ts_must_be_positive(start_ts):
         SimConfig(start_ts=start_ts).validate()
 
 
+def test_start_ts_keeps_every_ts_within_the_bound():
+    # every ts lies below start_ts + duration, and none may pass 2**63 - 1
+    SimConfig(start_ts=(1 << 63) - 600 * NS, duration=600).validate()
+    with pytest.raises(BadConfig, match="start_ts"):
+        SimConfig(start_ts=(1 << 63) - 600 * NS + 1, duration=600).validate()
+
+
 @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
 def test_rates_must_be_finite(rate):
     # the Poisson sampler never returns for either
@@ -207,6 +214,19 @@ def test_expand_with_noise_noise_is_benign(case_study):
             continue
         assert e.event_type != "exploit_signature"
         assert e.attributes.get("via") != "direct"
+
+
+def test_expansion_ending_at_the_bound_reads_back_in_order(tmp_path):
+    top = (1 << 63) - 1
+    events, _ = simulate(SimConfig(seed=5, users=5, attack=False, start_ts=top - 600 * NS + 1))
+    events[-1].ts = top
+    stream = expand_with_noise(events, 3.0, seed=6)
+    ts = [e.ts for e in stream]
+    assert ts == sorted(ts) and ts[-1] == top and ts[0] == events[0].ts
+    store = EventStore(str(tmp_path / "s"))
+    assert store.append(stream) == len(stream)
+    store.close()
+    assert [(e.id, e.ts) for e in store.query()] == [(e.id, e.ts) for e in stream]
 
 
 def test_expand_with_noise_bad_factor(case_study):

@@ -45,7 +45,7 @@ def test_append_out_of_order_ts(tmp_path):
     store.append([_mk(1, 100), _mk(2, 200)])
     with pytest.raises(OutOfOrder):
         store.append([_mk(3, 150)])
-    with pytest.raises(OutOfOrder, match="id=<16610-bit int> ts=150 regresses"):
+    with pytest.raises(SchemaError, match="^event after id=2: id and ts must lie in 1 "):
         store.append([LogEvent(10 ** 5000, 150, "h0", "logon", "a0", {})])
 
 
@@ -706,6 +706,42 @@ def test_split_write_fault_equals_one_pass(tmp_path, monkeypatch, parts, fault,
     assert one_pass[1] is not None
     parts(4)
     assert _closed_store(tmp_path / "split", batch, segment_events, committed) == one_pass
+
+
+_TOP = (1 << 63) - 1  # the largest id and ts
+
+
+@pytest.mark.parametrize("n", [1, 4], ids=["one part", "four parts"])
+def test_append_takes_ids_and_ts_up_to_the_bound(tmp_path, parts, n):
+    events = [_mk(1, 1), *(_mk(i, 10 * i) for i in range(2, 60)), _mk(_TOP, _TOP)]
+    parts(n)
+    store = EventStore(str(tmp_path / "s"), segment_events=3)
+    assert len(store._write_parts(events)) == n
+    assert store.append(events) == len(events)
+    store.close()
+    assert list(EventStore(str(tmp_path / "s"), create=False).query()) == events
+
+
+@pytest.mark.parametrize("member, value", [("id", 0), ("id", -1), ("id", 1 << 63),
+                                           ("ts", 0), ("ts", -1), ("ts", 1 << 63)])
+@pytest.mark.parametrize("where", ["part 0", "first of a worker part", "last event"])
+def test_split_write_refuses_ids_and_ts_past_the_bound_as_one_pass(tmp_path, parts, member,
+                                                                   value, where):
+    committed = [_mk(1, 10), _mk(2, 20)]
+    events = [_mk(i, 10 * i) for i in range(3, 63)]
+    parts(4)
+    rows = [rows for rows, _ in EventStore(str(tmp_path / "x"), 3)._write_parts(events)]
+    assert len(rows) == 4
+    at = {"part 0": 1, "first of a worker part": rows[2].start, "last event": 59}[where]
+    events[at] = _mk(value, 10 * at + 30) if member == "id" else _mk(at + 3, value)
+    parts(1)
+    one_pass = _closed_store(tmp_path / "one", iter(events), 3, committed)
+    assert one_pass[1] == (SchemaError, f"event after id={at + 2}: id and ts must lie in "
+                                        "1 .. 2**63 - 1")
+    parts(4)
+    assert _closed_store(tmp_path / "split", events, 3, committed) == one_pass
+    assert [e.id for e in EventStore(str(tmp_path / "split"), create=False).query()] \
+        == list(range(1, at + 3))
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
