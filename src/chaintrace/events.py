@@ -348,6 +348,8 @@ def parse_raw_line(line: RawLine, event_id: int = 0) -> LogEvent:
     cols = text.rstrip("\n").split("\t")
     try:
         ts = int(cols[0], 10)
+        if str(ts) != cols[0]:  # a space, _, + or leading 0, or a digit past ASCII
+            raise ValueError
     except ValueError:
         raise MalformedLine(f"{kind}: bad timestamp {cols[0]!r}") from None
     if not 0 < ts <= MAX_ID_TS:

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import RuleCycle, UnknownInputKind, UnsortedInput
+from .errors import RuleCycle, SchemaError, UnknownInputKind, UnsortedInput
 from .events import EVENT_TYPES, NS, LogEvent, load_json
 from .store import EventStore
 
@@ -384,17 +384,20 @@ class _FirstLayer:
         for w, col in zip(tests, columns):
             by_type.setdefault(w.rule.input_kind, []).append((w, col))
         first = e = None
-        for e in _in_order(events, self.last):
-            if first is None:
-                first = (e.ts, e.id)
-            offered = by_type.get(e.event_type)
-            if offered:
-                fields = {"source_host": e.source_host, "actor": e.actor,
-                          "dst_ip": e.attributes.get("dst_ip", "")}
-                for w, col in offered:
-                    key = w.accept(e.attributes, fields)
-                    if key is not None:
-                        col.add(key, e.ts, e.id)
+        try:
+            for e in _in_order(events, self.last):
+                if first is None:
+                    first = (e.ts, e.id)
+                offered = by_type.get(e.event_type)
+                if offered:
+                    fields = {"source_host": e.source_host, "actor": e.actor,
+                              "dst_ip": e.attributes.get("dst_ip", "")}
+                    for w, col in offered:
+                        key = w.accept(e.attributes, fields)
+                        if key is not None:
+                            col.add(key, e.ts, e.id)
+        except OverflowError:  # a column refused an id or ts past 64 bits
+            raise SchemaError("event: id and ts must be integers from 1 to 2**63 - 1") from None
         for w, col in zip(tests, columns):
             col.skips = w.skips
         return _Part(first, None if e is None else (e.ts, e.id), columns)

@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import BadConfig, MalformedLine
-from .events import MAX_ID_TS, NS, LogEvent, TextLines, _quote
+from .events import MAX_ID_TS, NS, LogEvent, TextLines, _quote, decode_event
 
 SCENARIOS = ("cooltype_jpeg_exfil", "usb_jpeg_exfil")
 
@@ -337,8 +337,8 @@ _NOISE_SESSION = (("session_id", [f"N{u:04d}-" for u in range(500)],
 # host by user index, and its attributes in line order as (key, values by
 # user index or None, values by aux draw). A value is its user's entry, if
 # any, then entry aux % len of its aux values; only the first attribute
-# may have values by user. The noise events and their canonical lines are
-# both made from this table (_noise_makers).
+# may have values by user. The noise events' canonical lines are made
+# from this table (_noise_makers).
 _NOISE_KINDS = (
     ("http_request", 30, ["proxy"] * 500,  # logged by the proxy
      (("dst_ip", None, _EXTERNAL_IPS), ("dst_port", None, ["443"]), ("method", None, ["GET"]),
@@ -365,15 +365,16 @@ def expand_with_noise(
 
     ``events`` must be sorted by ts. The result is renumbered 1, 2, ...
     in ts order; an original goes before any noise event of the same ts.
-    It is a sized, re-iterable and sliceable sequence whose events are
-    made as they are read; its ``rows()`` gives the same stream as
-    canonical rows, the noise as lines made from pre-quoted tables, which
-    ``EventStore.append`` writes as they are. Pass ``id_map`` to receive
-    old id -> new id for the original events (ground-truth relabeling); it
-    is complete when this call returns, before the stream is read. All
-    other fields of the original events are preserved verbatim; every
-    noise event has its own attrs dict. A factor whose noise draws do not
-    fit in memory is a BadConfig.
+    It is a sized, re-iterable and sliceable sequence whose rows are made
+    as they are read: its ``rows()`` gives the stream as canonical rows,
+    the noise as lines made from pre-quoted tables, which
+    ``EventStore.append`` writes as they are, and its events are those
+    rows decoded. Pass ``id_map`` to receive old id -> new id for the
+    original events (ground-truth relabeling); it is complete when this
+    call returns, before the stream is read. All other fields of the
+    original events are preserved verbatim; every noise event has its own
+    attrs dict. A factor whose noise draws do not fit in memory is a
+    BadConfig.
     """
     if factor < 1:
         raise BadConfig("factor must be >= 1")
@@ -409,15 +410,14 @@ def expand_with_noise(
     return _Expansion(events, places, columns, 0, n_orig + n_noise)
 
 
-def _noise(columns: tuple, first: int, stop: int, rows: bool) -> Iterator:
-    """Noise events ``first`` to ``stop - 1`` of an expansion, in ts order,
-    from its numpy ``columns``: the originals' ts, then the noise ts, type,
-    user and aux draws. Each is a ``LogEvent``, or with ``rows`` its
-    canonical row (see ``_noise_makers``)."""
+def _noise(columns: tuple, first: int, stop: int) -> Iterator[tuple]:
+    """The canonical rows of noise events ``first`` to ``stop - 1`` of an
+    expansion, in ts order (see ``_noise_makers``), from its numpy
+    ``columns``: the originals' ts, then the noise ts, type, user and aux
+    draws."""
     import numpy as np
 
-    periods, offsets, event, row = _noise_makers()
-    make = row if rows else event
+    periods, offsets, row = _noise_makers()
     orig_ts, ts_arr, type_idx, user_idx, aux = columns
 
     def chunks() -> Iterator[Iterator]:
@@ -431,7 +431,7 @@ def _noise(columns: tuple, first: int, stop: int, rows: bool) -> Iterator:
             ids = np.searchsorted(orig_ts, ts_c, "right") + np.arange(lo + 1, hi + 1)
             by_user = t * len(_NOISE_USERS) + user_idx[lo:hi]
             by_aux = offsets[t] + aux[lo:hi] % periods[t]
-            yield map(make, ids.tolist(), ts_c.tolist(), t.tolist(), by_user.tolist(),
+            yield map(row, ids.tolist(), ts_c.tolist(), t.tolist(), by_user.tolist(),
                       by_aux.tolist())
     return chain.from_iterable(chunks())
 
@@ -439,18 +439,17 @@ def _noise(columns: tuple, first: int, stop: int, rows: bool) -> Iterator:
 @cache
 def _noise_makers() -> tuple:
     """``_NOISE_KINDS`` as the noise walk reads it: each kind's aux period
-    and the offset of its first entry by aux draw, then the two makers of
-    a noise event from its id, ts, kind, entry by user (kind and user
-    index) and entry by aux draw (offset plus aux % period). One makes
-    the ``LogEvent``, the other its canonical row ``(ts, id, type,
-    line)``, whose line is its id and ts digits, the quoted text up to the
-    aux part of its first value, by user, and the rest, by aux draw, as
-    ``encode_event`` writes it; every value is quoted here once."""
+    and the offset of its first entry by aux draw, then the maker of a
+    noise event's canonical row ``(ts, id, type, line)`` from its id, ts,
+    kind, entry by user (kind and user index) and entry by aux draw
+    (offset plus aux % period). The line is its id and ts digits, the
+    quoted text up to the aux part of its first value, by user, and the
+    rest, by aux draw, as ``encode_event`` writes it; every value is
+    quoted here once."""
     import numpy as np
 
-    names, firsts, periods = [], [], []
-    hosts, actors, prefixes, heads = [], [], [], []  # by user
-    templates, tails = [], []  # by aux draw
+    names, periods = [], []
+    heads, tails = [], []  # by user, by aux draw
 
     def inner(s: str) -> str:  # quoted, but without its quotes
         return _quote(s)[1:-1]
@@ -458,13 +457,8 @@ def _noise_makers() -> tuple:
     for name, _, kind_hosts, attrs in _NOISE_KINDS:
         assert not any(values for _, values, _ in attrs[1:])
         keys = [key for key, _, _ in attrs]
-        by_user = attrs[0][1] if attrs else None
         names.append(name)
-        firsts.append(keys[0] if by_user else None)
-        hosts += kind_hosts
-        actors += _NOISE_USERS
-        user_parts = by_user or [""] * len(_NOISE_USERS)
-        prefixes += user_parts
+        user_parts = (attrs[0][1] if attrs else None) or [""] * len(_NOISE_USERS)
         head = f',"type":{_quote(name)},"actor":'
         heads += [f',"host":{_quote(host)}{head}{_quote(user)},"attrs":{{'
                   + (f'{_quote(keys[0])}:"{inner(prefix)}' if keys else "")
@@ -472,32 +466,25 @@ def _noise_makers() -> tuple:
         periods.append(math.lcm(*(len(table) for _, _, table in attrs)))
         for k in range(periods[-1]):
             values = [table[k % len(table)] for _, _, table in attrs]
-            templates.append(dict(zip(keys, values)))
             tails.append("".join([f'{inner(values[0])}"', *(f",{_quote(key)}:{_quote(v)}"
                                   for key, v in zip(keys[1:], values[1:])), "}}"])
                          if keys else "}}")
     offsets = [0, *accumulate(periods)][:-1]
 
-    def event(nid: int, ts: int, t: int, h: int, k: int) -> LogEvent:
-        attrs = templates[k].copy()
-        first = firsts[t]
-        if first:
-            attrs[first] = prefixes[h] + attrs[first]
-        return LogEvent(nid, ts, hosts[h], names[t], actors[h], attrs)
-
     def row(nid: int, ts: int, t: int, h: int, k: int) -> tuple:
         return ts, nid, names[t], f'{{"id":{nid},"ts":{ts}{heads[h]}{tails[k]}'
 
-    return np.array(periods), np.array(offsets), event, row
+    return np.array(periods), np.array(offsets), row
 
 
 class _Expansion(Sequence):
     """Positions ``start`` to ``stop - 1`` of an expanded stream, made as
     they are read: each read is one walk of the noise from its first
     position, with the originals put in their places on the way. A slice
-    is another such view; an index reads one position. Iterating gives
-    ``LogEvent``s, and ``rows()`` the canonical rows that the store
-    writes."""
+    is another such view; an index reads one position. ``rows()`` gives
+    the canonical rows that the store writes, and iterating gives those
+    rows' ``LogEvent``s: an original's renumbered event, and each noise
+    line decoded."""
 
     def __init__(self, events: list[LogEvent], places: list[int], columns: tuple,
                  start: int, stop: int):
@@ -508,23 +495,19 @@ class _Expansion(Sequence):
         return self._stop - self._start
 
     def __iter__(self) -> Iterator[LogEvent]:
-        return self._walk(False)
+        return (decode_event(p) if type(p) is str else p for _, _, _, p in self.rows())
 
     def rows(self) -> Iterator[tuple[int, int, str, str | LogEvent]]:
         """The view's events as ``EventStore.append`` takes them, one
         ``(ts, id, type, payload)`` row each: a noise event's payload is
-        its canonical line, equal to ``encode_event`` of the event that
-        iterating gives; an original's is its renumbered ``LogEvent``,
-        which the store encodes."""
-        return self._walk(True)
-
-    def _walk(self, rows: bool) -> Iterator:
+        its canonical line, as ``encode_event`` writes it; an original's
+        is its renumbered ``LogEvent``, which the store encodes."""
         places = self._places
         start, stop = self._start, self._stop
         # originals j to j_end - 1 fall in the view; the noise events in it
         # are those from start - j on
         j, j_end = bisect_left(places, start), bisect_left(places, stop)
-        noise = _noise(self._columns, start - j, stop - j_end, rows)
+        noise = _noise(self._columns, start - j, stop - j_end)
 
         def runs() -> Iterator[Iterable]:  # the noise before each original, and it
             at = start
@@ -533,7 +516,7 @@ class _Expansion(Sequence):
                 e = self._events[i]
                 e = LogEvent(places[i] + 1, e.ts, e.source_host, e.event_type, e.actor,
                              e.attributes)
-                yield [(e.ts, e.id, e.event_type, e) if rows else e]
+                yield [(e.ts, e.id, e.event_type, e)]
                 at = places[i] + 1
             yield noise
         return chain.from_iterable(runs())

@@ -185,7 +185,7 @@ class EventStore:
         def encode(part: tuple[range, int]) -> Iterator[tuple]:
             rows, room = part
             # the order check starts at the row before the part
-            last = (events[rows.start - 1].ts, events[rows.start - 1].id) if rows.start else first
+            last = ((e := events[rows.start - 1]).ts, e.id) if rows.start else first
             return _encode_part(_rows(events[rows.start:rows.stop]), *last, room,
                                 self.segment_events)
 

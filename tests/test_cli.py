@@ -703,7 +703,12 @@ def test_raw_line_without_tab_is_error(workdir, capsys):
     ("bad2.log", "notab", "no tab after the source kind"),
     *((f"ts{ts}.log", f"windows\t{ts}\tws000\t4624\tu000\tS1",
        f"windows: timestamp '{ts}' outside 1 .. 2**63 - 1") for ts in (0, -1, 1 << 63)),
-], ids=["bad timestamp", "no tab", "ts 0", "ts -1", "ts 2**63"])
+    # what int() takes but str(ts) never writes
+    *((f"ts-form{i}.log", f"windows\t{ts}\tws000\t4624\tu000\tS1",
+       f"windows: bad timestamp {ts!r}")
+      for i, ts in enumerate(["1_000", " 2000", "+3000", "\u0663", "01000"])),
+], ids=["bad timestamp", "no tab", "ts 0", "ts -1", "ts 2**63", "ts 1_000", "ts space 2000",
+        "ts +3000", "ts arabic-indic 3", "ts 01000"])
 def test_raw_ingest_error_names_the_file_and_line(workdir, capsys, name, line, fault):
     _simulate(workdir, extra=("--raw", "raw.log"))
     lines = (workdir / "raw.log").read_text().splitlines()

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from chaintrace.errors import RuleCycle, UnknownInputKind, UnsortedInput
+from chaintrace.errors import RuleCycle, SchemaError, UnknownInputKind, UnsortedInput
 from chaintrace.events import NS, LogEvent
 from chaintrace.graph import (
     PropertyGraph,
@@ -195,6 +195,16 @@ def test_ts_and_ids_up_to_the_bound_are_windowed():
     seqs = apply_rules(PropertyGraph(), [rule], events).sequences()
     assert [(n.attributes["t_start"], n.attributes["members"]) for n in seqs] \
         == [(1, [1, 2]), (top - 1, [3, top])]
+
+
+@pytest.mark.parametrize("member", ["id", "ts"])
+def test_ids_and_ts_past_the_bound_are_a_schema_error(default_rules, member):
+    past = 1 << 63
+    event = LogEvent(1, 5, "ws000", "file_read", "u000", {"path": "a.txt", "ext": "txt"})
+    setattr(event, member, past)
+    with pytest.raises(SchemaError, match=r"^event: id and ts must be integers from 1 to "
+                                          r"2\*\*63 - 1$"):
+        apply_rules(PropertyGraph(), default_rules, [event])
 
 
 def test_window_members_cost_bounded_memory():

@@ -310,6 +310,19 @@ def test_expansion_is_a_sequence(case_study, factor, tied):
         x[n]
 
 
+def test_every_noise_event_has_its_own_attrs(case_study):
+    id_map: dict[int, int] = {}
+    x = expand_with_noise(case_study[1], 3.5, 5, id_map)
+    first = list(x)
+    assert len({id(e.attributes) for e in first}) == len(first)
+    lines = [encode_event(e) for e in first]
+    originals = set(id_map.values())
+    for e in first:
+        if e.id not in originals:
+            e.attributes["mutated"] = "1"
+    assert [encode_event(e) for e in x] == lines  # the second walk
+
+
 def _rows_are_the_events(view, events):
     """Each row of ``view`` is the event at its position, its line that
     event encoded; the noise rows' types, and whether a deny occurs."""
