@@ -23,14 +23,7 @@ from importlib import resources
 from .errors import BadConfig, ChaintraceError, MalformedLine
 from .events import (RawLine, TextLines, committing, decode_event, encode_event,
                      from_json, load_json, parse_raw_line, render_raw_line)
-from .graph import (
-    PropertyGraph,
-    apply_rules,
-    build_graph,
-    draw_detection,
-    export_graph,
-    load_rules,
-)
+from .graph import PropertyGraph, apply_rules, build_graph, export_graph, load_rules
 from .killchain import (
     exit_code_for,
     identify_adversary,
@@ -173,8 +166,10 @@ def cmd_pseudonymize(args) -> int:
                    for share in shares]
     with committing(args.out, args.vault, *share_paths) as (out, vault_tmp, *share_tmps):
         with open(out, "w", encoding="utf-8") as fh:
-            for e in TextLines(args.events, decode_event):
-                fh.write(encode_event(vault.pseudonymize_event(e)))
+            # a line whose identity cannot be hashed fails as a line of the file
+            for e in TextLines(args.events,
+                               lambda line: vault.pseudonymize_event(decode_event(line))):
+                fh.write(encode_event(e))
                 fh.write("\n")
         vault.save(vault_tmp)
         if shares:
@@ -191,16 +186,9 @@ def cmd_detect(args) -> int:
     )
     with committing(args.out, args.export) as (out, export):
         # a store is read in parts, its lines prefiltered (apply_rules); an
-        # --events file in one part, as is the stream the exported graph
-        # needs whole
-        events = source = _input_events(args)
-        if args.export:
-            # the exported graph carries the host/user/event layer as well
-            events = list(source.query() if args.store else source)
-            graph = build_graph(events)
-        else:
-            graph = PropertyGraph()
-        apply_rules(graph, rules, events)
+        # --events file in one part
+        source = _input_events(args)
+        graph = apply_rules(PropertyGraph(), rules, source)
         args.counters = {
             "rows_scanned": source.rows_scanned,
             "rows_skipped": source.rows_skipped,
@@ -217,7 +205,7 @@ def cmd_detect(args) -> int:
                 fh.write(json.dumps(row, sort_keys=True))
                 fh.write("\n")
         if export:
-            draw_detection(graph, matches, {e.id: e.name for e in model.elements})
+            build_graph(graph, rules, matches, {e.id: e.name for e in model.elements})
             with open(export, "w", encoding="utf-8") as fh:
                 fh.write(export_graph(graph, args.format))
     code = exit_code_for(matches)

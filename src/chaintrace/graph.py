@@ -1,9 +1,10 @@
-"""Directed property graph over hosts, users and events, plus the layered
-sequence rules that aggregate events into event-sequence nodes.
+"""The layered sequence rules that aggregate events into event-sequence
+nodes of a directed property graph, and the graph's export.
 
-Detection reads only the sequence nodes; ``draw_detection`` adds what it
-found for ``detect --export``. This module alone spells the graph's node
-ids (``host:``, ``user:``, ``event:``, ``seq:``, ``kc:``).
+Detection reads only the sequence nodes; ``build_graph`` draws around
+them what detection found, for ``detect --export``. This module alone
+spells the graph's node ids (``host:``, ``user:``, ``event:``, ``seq:``,
+``kc:``).
 
 Rule semantics: within one (rule, group key), members accumulate greedily
 from the earliest unconsumed item; the window is anchored at the first
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import RuleCycle, SchemaError, UnknownInputKind, UnsortedInput
-from .events import EVENT_TYPES, NS, LogEvent, load_json
+from .events import EVENT_TYPES, NS, LogEvent, _quote, load_json
 from .store import EventStore
 
 GROUP_FIELDS = ("source_host", "actor", "dst_ip")
@@ -81,18 +82,6 @@ class PropertyGraph:
         )
 
 
-def _host_id(name: str) -> str:
-    return f"host:{name}"
-
-
-def _user_id(name: str) -> str:
-    return f"user:{name}"
-
-
-def _event_id(eid: int) -> str:
-    return f"event:{eid}"
-
-
 def _unsorted(ts: int, eid: int) -> UnsortedInput:
     return UnsortedInput(f"event id={eid} ts={ts} out of order")
 
@@ -106,33 +95,6 @@ def _in_order(events: Iterable[LogEvent],
             raise _unsorted(e.ts, e.id)
         last = (e.ts, e.id)
         yield e
-
-
-def build_graph(events: Iterable[LogEvent]) -> PropertyGraph:
-    """Construct the host/user/event layer from a time-sorted stream.
-
-    Detection reads only sequence nodes, so this layer is built for export.
-    """
-    g = PropertyGraph()
-    prev_event_per_host: dict[str, str] = {}
-
-    for e in _in_order(events):
-        host = g.add_node(Node(_host_id(e.source_host), "host", e.source_host))
-        user = g.add_node(Node(_user_id(e.actor), "user", e.actor))
-        dst_ip = e.attributes.get("dst_ip")
-        if dst_ip:
-            g.add_node(Node(_host_id(dst_ip), "host", dst_ip))
-            if e.event_type in ("fw_conn", "http_request"):
-                g.add_edge(host.id, _host_id(dst_ip), "connects_to")
-
-        ev = g.add_node(Node(_event_id(e.id), "event", e.event_type, {"ts": e.ts}))
-        g.add_edge(ev.id, host.id, "caused_by")
-        g.add_edge(ev.id, user.id, "caused_by")
-        prev = prev_event_per_host.get(host.id)
-        if prev is not None:
-            g.add_edge(prev, ev.id, "next")
-        prev_event_per_host[host.id] = ev.id
-    return g
 
 
 @dataclass
@@ -481,28 +443,42 @@ def apply_rules(
 
 # --- export ---
 
-def draw_detection(graph: PropertyGraph, matches: Iterable, names: dict[str, str]) -> None:
-    """Add to ``graph``, for export, what detection found: a member_of edge
-    from each member of a sequence that ``graph`` holds, a ``kc:<element
-    id>`` node labelled ``names[element id]`` with a matches edge from each
-    sequence bound to the element, and each adversary host marked as one.
-    ``matches`` are ``killchain.ChainMatch`` objects."""
+# per group_by field, the kind of node its value names and the edge kind
+# from the sequence to that node
+_GROUP_NODES = {"source_host": ("host", "caused_by"), "actor": ("user", "caused_by"),
+                "dst_ip": ("host", "connects_to")}
+
+
+def build_graph(graph: PropertyGraph, rules: list[SequenceRule], matches: Iterable,
+                names: dict[str, str]) -> PropertyGraph:
+    """Add to ``graph``, for export, what detection found around its
+    sequence nodes, and return it: an ``event:<id>`` node per layer-1
+    member, labelled with its rule's ``input_kind``, and a member_of edge
+    from each member to its sequence; a ``host:`` or ``user:`` node per
+    value of a sequence's group key, with an edge from the sequence
+    (``_GROUP_NODES``); a ``kc:<element id>`` node labelled ``names[element
+    id]`` with a matches edge from each sequence bound to the element; and
+    each adversary host marked as one. ``matches`` are
+    ``killchain.ChainMatch`` objects."""
+    input_kinds = {r.id: r.input_kind for r in rules}
     for seq in graph.sequences():
-        for ref in seq.attributes["members"]:
-            member = _event_id(ref) if isinstance(ref, int) else ref
-            if member in graph.nodes:
-                graph.add_edge(member, seq.id, "member_of")
+        a = seq.attributes
+        for ref in a["members"]:
+            if isinstance(ref, int):
+                ref = graph.add_node(Node(f"event:{ref}", "event", input_kinds[a["rule"]])).id
+            graph.add_edge(ref, seq.id, "member_of")
+        for name, value in a["group"].items():
+            kind, edge = _GROUP_NODES[name]
+            node = graph.add_node(Node(f"{kind}:{value}", kind, value))
+            graph.add_edge(seq.id, node.id, edge)
     for m in matches:
         for eid, binding in m.matched.items():
             kc = graph.add_node(Node(f"kc:{eid}", "kc_element", names[eid]))
             graph.add_edge(binding.sequence_id, kc.id, "matches")
         if m.adversary:
-            host = graph.add_node(Node(_host_id(m.adversary), "host", m.adversary))
+            host = graph.add_node(Node(f"host:{m.adversary}", "host", m.adversary))
             host.kind = "adversary"
-
-
-def _dot_escape(s: str) -> str:
-    return s.replace("\\", "\\\\").replace('"', '\\"')
+    return graph
 
 
 _DOT_SHAPES = {
@@ -516,23 +492,23 @@ _DOT_SHAPES = {
 
 
 def export_graph(graph: PropertyGraph, fmt: str) -> str:
-    """Deterministic DOT or GraphML rendering (nodes sorted by id)."""
+    """Deterministic DOT or GraphML rendering, nodes sorted by id and edges
+    by (source, target, kind). Each node id, label and edge kind is written
+    as the canonical codec writes a string, without its quotes, so the text
+    is ASCII."""
+    def text(s: str) -> str:
+        return _quote(s)[1:-1]
+
+    nodes = [(text(nid), text(n.label), n.kind) for nid, n in sorted(graph.nodes.items())]
+    edges = [(text(e.src), text(e.dst), text(e.kind))
+             for e in sorted(graph.edges(), key=lambda e: (e.src, e.dst, e.kind))]
     if fmt == "dot":
-        lines = ["digraph chaintrace {"]
-        for nid in sorted(graph.nodes):
-            n = graph.nodes[nid]
-            shape = _DOT_SHAPES.get(n.kind, "box")
-            lines.append(
-                f'  "{_dot_escape(nid)}" [label="{_dot_escape(n.label)}" '
-                f'shape={shape} class="{n.kind}"];'
-            )
-        for edge in sorted(graph._edge_set, key=lambda e: (e.src, e.dst, e.kind)):
-            lines.append(
-                f'  "{_dot_escape(edge.src)}" -> "{_dot_escape(edge.dst)}" '
-                f'[label="{edge.kind}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "".join([
+            "digraph chaintrace {\n",
+            *(f'  "{nid}" [label="{label}" shape={_DOT_SHAPES.get(kind, "box")} '
+              f'class="{kind}"];\n' for nid, label, kind in nodes),
+            *(f'  "{src}" -> "{dst}" [label="{kind}"];\n' for src, dst, kind in edges),
+            "}\n"])
     if fmt == "graphml":
         import xml.etree.ElementTree as ET  # loaded only for this export
 
@@ -545,15 +521,13 @@ def export_graph(graph: PropertyGraph, fmt: str) -> str:
             "for": "edge", "attr.name": "kind", "attr.type": "string",
         })
         gel = ET.SubElement(root, "graph", id="G", edgedefault="directed")
-        for nid in sorted(graph.nodes):
-            n = graph.nodes[nid]
+        for nid, label, kind in nodes:
             nel = ET.SubElement(gel, "node", id=nid)
-            ET.SubElement(nel, "data", key="d0").text = n.kind
-            ET.SubElement(nel, "data", key="d1").text = n.label
-        for edge in sorted(graph._edge_set, key=lambda e: (e.src, e.dst, e.kind)):
-            eel = ET.SubElement(gel, "edge", source=edge.src, target=edge.dst)
-            ET.SubElement(eel, "data", key="d2").text = edge.kind
+            ET.SubElement(nel, "data", key="d0").text = kind
+            ET.SubElement(nel, "data", key="d1").text = label
+        for src, dst, kind in edges:
+            eel = ET.SubElement(gel, "edge", source=src, target=dst)
+            ET.SubElement(eel, "data", key="d2").text = kind
         ET.indent(root)
         return ET.tostring(root, encoding="unicode") + "\n"
     raise ValueError(f"unknown export format {fmt!r}")
-

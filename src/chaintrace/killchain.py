@@ -1,6 +1,6 @@
 """Staged attack model with variants, per-victim matching, completeness
 scoring, adversary identification and attack reconstruction. These read
-the sequence nodes and write no graph: ``graph.draw_detection`` does."""
+the sequence nodes and write no graph: ``graph.build_graph`` does."""
 
 from __future__ import annotations
 

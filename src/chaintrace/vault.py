@@ -16,6 +16,7 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from .errors import (
+    DecodeError,
     IntegrityFailure,
     TokenCollision,
     UnknownToken,
@@ -72,7 +73,10 @@ class PseudonymVault:
     # --- token derivation ---
 
     def _full_hash(self, field_class: str, plaintext: str) -> bytes:
-        msg = field_class.encode() + b"\x00" + plaintext.encode()
+        try:
+            msg = field_class.encode() + b"\x00" + plaintext.encode()
+        except UnicodeEncodeError:  # a lone surrogate
+            raise DecodeError(f"{field_class} {plaintext!r} is not UTF-8 text") from None
         return hmac.new(self.token_key, msg, hashlib.sha256).digest()
 
     def token_for(self, field_class: str, plaintext: str) -> str:

@@ -28,7 +28,7 @@ from chaintrace.features import (
     matrix_of,
     standardize,
 )
-from chaintrace.graph import apply_rules, build_graph
+from chaintrace.graph import PropertyGraph, apply_rules
 from chaintrace.killchain import (
     EXIT_FULL,
     EXIT_NO_ALERT,
@@ -62,7 +62,7 @@ def criterion(n: int, capfd):
 
 
 def _detect(events, rules, model):
-    graph = apply_rules(build_graph(events), rules, events)
+    graph = apply_rules(PropertyGraph(), rules, events)
     matches = match_killchain(graph.sequences(), model)
     return graph, matches
 
@@ -147,6 +147,12 @@ def test_acceptance_06_five_million_events(tmp_path, capfd):
         full = [r for r in rows if r["status"] == STATUS_FULL]
         assert any(r["victim"] == truth.victim_host for r in full)
         assert rc == EXIT_FULL
+        # the export reads the store as detect does, and reports the same
+        exported = tmp_path / "exported.jsonl"
+        rc = main(["detect", "--store", str(tmp_path / "bigstore"), "--out", str(exported),
+                   "--export", str(tmp_path / "graph.dot")])
+        assert rc == EXIT_FULL
+        assert exported.read_bytes() == report.read_bytes()
 
         elapsed = time.monotonic() - t0
         peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << 20)

@@ -22,7 +22,7 @@ import chaintrace
 from chaintrace.cli import EXIT_ERROR, build_parser, main
 from chaintrace.events import NS, TextLines, decode_event, encode_event
 from chaintrace.features import SOURCE_SETS, ExtractionStats, extract_features
-from chaintrace.graph import (apply_rules, build_graph, draw_detection, export_graph,
+from chaintrace.graph import (PropertyGraph, apply_rules, build_graph, export_graph,
                               line_prefilter, load_rules)
 from chaintrace.simulate import SCENARIOS, STEP_ORDER, SimConfig, read_truth_file
 from chaintrace.store import EventStore
@@ -191,6 +191,19 @@ def test_pseudonymize_and_reveal(workdir):
     assert rc == 0
 
 
+def test_pseudonymize_actor_that_is_not_utf8_is_error(workdir, capsys):
+    events_path, _ = _simulate(workdir)
+    text = events_path.read_text()
+    lineno = text[:text.index('"actor":"u000"')].count("\n") + 1
+    events_path.write_text(text.replace('"actor":"u000"', '"actor":"u\\ud800"'))
+    rc = main(["pseudonymize", "--events", "events.jsonl", "--out", "pseudo.jsonl",
+               "--vault", "vault.json", "--shares-dir", "shares"])
+    assert rc == EXIT_ERROR
+    assert f"events.jsonl: line {lineno}: " in _one_line_error(capsys)
+    assert sorted(os.listdir(workdir)) == ["events.jsonl", "manifest.simulate.json",
+                                           "truth.tsv"]
+
+
 # Runs commands through main (a step given as a string imports that
 # module) in a fresh interpreter and prints, after each group, which of
 # the heavy modules it has loaded.
@@ -350,34 +363,55 @@ def _exported_graph(path, fmt):
 
 @pytest.mark.parametrize("fmt", ["dot", "graphml"])
 def test_detect_export_is_the_export_graph_plus_the_chain(workdir, fmt):
-    _simulate(workdir)
-    assert main(["detect", "--events", "events.jsonl", "--out", "plain.jsonl"]) == 4
+    rules = load_rules(str(resources.files("chaintrace.data") / "default_rules.json"))
+    for extra in ((), ("--expand-factor", "3")):
+        _simulate(workdir, extra=extra)
+        assert main(["detect", "--events", "events.jsonl", "--out", "plain.jsonl"]) == 4
+        assert main(["detect", "--events", "events.jsonl", "--out", "report.jsonl",
+                     "--export", "detect.graph", "--format", fmt]) == 4
+        report = (workdir / "report.jsonl").read_bytes()
+        assert report == (workdir / "plain.jsonl").read_bytes()
+        # the graph of the sequences and what they name, without the kill chain
+        events = list(TextLines("events.jsonl", decode_event))
+        plain = build_graph(apply_rules(PropertyGraph(), rules, events), rules, [], {})
+        (workdir / "export.graph").write_text(export_graph(plain, fmt))
+        nodes, edges = _exported_graph(workdir / "detect.graph", fmt)
+        plain_nodes, plain_edges = _exported_graph(workdir / "export.graph", fmt)
+        rows = [json.loads(line) for line in report.splitlines()]
+        # the plain graph's nodes, each adversary host marked as one
+        adversaries = {f"host:{r['adversary']}" for r in rows if r["adversary"]}
+        assert adversaries
+        assert {nid: nodes[nid] for nid in plain_nodes} == {
+            nid: ("adversary", label) if nid in adversaries else (kind, label)
+            for nid, (kind, label) in plain_nodes.items()}
+        # plus one kc: node per bound element, and its edges plus one
+        # matches edge from each bound sequence to its element's node
+        bound = {(b["sequence"], f"kc:{eid}")
+                 for r in rows for eid, b in r["elements"].items()}
+        assert {nid: kind for nid, (kind, _) in nodes.items() if nid not in plain_nodes} == \
+            {kc: "kc_element" for _, kc in bound}
+        assert plain_edges < edges
+        assert edges - plain_edges == {(seq, kc, "matches") for seq, kc in bound}
+        # the export grows with what detection found, not with the stream:
+        # its events are the sequences' layer-1 members, with no next edge
+        members = {f"event:{ref}" for s in plain.sequences()
+                   for ref in s.attributes["members"] if isinstance(ref, int)}
+        assert {nid for nid, (kind, _) in nodes.items() if kind == "event"} == members
+        assert all(kind != "next" for *_, kind in edges)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "graphml"])
+@pytest.mark.parametrize("victim, written", [("ws\ud800", r"ws\ud800"),
+                                             ("ws\x01", r"ws\u0001")])
+def test_export_is_ascii_whatever_a_host_holds(workdir, fmt, victim, written):
+    # each id and label is written as the codec writes a string, unquoted
+    events_path, _ = _simulate(workdir)
+    events_path.write_text(events_path.read_text().replace('"ws000"', json.dumps(victim)))
     assert main(["detect", "--events", "events.jsonl", "--out", "report.jsonl",
                  "--export", "detect.graph", "--format", fmt]) == 4
-    report = (workdir / "report.jsonl").read_bytes()
-    assert report == (workdir / "plain.jsonl").read_bytes()
-    # the graph of the events and their sequences, without the kill chain
-    events = list(TextLines("events.jsonl", decode_event))
-    rules = load_rules(str(resources.files("chaintrace.data") / "default_rules.json"))
-    plain = apply_rules(build_graph(events), rules, events)
-    draw_detection(plain, [], {})  # the member_of edges alone
-    (workdir / "export.graph").write_text(export_graph(plain, fmt))
-    nodes, edges = _exported_graph(workdir / "detect.graph", fmt)
-    plain_nodes, plain_edges = _exported_graph(workdir / "export.graph", fmt)
-    rows = [json.loads(line) for line in report.splitlines()]
-    # the plain graph's nodes, each adversary host marked as one
-    adversaries = {f"host:{r['adversary']}" for r in rows if r["adversary"]}
-    assert adversaries
-    assert {nid: nodes[nid] for nid in plain_nodes} == {
-        nid: ("adversary", label) if nid in adversaries else (kind, label)
-        for nid, (kind, label) in plain_nodes.items()}
-    # plus one kc: node per bound element, and its edges plus one
-    # matches edge from each bound sequence to its element's node
-    bound = {(b["sequence"], f"kc:{eid}") for r in rows for eid, b in r["elements"].items()}
-    assert {nid: kind for nid, (kind, _) in nodes.items() if nid not in plain_nodes} == \
-        {kc: "kc_element" for _, kc in bound}
-    assert plain_edges < edges
-    assert edges - plain_edges == {(seq, kc, "matches") for seq, kc in bound}
+    assert (workdir / "detect.graph").read_bytes().isascii()
+    nodes, _ = _exported_graph(workdir / "detect.graph", fmt)  # GraphML: parsed
+    assert nodes[f"host:{written}"] == ("host", written)
 
 
 _PINNED_INPUTS = {
@@ -391,8 +425,8 @@ _PINNED_INPUTS = {
 # read path (a store's prefilter skips lines); the rest must not.
 _DETECT_DIGESTS = {
     "seed 42": {
-        "dot": "5746173a79b7204bc2fe57366ce6cf1326ebe46017885026606eba4e9a2b47d4",
-        "graphml": "00c3cb25b90f3e5019e70d7500c8d47705c28db99a71d3c2f2e377a5937c3b7b",
+        "dot": "4ed153770170b6089ce8cf43bfbde7b1e8b7a049128110392cb161259e090267",
+        "graphml": "70dc46b6705ac4a01baaca2ecc728c4e73dffd3df666b2f6d02477c00f4010a8",
         "report": "bd69c8162ababf0ff267d2b7aecb05f87cf6cc0ed5f4d2e91627f909513876da",
         "stdout": "ccce76d89b3f01f0de3a226846ecdbc27c68a0e4d80293cc428dbe8256c7adf9",
         "exit": "4b227777d4dd1fc61c6f884f48641d02b4d121d3fd328cb08b5531fcacdabf8a",
@@ -400,8 +434,8 @@ _DETECT_DIGESTS = {
         "counters --store": "eb97668eb50b71fe00b20eef1dd3c5466e34fc19525f205828a1f21a045e4cd6",
     },
     "seed 77": {
-        "dot": "90fdf0bd1ee2d5f9eb27f734810c450fbb05a966013788821478e95770ff67dc",
-        "graphml": "6d8901b06db8904a4b6632e0af9c76453235ab27529ad5aae8618a76d5a57616",
+        "dot": "854f4dbb6722eae43f4e2c8a9440bbaf0205e3c332ca79475b397af4a789be91",
+        "graphml": "44c2a4a1fc3e1c5fbe8615ef7c13e476b74e3b678235dd6b43970f4ee5b12930",
         "report": "b9c3840a02655d53c0c2f1fc0b28d2af96b5b7602cd4230e8668a3c7f6c6de14",
         "stdout": "cf0d669d7b92c796436282c45bad5cb1499337725865b2e1316b1950fec24a5a",
         "exit": "4b227777d4dd1fc61c6f884f48641d02b4d121d3fd328cb08b5531fcacdabf8a",
@@ -409,8 +443,8 @@ _DETECT_DIGESTS = {
         "counters --store": "8e85a1a239d7c3c96a9366dcbe60f9bd8322e964c00df90ec47463e8686e218f",
     },
     "usb, 3 victims, expanded 2x": {
-        "dot": "46f5cafcfc6bbbfd0c5700adfdf110a601dcaa28f2f663da44eec24070a88fac",
-        "graphml": "119827eb2fc1f8b63a6ba4102d0e29f9d6ebe40add966839b956132114ebb9d9",
+        "dot": "d0e15396d801d7ded865a946cab88a376246cdeacea521408c30d7535370a371",
+        "graphml": "2387a148942c4af79e6507d567ad2172e51af84fc58300d55a0581d185d77e39",
         "report": "ac9b7c9dbe02737cdcb64beee5ffe3f3648766f40384ae9bdae2b06fc1efe128",
         "stdout": "08d25db2d3883fb37d40a9ff6f6a4d922e37c6838524e70b781d501ba0e67ba6",
         "exit": "4b227777d4dd1fc61c6f884f48641d02b4d121d3fd328cb08b5531fcacdabf8a",
@@ -1035,7 +1069,7 @@ def test_non_string_host_or_actor_is_error(workdir, capsys, command, member, val
         "train": ["train", "--events", "events.jsonl", "--out", "out.json"],
         "pseudonymize": ["pseudonymize", "--events", "events.jsonl", "--out", "out.json",
                          "--vault", "vault.json"],
-        "export": ["detect", "--events", "events.jsonl", "--out", "out.json",  # full graph
+        "export": ["detect", "--events", "events.jsonl", "--out", "out.json",
                    "--export", "g.dot"],
         "ingest": ["ingest", "--store", "store", "--events", "events.jsonl"],
     }[command]

@@ -34,27 +34,58 @@ def _rule(**kw):
 
 # --- graph construction ---
 
-def test_build_graph_nodes_and_edges():
+def _drawn():
+    """A drawn export of two layer-1 rules and a layer-2 rule over five
+    events, one of which (the logon) no rule reads."""
     events = [
-        _ev(1, 0, "logon", actor="alice", session_id="S1"),
-        _ev(2, 1, "fw_conn", actor="alice", dst_ip="1.2.3.4",
-            dst_port=443, verdict="allow", bytes_out=10),
+        _ev(1, 0, "fw_conn", actor="alice", dst_ip="1.2.3.4"),
+        _ev(2, 1, "fw_conn", actor="alice", dst_ip="1.2.3.4"),
+        _ev(3, 2, actor="alice"),
+        _ev(4, 3, "logon", actor="alice", session_id="S1"),
+        _ev(5, 4, actor="alice"),
     ]
-    g = build_graph(events)
-    assert set(g.nodes) == {
-        "host:ws000", "user:alice", "host:1.2.3.4", "event:1", "event:2",
+    rules = [
+        _rule(id="beacon", input_kind="fw_conn", group_by=["source_host", "dst_ip"],
+              emit="beacon"),
+        _rule(id="burst", group_by=["source_host", "actor"]),
+        _rule(id="chan", layer=2, input_kind="beacon", group_by=["dst_ip"], min_count=1,
+              emit="chan"),
+    ]
+    g = apply_rules(PropertyGraph(), rules, events)
+    assert build_graph(g, rules, [], {}) is g
+    return g
+
+
+def test_build_graph_nodes_and_edges():
+    g = _drawn()
+    assert {nid: (n.kind, n.label) for nid, n in g.nodes.items()} == {
+        "seq:beacon:1": ("sequence", "beacon"),
+        "seq:burst:2": ("sequence", "burst"),
+        "seq:chan:3": ("sequence", "chan"),
+        "event:1": ("event", "fw_conn"),
+        "event:2": ("event", "fw_conn"),
+        "event:3": ("event", "file_read"),
+        "event:5": ("event", "file_read"),
+        "host:ws000": ("host", "ws000"),
+        "host:1.2.3.4": ("host", "1.2.3.4"),
+        "user:alice": ("user", "alice"),
     }
-    kinds = {(e.src, e.dst, e.kind) for e in g.edges()}
-    assert ("event:1", "host:ws000", "caused_by") in kinds
-    assert ("event:1", "user:alice", "caused_by") in kinds
-    assert ("event:1", "event:2", "next") in kinds
-    assert ("host:ws000", "host:1.2.3.4", "connects_to") in kinds
+    assert {(e.src, e.dst, e.kind) for e in g.edges()} == {
+        ("event:1", "seq:beacon:1", "member_of"),
+        ("event:2", "seq:beacon:1", "member_of"),
+        ("event:3", "seq:burst:2", "member_of"),
+        ("event:5", "seq:burst:2", "member_of"),
+        ("seq:beacon:1", "seq:chan:3", "member_of"),
+        ("seq:beacon:1", "host:ws000", "caused_by"),
+        ("seq:beacon:1", "host:1.2.3.4", "connects_to"),
+        ("seq:burst:2", "host:ws000", "caused_by"),
+        ("seq:burst:2", "user:alice", "caused_by"),
+        ("seq:chan:3", "host:1.2.3.4", "connects_to"),
+    }
 
 
-def test_build_graph_rejects_unsorted():
+def test_apply_rules_rejects_unsorted():
     events = [_ev(2, 5), _ev(1, 1)]
-    with pytest.raises(UnsortedInput):
-        build_graph(events)
     with pytest.raises(UnsortedInput):
         apply_rules(PropertyGraph(), [_rule()], events)
 
@@ -62,7 +93,7 @@ def test_build_graph_rejects_unsorted():
 def test_membership_partition(case_study, default_rules):
     # within one rule, no event belongs to two sequence nodes
     _, events, _ = case_study
-    g = apply_rules(build_graph(events), default_rules, events)
+    g = apply_rules(PropertyGraph(), default_rules, events)
     seen: dict[str, set] = {}
     for node in g.sequences():
         rule = node.attributes["rule"]
@@ -74,7 +105,7 @@ def test_membership_partition(case_study, default_rules):
 
 def test_apply_rules_idempotent(case_study, default_rules):
     _, events, _ = case_study
-    g = apply_rules(build_graph(events), default_rules, events)
+    g = apply_rules(PropertyGraph(), default_rules, events)
     before = sorted(g.nodes)
     edge_count = g.edge_count()
     apply_rules(g, default_rules, events)
@@ -85,7 +116,7 @@ def test_apply_rules_idempotent(case_study, default_rules):
 def test_sequence_node_shape(case_study, default_rules):
     _, events, truth = case_study
     by_id = {e.id: e for e in events}
-    g = apply_rules(build_graph(events), default_rules, events)
+    g = apply_rules(PropertyGraph(), default_rules, events)
     seqs = g.sequences()
     assert seqs
     for node in seqs:
@@ -101,7 +132,7 @@ def test_sequence_node_shape(case_study, default_rules):
 
 def test_layer2_sequences_reference_layer1(case_study, default_rules):
     _, events, _ = case_study
-    g = apply_rules(build_graph(events), default_rules, events)
+    g = apply_rules(PropertyGraph(), default_rules, events)
     layer2 = [n for n in g.sequences() if n.attributes["layer"] == 2]
     assert layer2, "case study should produce a repeated-beacon channel"
     for node in layer2:
@@ -168,7 +199,7 @@ def test_where_filter_and_grouping():
         _ev(3, 2, actor="a", path="x.txt", ext="txt"),
         _ev(4, 3, actor="a", path="y.jpg", ext="jpg"),
     ]
-    g = apply_rules(build_graph(events), [rule], events)
+    g = apply_rules(PropertyGraph(), [rule], events)
     seqs = g.sequences()
     assert len(seqs) == 1
     assert seqs[0].attributes["members"] == [1, 4]
@@ -182,7 +213,7 @@ def test_missing_group_field_skips_and_counts():
         _ev(2, 1, "fw_conn", dst_ip="9.9.9.9", dst_port=1,
             verdict="deny", bytes_out=0),
     ]
-    g = apply_rules(build_graph(events), [rule], events)
+    g = apply_rules(PropertyGraph(), [rule], events)
     assert len(g.sequences()) == 1
     assert g.rule_skips == 1
 
@@ -253,10 +284,11 @@ def test_a_step_back_where_parts_meet_reaps_the_workers(tmp_path, monkeypatch):
 
 
 def test_streaming_equals_offline(case_study, default_rules):
-    # an empty graph gains the same sequence nodes as the full event graph
+    # a stream read once, as it arrives, gains the same sequence nodes as
+    # the list of its events
     _, events, _ = case_study
-    g_full = apply_rules(build_graph(events), default_rules, events)
-    g_seq = apply_rules(PropertyGraph(), default_rules, events)
+    g_full = apply_rules(PropertyGraph(), default_rules, events)
+    g_seq = apply_rules(PropertyGraph(), default_rules, (e for e in events))
     assert [(n.id, n.attributes) for n in g_full.sequences()] \
         == [(n.id, n.attributes) for n in g_seq.sequences()]
 
@@ -377,7 +409,7 @@ def test_higher_layer_t_end_spans_members():
         _rule(id="run", layer=2, input_kind="burst", min_count=2, emit="run"),
         _rule(id="campaign", layer=3, input_kind="run", min_count=1, emit="campaign"),
     ]
-    g = apply_rules(build_graph(events), rules, events)
+    g = apply_rules(PropertyGraph(), rules, events)
     ts_of = {e.id: e.ts for e in events}
     for n in g.sequences():
         a = n.attributes
@@ -423,7 +455,8 @@ def test_rule_field_validation():
 
 def test_export_dot_deterministic(case_study, default_rules):
     _, events, _ = case_study
-    g = apply_rules(build_graph(events), default_rules, events)
+    g = apply_rules(PropertyGraph(), default_rules, events)
+    build_graph(g, default_rules, [], {})
     a = export_graph(g, "dot")
     b = export_graph(g, "dot")
     assert a == b
@@ -432,12 +465,7 @@ def test_export_dot_deterministic(case_study, default_rules):
 
 
 def test_export_graphml_roundtrip():
-    events = [
-        _ev(1, 0, "logon", actor="alice", session_id="S1"),
-        _ev(2, 1, "fw_conn", actor="alice", dst_ip="1.2.3.4",
-            dst_port=443, verdict="allow", bytes_out=10),
-    ]
-    g = build_graph(events)
+    g = _drawn()
     text = export_graph(g, "graphml")
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
     graph = ET.fromstring(text).find("g:graph", ns)
@@ -456,4 +484,4 @@ def test_export_graphml_roundtrip():
 
 def test_export_unknown_format():
     with pytest.raises(ValueError):
-        export_graph(build_graph([]), "gexf")
+        export_graph(PropertyGraph(), "gexf")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chaintrace.errors import SchemaError, UnknownSequenceType
-from chaintrace.graph import Node, PropertyGraph, apply_rules, build_graph, draw_detection
+from chaintrace.graph import Node, PropertyGraph, apply_rules, build_graph
 from chaintrace.killchain import (
     EXIT_FULL,
     EXIT_NO_ALERT,
@@ -30,14 +30,14 @@ from oracles import match_killchain_ref
 
 def _detect(cfg, rules, model):
     events, truth = simulate(cfg)
-    graph = apply_rules(build_graph(events), rules, events)
+    graph = apply_rules(PropertyGraph(), rules, events)
     matches = match_killchain(graph.sequences(), model)
     return events, truth, graph, matches
 
 
 def test_full_chain_on_case_study(case_study, default_rules, default_model):
     _, events, truth = case_study
-    graph = apply_rules(build_graph(events), default_rules, events)
+    graph = apply_rules(PropertyGraph(), default_rules, events)
     matches = match_killchain(graph.sequences(), default_model)
     alerting = [m for m in matches if m.status != STATUS_NONE]
     assert len(alerting) == 1
@@ -56,7 +56,7 @@ def _victim_match(matches, truth):
 
 def test_bindings_are_temporally_ordered(case_study, default_rules, default_model):
     _, events, truth = case_study
-    graph = apply_rules(build_graph(events), default_rules, events)
+    graph = apply_rules(PropertyGraph(), default_rules, events)
     m = _victim_match(match_killchain(graph.sequences(), default_model), truth)
     order = [e.id for e in default_model.elements]
     bound = [m.matched[eid].ts for eid in order if eid in m.matched]
@@ -65,7 +65,7 @@ def test_bindings_are_temporally_ordered(case_study, default_rules, default_mode
 
 def test_adversary_identified(case_study, default_rules, default_model):
     _, events, truth = case_study
-    graph = apply_rules(build_graph(events), default_rules, events)
+    graph = apply_rules(PropertyGraph(), default_rules, events)
     m = _victim_match(match_killchain(graph.sequences(), default_model), truth)
     assert identify_adversary(m, graph.nodes, default_model) == truth.attacker_ip
     assert m.adversary == truth.attacker_ip
@@ -73,7 +73,7 @@ def test_adversary_identified(case_study, default_rules, default_model):
 
 def test_reconstruction_covers_labels(case_study, default_rules, default_model):
     _, events, truth = case_study
-    graph = apply_rules(build_graph(events), default_rules, events)
+    graph = apply_rules(PropertyGraph(), default_rules, events)
     m = _victim_match(match_killchain(graph.sequences(), default_model), truth)
     report = reconstruct_attack(m, graph.nodes, default_model)
     covered = set()
@@ -86,27 +86,30 @@ def test_reconstruction_covers_labels(case_study, default_rules, default_model):
 def test_report_stage_only_reads_and_drawing_adds_the_chain(case_study, default_rules,
                                                             default_model):
     _, events, truth = case_study
-    assert apply_rules(PropertyGraph(), default_rules, events).edge_count() == 0
-    graph = apply_rules(build_graph(events), default_rules, events)
-    nodes, edges = copy.deepcopy(graph.nodes), set(graph.edges())
+    graph = apply_rules(PropertyGraph(), default_rules, events)
+    nodes = copy.deepcopy(graph.nodes)
     matches = match_killchain(graph.sequences(), default_model)
     for m in matches:
         identify_adversary(m, graph.nodes, default_model)
         reconstruct_attack(m, graph.nodes, default_model)
-    assert graph.nodes == nodes and set(graph.edges()) == edges
+    assert graph.nodes == nodes and graph.edge_count() == 0
 
     names = {e.id: e.name for e in default_model.elements}
-    draw_detection(graph, matches, names)
+    assert build_graph(graph, default_rules, matches, names) is graph
+    # the sequences stay as detection left them; around them, one member_of
+    # edge per member and one matches edge per bound element
+    assert all(graph.nodes[nid] == node for nid, node in nodes.items())
     bound = {(b.sequence_id, eid) for m in matches for eid, b in m.matched.items()}
-    member_of = {(f"event:{ref}" if isinstance(ref, int) else ref, s.id, "member_of")
+    member_of = {(f"event:{ref}" if isinstance(ref, int) else ref, s.id)
                  for s in graph.sequences() for ref in s.attributes["members"]}
-    assert {(e.src, e.dst, e.kind) for e in set(graph.edges()) - edges} == \
-        member_of | {(seq, f"kc:{eid}", "matches") for seq, eid in bound}
-    assert {nid: (n.kind, n.label) for nid, n in graph.nodes.items() if nid not in nodes} \
+    drawn = {kind: {(e.src, e.dst) for e in graph.edges() if e.kind == kind}
+             for kind in ("member_of", "matches")}
+    assert drawn == {"member_of": member_of,
+                     "matches": {(seq, f"kc:{eid}") for seq, eid in bound}}
+    assert {nid: (n.kind, n.label) for nid, n in graph.nodes.items() if n.kind == "kc_element"} \
         == {f"kc:{eid}": ("kc_element", names[eid]) for _, eid in bound}
-    adversary = f"host:{truth.attacker_ip}"
-    assert [nid for nid in nodes if graph.nodes[nid] != nodes[nid]] == [adversary]
-    assert graph.nodes[adversary].kind == "adversary"
+    assert [nid for nid, n in graph.nodes.items() if n.kind == "adversary"] \
+        == [f"host:{truth.attacker_ip}"]
 
 
 def test_truncated_chain_is_partial(default_rules, default_model):
@@ -157,7 +160,7 @@ def test_optional_binding_never_breaks_required(default_rules, default_model):
         last.id + 1, last.ts + 1, truth.victim_host, "file_write", "u000",
         {"path": "C:\\Users\\u000\\backup.zip", "ext": "zip"},
     ))
-    graph = apply_rules(build_graph(events), default_rules, events)
+    graph = apply_rules(PropertyGraph(), default_rules, events)
     m = _victim_match(match_killchain(graph.sequences(), default_model), truth)
     assert m.status == STATUS_FULL
     if "prepare_exfiltration" in m.matched:
@@ -167,7 +170,7 @@ def test_optional_binding_never_breaks_required(default_rules, default_model):
 
 def test_adversary_requires_network_element(default_model):
     m = ChainMatch(victim_host="ws000", status=STATUS_NONE)
-    assert identify_adversary(m, build_graph([]).nodes, default_model) is None
+    assert identify_adversary(m, PropertyGraph().nodes, default_model) is None
     # an alerting match whose bound sequences group by no dst_ip
     seq = Node("seq:a:1", "sequence", "burst", {"group": {"source_host": "ws000"}})
     m = ChainMatch("ws000", {"e1": Binding(seq.id, "v", 1)}, 1.0, STATUS_FULL)

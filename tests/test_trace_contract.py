@@ -64,7 +64,7 @@ def test_tracer_finds_every_layer(tmp_path):
     assert result["exits"] == [0, 0, 4, 4, 0, 0]
     assert result["missing"] == {}
     counts = result["counts"]
-    # detect --export is the only command that builds the full graph
+    # detect --export is the only command that draws the exported graph
     for name in ("graph.build.nodes", "graph.rules.sequences", "killchain.candidates",
                  "ocsvm.train.iterations"):
         assert counts.get(name, 0) > 0, name
