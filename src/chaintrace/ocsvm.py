@@ -5,21 +5,23 @@ Dual problem: minimize 1/2 a'Ka subject to sum(a) = 1 and
 f < 0 flags an anomaly.
 
 Neither training nor scoring builds a whole kernel matrix. The solver
-reads kernel rows from :class:`_KernelRows`, which computes each row on
+reads kernel rows from :func:`_kernel_rows`, which computes each row on
 demand and keeps the recent ones in an LRU cache of ``_ROW_CACHE_BYTES``
 (LIBSVM's kernel cache; Chang & Lin, ACM TIST 2(3), 2011). SMO asks again
 for few of the rows it has read, so a small cache recomputes few of them,
 and a recomputed row has the same bits. Training memory is l times the
 cache's rows, not l squared. ``OneClassSvmModel.decision`` computes the
 kernel against the support vectors ``_KERNEL_BLOCK_ROWS`` rows at a time.
+Every kernel product is an ``np.einsum``, which runs no BLAS thread and
+sums each entry on its own, so no thread count or block size moves a bit.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,13 +41,8 @@ MAX_ITER = 10**6
 # gradients closer than this tie when the solver picks its pair
 _TIE = 1e-12
 
-# rows per block of rbf_matrix's elementwise pass and of decision's kernel.
-# A BLAS matrix product computes its rows in tiles (12 rows in OpenBLAS on
-# an AVX-512 CPU; 4, 8 or 16 in its other x86 kernels), and a row at the
-# ragged edge of a tile gets other last bits. A multiple of 48 keeps every
-# block's tiles where one product over all rows puts them, so under one
-# BLAS thread the blocked scores equal the unblocked ones bit for bit (256
-# does not: 12-row tiles leave a 4-row edge in each block)
+# rows per block of rbf_matrix's elementwise pass and of decision's kernel;
+# it bounds their memory only
 _KERNEL_BLOCK_ROWS = 384
 
 # bytes of kernel rows the solver keeps between iterations. Few rows are
@@ -67,20 +64,20 @@ def rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float,
                yy: np.ndarray | None = None) -> np.ndarray:
     """K[i, j] = exp(-gamma * ||X_i - Y_j||^2) in one len(X) x len(Y) buffer.
 
-    One matmul fills the buffer with X @ Y.T; BLAS runs it as syrk when
-    Y is X, so a Gram matrix is exactly symmetric. The elementwise
-    transform then overwrites it a block of rows at a time, so the only
-    other buffer is one block of squared distances. ``yy``, if given,
-    holds the squared norms ``(Y * Y).sum(axis=1)``, for callers that ask
-    for many rows against one Y.
+    One einsum fills the buffer with the dot products X_i . Y_j, each
+    summed on its own, so a Gram matrix is exactly symmetric and a row has
+    the same bits in any block. The elementwise transform then overwrites
+    it a block of rows at a time, so the only other buffer is one block of
+    squared distances. ``yy``, if given, holds ``(Y * Y).sum(axis=1)``, for
+    callers that ask for many rows against one Y.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    Y = np.ascontiguousarray(Y, dtype=np.float64)
     gamma = float(gamma)
     xx = (X * X).sum(axis=1)
     if yy is None:
         yy = (Y * Y).sum(axis=1)
-    K = X @ Y.T
+    K = np.einsum("ik,jk->ij", X, Y, optimize=False)
     block = np.empty((min(len(K), _KERNEL_BLOCK_ROWS), K.shape[1]))
     for start in range(0, len(K), _KERNEL_BLOCK_ROWS):
         rows = K[start:start + _KERNEL_BLOCK_ROWS]
@@ -94,39 +91,22 @@ def rbf_matrix(X: np.ndarray, Y: np.ndarray, gamma: float,
     return K
 
 
-class _KernelRows:
-    """Rows of the RBF Gram matrix of ``Z``, each computed on demand by
-    :func:`rbf_matrix` and kept in an LRU cache of at most ``budget`` bytes,
-    but never fewer than the two rows of a working pair.
+def _kernel_rows(Z: np.ndarray, gamma: float, budget: int):
+    """``row(i)``: row i of the RBF Gram matrix of ``Z``, kept in an LRU
+    cache of ``budget`` bytes but never fewer than a working pair's two
+    rows. ``row.cache_info().misses`` counts the rows computed. ``i`` is a
+    Python int: ``np.int64(i)`` is another key."""
+    sq = (Z * Z).sum(axis=1)
 
-    ``computed`` counts every row computed, recomputations after an
-    eviction included.
-    """
-
-    def __init__(self, Z: np.ndarray, gamma: float, budget: int):
-        self.Z = Z
-        self.gamma = gamma
-        self.sq = (Z * Z).sum(axis=1)
-        self.capacity = max(2, budget // (8 * len(Z)))
-        self.cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        self.computed = 0
-
-    def __call__(self, i: int) -> np.ndarray:
-        row = self.cache.get(i)
-        if row is not None:
-            self.cache.move_to_end(i)
-            return row
-        row = rbf_matrix(self.Z[i:i + 1], self.Z, self.gamma, self.sq)[0]
-        self.computed += 1
-        if len(self.cache) >= self.capacity:
-            self.cache.popitem(last=False)
-        self.cache[i] = row
-        return row
+    @functools.lru_cache(maxsize=max(2, budget // (8 * len(Z))))
+    def row(i: int) -> np.ndarray:
+        return rbf_matrix(Z[i:i + 1], Z, gamma, sq)[0]
+    return row
 
 
 def _smo_solve(row, g: np.ndarray, alpha: np.ndarray, C: float) -> tuple[int, float]:
     """Pairwise coordinate descent on min 1/2 a'Ka, sum a = 1, 0<=a<=C,
-    in place on ``alpha`` and on its gradient ``g`` = K @ alpha.
+    in place on ``alpha`` and on its gradient ``g`` = K alpha.
 
     ``row(i)`` returns row i of K. Working pair = maximal KKT violation:
     i with the smallest gradient among a_i < C (room to grow), j with the
@@ -134,7 +114,7 @@ def _smo_solve(row, g: np.ndarray, alpha: np.ndarray, C: float) -> tuple[int, fl
     ``_TIE`` of the extreme tie and the first index wins, so the pair does
     not hang on the last bits of a kernel row: an unclipped step leaves
     g_i == g_j in exact arithmetic, and how that tie rounds depends on how
-    the BLAS summed each entry. ``eta`` and the gradient update read only
+    each entry was summed. ``eta`` and the gradient update read only
     rows i and j; a row stands in for the column since K is symmetric.
     Returns (iterations, final KKT gap).
     """
@@ -212,18 +192,13 @@ class OneClassSvmModel:
     def decision(self, X: np.ndarray) -> np.ndarray:
         """f(x) per row of a full feature matrix (``features.matrix_of``);
         anomalous iff f(x) < 0."""
-        X = _full_matrix(X)
-        # A column selection is a column-major copy, and the kernel's last
-        # bits follow the layout: the full set is scored as given.
-        if len(self.feature_indices) != N_FEATURES:
-            X = X[:, list(self.feature_indices)]
+        X = np.take(_full_matrix(X), self.feature_indices, axis=1)
         Z, _ = standardize(X, (self.feature_means, self.feature_stds))
-        SV = self.support_vectors
-        yy = (SV * SV).sum(axis=1)
         f = np.empty(len(Z))
         for s in range(0, len(Z), _KERNEL_BLOCK_ROWS):
-            block = Z[s:s + _KERNEL_BLOCK_ROWS]
-            f[s:s + len(block)] = rbf_matrix(block, SV, self.gamma, yy) @ self.alpha - self.rho
+            K = rbf_matrix(Z[s:s + _KERNEL_BLOCK_ROWS], self.support_vectors, self.gamma)
+            f[s:s + len(K)] = np.einsum("ij,j->i", K, self.alpha, optimize=False) - self.rho
+            del K  # so that no two blocks of kernel are alive at once
         return f
 
     # --- persistence ---
@@ -296,7 +271,7 @@ def train_ocsvm(
     the input row order. ``stats``, if given, receives the iterations,
     the final KKT gap and the kernel rows computed.
     """
-    X_std = np.asarray(X_std, dtype=np.float64)
+    X_std = np.ascontiguousarray(X_std, dtype=np.float64)
     l = X_std.shape[0]
     if l < 2:
         raise EmptyTrainingSet(f"need at least 2 vectors, got {l}")
@@ -314,16 +289,16 @@ def train_ocsvm(
     if n_full < l:
         alpha[n_full] = 1.0 - n_full * C
 
-    # the start gradient K @ alpha is the sum of the rows the solver steps
+    # the start gradient K alpha is the sum of the rows the solver steps
     # with, and those rows stay in the cache
-    rows = _KernelRows(X_std, gamma, _ROW_CACHE_BYTES)
+    rows = _kernel_rows(X_std, gamma, _ROW_CACHE_BYTES)
     g = np.zeros(l)
     for k in np.flatnonzero(alpha):
-        g += alpha[k] * rows(k)
+        g += alpha[k] * rows(int(k))
     iters, gap = _smo_solve(rows, g, alpha, C)
     if stats is not None:
         stats.iterations, stats.final_gap = iters, gap
-        stats.kernel_rows = rows.computed
+        stats.kernel_rows = rows.cache_info().misses
     if gap > TOL:
         raise DidNotConverge(f"gap {gap:.3e} > {TOL:.1e} after {iters} updates")
 
@@ -349,7 +324,7 @@ def fit(
     (``features.matrix_of``), pick gamma if unset, train, and package the
     model; ``stats`` goes to :func:`train_ocsvm`."""
     indices = SOURCE_SETS[source_set]
-    X = _full_matrix(X)[:, list(indices)]
+    X = np.take(_full_matrix(X), indices, axis=1)
     Z, (means, stds) = standardize(X)
     if gamma is None:
         gamma = default_gamma(Z)

@@ -114,19 +114,20 @@ def ocsvm_dual_pgd(
 def ocsvm_smo_ref(X: np.ndarray, nu: float, gamma: float) -> tuple[np.ndarray, float, int]:
     """The library's SMO (maximal-violating pair, the first index among
     gradients within 1e-12 of the extreme, stop at a KKT gap of 1e-6, the
-    same feasible start) run on the whole Gram matrix. Row i is built by
-    broadcasting ||x_i||^2 + ||y||^2 - 2 x_i.y with one vector-matrix
-    product, as a solver that computes rows on demand builds it: a
-    matrix-matrix product rounds x_i.y in other last bits, the distance's
-    cancellation takes that to a few 1e-15 in K, and the maintained
-    gradient carries it through every step. The start gradient likewise
-    sums alpha_k times row k over the non-zero alpha_k, in index order.
-    Returns (alpha, rho, iterations), with rho from a fresh K @ alpha."""
-    X = np.asarray(X, dtype=np.float64)
+    same feasible start) run on the whole Gram matrix. K is built by
+    broadcasting ||x_i||^2 + ||x_j||^2 - 2 x_i.x_j, with every x_i.x_j from
+    one einsum that sums each entry on its own, so each entry has the bits
+    of the solver's rows: a BLAS product rounds x_i.x_j in other last bits,
+    the distance's cancellation takes that to a few 1e-15 in K, and the
+    maintained gradient carries it through every step. The start gradient
+    likewise sums alpha_k times row k over the non-zero alpha_k, in index
+    order. Returns (alpha, rho, iterations), with rho from a fresh
+    K @ alpha."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     l = len(X)
     sq = (X * X).sum(axis=1)
-    K = np.array([np.exp(-gamma * np.maximum(sq[i] + sq - 2.0 * (X[i] @ X.T), 0.0))
-                  for i in range(l)])
+    K = np.exp(-gamma * np.maximum(
+        sq[:, None] + sq[None, :] - 2.0 * np.einsum("ik,jk->ij", X, X, optimize=False), 0.0))
     C = 1.0 / (nu * l)
     alpha = np.zeros(l)
     n_full = int(nu * l)

@@ -59,7 +59,7 @@ def test_rbf_matrix_matches_pairwise():
 
 def _rbf_broadcast(X, Y, gamma):
     sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] \
-        - 2.0 * (X @ Y.T)
+        - 2.0 * np.einsum("ik,jk->ij", X, Y, optimize=False)
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
@@ -73,7 +73,8 @@ def test_rbf_matrix_equals_broadcast_reference():
 
 
 def test_gram_matrix_exactly_symmetric():
-    # one syrk call fills a Gram matrix, so it equals its transpose
+    # einsum sums each dot product on its own, so a Gram matrix equals its
+    # transpose
     Z = _cloud(700, d=10, seed=23)
     K = ocsvm.rbf_matrix(Z, Z, 0.05)
     assert np.array_equal(K, K.T)
@@ -119,19 +120,20 @@ def test_smo_matches_projected_gradient(l, nu, seed):
 )
 @settings(max_examples=60, deadline=None)
 @example(l=289, d=2, nu=0.05, gamma=0.3, cache_rows=2, seed=1)
-# 22.8k iterations: over a Gram matrix from one matrix product, alpha
-# drifted 1.2e-11 from the row-cache solve
+# 22.8k iterations: over a Gram matrix from BLAS products, alpha drifted
+# 1.3e-11 from the row-cache solve
 @example(l=379, d=2, nu=0.1, gamma=1.0, cache_rows=2, seed=5566569)
 def test_row_cache_solve_matches_full_gram_smo(l, d, nu, gamma, cache_rows, seed):
     # kernel rows on demand, evicted from a cache of a few rows, solve the
     # same problem as SMO over the whole Gram matrix: the same pairs, so
     # the same iterations and support vectors, and alpha and rho equal up
-    # to rounding. The oracle's rows have the solver's bits, and both
-    # start from the same sum of rows; the oracle takes rho from a fresh
-    # K @ alpha. Over 4,000 drawn examples alpha differed by at most
-    # 1e-15 and rho by 1.1e-15. A start gradient of one K @ alpha instead
-    # differs in its last bits, which reach alpha through 1 / eta and grow
-    # with the steps: 1.8e-12 in the 22.8k-step example.
+    # to rounding. The oracle's Gram matrix comes from one einsum, whose
+    # entries have the bits of the solver's rows, and both start from the
+    # same sum of rows; the oracle takes rho from a fresh K @ alpha. Over
+    # 1,500 drawn examples alpha was equal and rho differed by at most
+    # 1e-15. A start gradient of one K @ alpha instead differs in its last
+    # bits, which reach alpha through 1 / eta and grow with the steps:
+    # 1.8e-12 in the 22.8k-step example.
     Z, _ = standardize(np.random.default_rng(seed).normal(size=(l, d)))
     budget = ocsvm._ROW_CACHE_BYTES if cache_rows is None else cache_rows * 8 * l
     stats = ocsvm.SolverStats()
@@ -161,14 +163,20 @@ def test_row_cache_eviction_changes_nothing():
 
 def test_row_cache_evicts_least_recently_used():
     Z = _cloud(50, d=3, seed=27)
-    rows = ocsvm._KernelRows(Z, 0.3, budget=2 * 8 * len(Z))
+    rows = ocsvm._kernel_rows(Z, 0.3, budget=2 * 8 * len(Z))
+
+    def misses():
+        return rows.cache_info().misses
     first = rows(0)
     rows(1)
     assert rows(0) is first  # a hit, now the most recent
     rows(2)  # evicts row 1
-    assert list(rows.cache) == [0, 2] and rows.computed == 3
+    assert misses() == 3 and rows(0) is first
     assert np.array_equal(rows(1), ocsvm.rbf_matrix(Z[1:2], Z, 0.3)[0])
-    assert list(rows.cache) == [2, 1] and rows.computed == 4
+    assert misses() == 4  # row 1 was computed again, in row 2's place
+    assert rows(0) is first and misses() == 4
+    rows(2)  # row 1 evicted it
+    assert misses() == 5 and rows.cache_info().currsize == 2
 
 
 def test_training_holds_no_gram_matrix():
@@ -193,18 +201,18 @@ def test_row_cache_holds_at_most_its_budget():
     # budget allows, so training memory stays O(l) whatever SMO reads
     l = 4000
     Z, _ = standardize(_cloud(l, d=10, seed=26))
-    held = []
-    call = ocsvm._KernelRows.__call__
+    made = []
+    kernel_rows = ocsvm._kernel_rows
 
-    def spy(rows, i):
-        row = call(rows, i)
-        held.append(len(rows.cache))
-        return row
+    def spy(*args):
+        made.append(kernel_rows(*args))
+        return made[-1]
     stats = ocsvm.SolverStats()
-    with mock.patch.object(ocsvm._KernelRows, "__call__", spy):
+    with mock.patch.object(ocsvm, "_kernel_rows", spy):
         train_ocsvm(Z, 0.05, default_gamma(Z), stats=stats)
+    info = made[0].cache_info()
     capacity = max(2, ocsvm._ROW_CACHE_BYTES // (8 * l))
-    assert max(held) == capacity < stats.kernel_rows
+    assert info.maxsize == info.currsize == capacity < info.misses == stats.kernel_rows
 
 
 def test_gradient_matches_finite_differences():
@@ -352,8 +360,8 @@ def test_source_set_projection():
 
 
 def test_decision_blocks_match_one_kernel_product():
-    # 600 and 700 rows end in a partial block; the blocks' last bits may
-    # follow how a threaded BLAS splits each product, not the values
+    # 600 and 700 rows end in a partial block; a BLAS product rounds some
+    # last bits otherwise than the blocks' einsum
     rng = np.random.default_rng(31)
     model = fit(rng.gamma(2.0, size=(2000, N_FEATURES)), nu=0.1)
     for n in (600, 700):
@@ -363,7 +371,18 @@ def test_decision_blocks_match_one_kernel_product():
         assert np.abs(model.decision(X) - whole).max() <= 1e-15
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _stdout_under_blas_threads(script, threads):
+    src = os.path.dirname(os.path.dirname(ocsvm.__file__))
+    env = {**os.environ, **{var: str(threads) for var in _BLAS_VARS}, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 _EXACT_DECISION = r"""
+from unittest import mock
 import numpy as np
 from chaintrace import ocsvm
 from chaintrace.features import N_FEATURES, standardize
@@ -373,29 +392,48 @@ model = ocsvm.fit(rng.gamma(2.0, size=(2000, N_FEATURES)), nu=0.1)
 for n in (600, 700, 6100):
     X = rng.gamma(2.0, size=(n, N_FEATURES))
     Z, _ = standardize(X, (model.feature_means, model.feature_stds))
-    whole = ocsvm.rbf_matrix(Z, model.support_vectors, model.gamma) @ model.alpha - model.rho
-    print(n, len(model.alpha), int((model.decision(X) != whole).sum()))
+    K = ocsvm.rbf_matrix(Z, model.support_vectors, model.gamma)
+    whole = np.einsum("ij,j->i", K, model.alpha, optimize=False) - model.rho
+    for block in (256, 384):
+        with mock.patch.object(ocsvm, "_KERNEL_BLOCK_ROWS", block):
+            print(n, block, len(model.alpha), int((model.decision(X) != whole).sum()))
 """
 
 
-def test_decision_blocks_equal_one_kernel_product_on_one_blas_thread():
-    # A BLAS product gives a row other last bits at the ragged edge of a
-    # tile of 4, 8, 12 or 16 rows. Blocks of a multiple of 48 rows keep the
-    # tiles where one product over all rows puts them, so on one BLAS
-    # thread each score has the bits of the unblocked kernel. 256-row
-    # blocks fail here: 12-row tiles leave a 4-row edge in each block, and
-    # 2 of this draw's 6,100 scores change.
-    assert ocsvm._KERNEL_BLOCK_ROWS % 48 == 0
-    src = os.path.dirname(os.path.dirname(ocsvm.__file__))
-    one = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    out = subprocess.run(
-        [sys.executable, "-c", _EXACT_DECISION],
-        env={**os.environ, **one, "PYTHONPATH": src}, capture_output=True, text=True,
-        check=True).stdout.split()
-    rows, svs, differ = out[0::3], out[1::3], out[2::3]
-    assert rows == ["600", "700", "6100"]
-    assert int(svs[0]) % 8  # a ragged support-vector count, where edges differ
-    assert differ == ["0", "0", "0"]
+def test_decision_blocks_equal_one_kernel_product_under_any_blas_threads():
+    # Each kernel entry and each score is an einsum over its own rows, so
+    # blocked scores have the bits of one unblocked product whatever the
+    # block size and BLAS threads. With BLAS products, 256-row blocks left
+    # 4-row edges of 12-row tiles, and 2 of this draw's 6,100 scores changed.
+    for threads in (1, 2):
+        out = _stdout_under_blas_threads(_EXACT_DECISION, threads).split()
+        rows, blocks, svs, differ = out[0::4], out[1::4], out[2::4], out[3::4]
+        assert rows == ["600", "600", "700", "700", "6100", "6100"]
+        assert blocks == ["256", "384"] * 3
+        assert int(svs[0]) % 8  # a ragged support-vector count, where edges differ
+        assert differ == ["0"] * 6, threads
+
+
+_DECISION_BYTES = r"""
+import hashlib
+import numpy as np
+from chaintrace.features import N_FEATURES
+from chaintrace.ocsvm import OneClassSvmModel
+
+rng = np.random.default_rng(359)
+model = OneClassSvmModel(
+    nu=0.5, gamma=0.1, rho=0.0, alpha=np.full(359, 1 / 359),
+    support_vectors=rng.normal(size=(359, N_FEATURES)), feature_means=np.zeros(N_FEATURES),
+    feature_stds=np.ones(N_FEATURES), feature_indices=tuple(range(N_FEATURES)), l=718)
+print(hashlib.sha256(model.decision(rng.normal(size=(6100, N_FEATURES))).tobytes()).hexdigest())
+"""
+
+
+def test_decision_bytes_do_not_depend_on_blas_threads():
+    # with BLAS products, two threads gave these 359 support vectors'
+    # scores other bytes than one thread did
+    assert _stdout_under_blas_threads(_DECISION_BYTES, 1) \
+        == _stdout_under_blas_threads(_DECISION_BYTES, 2)
 
 
 def test_decision_allocates_one_block_of_kernel():
