@@ -33,7 +33,11 @@ events per second (kev/s):
 The write crossover table appends the first N events of the stream, as
 a list, to a new store as one part and as two parts (no minimum part
 size), interleaved, BUILDS times each, and records the median seconds:
-a write in two parts must win from ``2 * MIN_PART_LINES`` events on.
+a write in two parts must win from ``2 * MIN_PART_LINES`` events on. It
+also records the median minor page faults of each append, taken by this
+process and by the worker it reaped (``ru_minflt``): a worker that reads
+its part of a list in the heap it shares with the parent copies each page
+it touches, as the parent does for its own part.
 
 Usage:
   python benchmarks/bench_codec.py [--src DIR] [--label NAME] [--out FILE]
@@ -49,6 +53,7 @@ import gc
 import json
 import os
 import platform
+import resource
 import shutil
 import statistics
 import sys
@@ -178,34 +183,40 @@ def _split_writes(base, root: str) -> tuple[dict, dict]:
     factor = STORE_EVENTS / len(base)
     shipped_min, shipped_cpus = store_module.MIN_PART_LINES, store_module._usable_cpus
 
-    def seconds(make_events, cpus: int, min_lines: int) -> float:
-        """One append of ``make_events()`` into a new store, closed."""
+    def faults() -> int:
+        return sum(resource.getrusage(who).ru_minflt
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
+    def seconds(make_events, cpus: int, min_lines: int) -> tuple[float, int]:
+        """One append of ``make_events()`` into a new store, closed, and the
+        minor page faults it took."""
         store_module.MIN_PART_LINES = min_lines
         store_module._usable_cpus = lambda: cpus
         path = os.path.join(root, "build")
         shutil.rmtree(path, ignore_errors=True)
         store, events = EventStore(path), make_events()
-        t0 = time.perf_counter()
+        f0, t0 = faults(), time.perf_counter()
         store.append(events)
         store.close()
-        return time.perf_counter() - t0
+        return time.perf_counter() - t0, faults() - f0
 
-    def interleaved(make_events, settings: list[tuple[int, int]]) -> list[float]:
-        times = [[] for _ in settings]
+    def interleaved(make_events, settings: list[tuple[int, int]]) -> list[tuple[float, int]]:
+        runs = [[] for _ in settings]
         for run in range(BUILDS):
             order = range(len(settings)) if run % 2 == 0 else reversed(range(len(settings)))
             for i in order:
-                times[i].append(seconds(make_events, *settings[i]))
-        return [statistics.median(t) for t in times]
+                runs[i].append(seconds(make_events, *settings[i]))
+        return [tuple(map(statistics.median, zip(*r))) for r in runs]
 
     try:
-        shipped, one = interleaved(lambda: expand_with_noise(base, factor, SEED + 1),
-                                   [(shipped_cpus(), shipped_min), (1, shipped_min)])
+        (shipped, _), (one, _) = interleaved(lambda: expand_with_noise(base, factor, SEED + 1),
+                                             [(shipped_cpus(), shipped_min), (1, shipped_min)])
         head = list(islice(expand_with_noise(base, factor, SEED + 1), max(CROSSOVER_EVENTS)))
         crossover = {}
         for n in CROSSOVER_EVENTS:
-            a, b = interleaved(lambda: head[:n], [(1, 1), (2, 1)])
-            crossover[str(n)] = {"one_part_s": round(a, 4), "two_parts_s": round(b, 4)}
+            (a, fa), (b, fb) = interleaved(lambda: head[:n], [(1, 1), (2, 1)])
+            crossover[str(n)] = {"one_part_s": round(a, 4), "two_parts_s": round(b, 4),
+                                 "one_part_faults": fa, "two_parts_faults": fb}
     finally:
         store_module.MIN_PART_LINES = shipped_min
         store_module._usable_cpus = shipped_cpus
@@ -229,7 +240,8 @@ def main() -> int:
     for name, value in result.items():
         if name == "write_crossover":
             for n, row in value.items():
-                print(f"{'write ' + n:<{width}} {row['one_part_s']:>10} {row['two_parts_s']:>10}")
+                print(f"{'write ' + n:<{width}} {row['one_part_s']:>10} {row['two_parts_s']:>10}"
+                      f" {row['one_part_faults']:>10} {row['two_parts_faults']:>10}")
         else:
             print(f"{name:<{width}} {value:>10}")
     if args.out:

@@ -11,14 +11,16 @@ primary output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
-import itertools
 import json
 import math
 import os
 import sys
 import time
 from importlib import resources
+from itertools import islice
+from typing import Iterator
 
 from .errors import BadConfig, ChaintraceError, MalformedLine
 from .events import (RawLine, TextLines, committing, decode_event, encode_event,
@@ -31,12 +33,15 @@ from .killchain import (
     match_killchain,
     reconstruct_attack,
 )
-from .store import EventStore, _rows
+from .store import EventStore, _even_parts, _in_parts, _rows
 
 # features, ocsvm and simulate load numpy, vault loads cryptography: each
 # is imported by the commands that use it, so the others start without them.
 
 EXIT_ERROR = 64
+# Lines per batch of a pseudonymize part: about 90 KB of text. Batches of
+# WRITE_BATCH_LINES (about 700 KB each) left the parent 1.5 MiB larger.
+_PSEUDONYMIZE_BATCH = 512
 
 
 def _default_resource(name: str) -> str:
@@ -45,8 +50,9 @@ def _default_resource(name: str) -> str:
 
 def _sha256_file(path: str) -> str:
     h = hashlib.sha256()
+    # small reads: two are alive at once, at the end of a command's run
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
 
@@ -134,18 +140,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    """Append the ``--events`` file to the store; a cuttable file (see
+    ``TextLines``) is written in parts, as a list of events is."""
     store = EventStore(args.store)
     if args.format == "canonical":
-        parse = decode_event
+        lines = TextLines(args.events, decode_event)
     else:
-        ids = itertools.count(store.last_id + 1)
+        first_id = store.last_id + 1
 
-        def parse(line):
+        def parse(line, n):  # every raw line is one event or a fault
             kind, tab, text = line.rstrip("\n").partition("\t")
             if not tab:
                 raise MalformedLine("no tab after the source kind")
-            return parse_raw_line(RawLine(kind, text), next(ids))
-    n = store.append(TextLines(args.events, parse))
+            return parse_raw_line(RawLine(kind, text), first_id + n)
+        lines = TextLines(args.events, parse, numbered=True)
+    n = store.append(lines if lines.cuttable else iter(lines))
     store.close()
     print(f"ingested {n} events into {args.store}")
     return 0
@@ -153,7 +162,14 @@ def cmd_ingest(args) -> int:
 
 def cmd_pseudonymize(args) -> int:
     """Write ``--out``, the vault and a new vault's key shares together:
-    a failing input leaves none of them behind."""
+    a failing input leaves none of them behind.
+
+    A cuttable ``--events`` file is read in parts (``store._in_parts``),
+    each written in batches of ``_PSEUDONYMIZE_BATCH`` lines. Tokens are
+    HMACs, so ``--out`` is that of one pass. Every part holds the pairs
+    new to the vault back (``PseudonymVault.held``); they are escrowed
+    here once every line is read, in the order one pass meets them.
+    """
     from .secretshare import write_share_file
     from .vault import PseudonymVault, create_vault
 
@@ -164,13 +180,26 @@ def cmd_pseudonymize(args) -> int:
         vault, shares = create_vault(args.threshold, args.shares)
     share_paths = [os.path.join(args.shares_dir, f"share-{share.x:03d}.txt")
                    for share in shares]
+
+    def pseudonymize(part: TextLines) -> Iterator[tuple[str, list]]:
+        """The part's batches, each with the pairs first held in it."""
+        events, held = iter(part), len(vault.held)
+        while lines := [encode_event(e) for e in islice(events, _PSEUDONYMIZE_BATCH)]:
+            yield "\n".join(lines) + "\n", vault.held[held:]
+            held = len(vault.held)
+
     with committing(args.out, args.vault, *share_paths) as (out, vault_tmp, *share_tmps):
-        with open(out, "w", encoding="utf-8") as fh:
-            # a line whose identity cannot be hashed fails as a line of the file
-            for e in TextLines(args.events,
-                               lambda line: vault.pseudonymize_event(decode_event(line))):
-                fh.write(encode_event(e))
-                fh.write("\n")
+        # a line whose identity cannot be hashed fails as a line of the file
+        lines = TextLines(args.events,
+                          lambda line: vault.pseudonymize_event(decode_event(line)))
+        parts = _even_parts(lines) if lines.cuttable else [lines]
+        vault.held, new = [], []
+        with (open(out, "w", encoding="utf-8") as fh,
+              contextlib.closing(_in_parts(parts, pseudonymize)) as batches):
+            for text, held in batches:
+                fh.write(text)
+                new += held
+        vault.escrow(new)
         vault.save(vault_tmp)
         if shares:
             os.makedirs(args.shares_dir, exist_ok=True)

@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import sys
+from bisect import bisect_left
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
@@ -157,39 +160,54 @@ def decode_event(text: str) -> LogEvent:
     return LogEvent(eid, ts, host, etype, actor, attrs)
 
 
-class TextLines:
+_BLOCK = 1 << 16  # bytes per read of TextLines' newline count
+
+
+class TextLines(Sequence):
     """``parse`` of each line of the UTF-8 text file ``path``, lines
     ``first`` up to ``stop`` (numbered from 0; ``stop=None``: to the end).
 
     A line that ``keep`` rejects is counted as skipped and not parsed.
+    With ``numbered``, ``parse`` takes the line's number as well.
     ``rows_scanned`` and ``rows_skipped`` grow by the lines each pass read
     and skipped when the pass ends, also when its consumer stops early. A
     ``DecodeError`` or ``MalformedLine`` from ``parse`` is raised again as
     ``<path>: line N: <message>``; a line that is not UTF-8 is a
     ``DecodeError`` naming its number. A file that cannot be opened stays
     an OSError.
+
+    The lines of a ``cuttable`` file are a sequence. One count of its
+    newlines, at C speed, gives ``len`` and the byte offset of each line:
+    ``lines[a:b]`` reads from line ``a``'s offset, and ``lines[i]`` is the
+    parse of line ``i``.
     """
 
-    def __init__(self, path: str, parse: Callable[[str], _T],
+    def __init__(self, path: str, parse: Callable[..., _T],
                  keep: Callable[[str], bool] | None = None,
-                 first: int = 0, stop: int | None = None):
+                 first: int = 0, stop: int | None = None, *, numbered: bool = False):
         self.path, self.parse, self.keep = path, parse, keep
-        self.first, self.stop = first, stop
+        self.first, self.stop, self.numbered = first, stop, numbered
         self.rows_scanned = 0
         self.rows_skipped = 0
+        self._newlines: list[int] | None = None  # see _count
+        self._at: int | None = None  # the byte offset of line first, where known
 
     def __iter__(self) -> Iterator[_T]:
-        path, parse, keep = self.path, self.parse, self.keep
+        path, parse, keep, numbered = self.path, self.parse, self.keep, self.numbered
+        start = self.first if self._at else 0  # the number of the line the read starts at
         lineno = self.first  # the number, from 1, of the last line read
         skipped = 0
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                for line in islice(fh, self.first, self.stop):
+                if self._at:
+                    fh.seek(self._at)  # a line start: the decoder holds nothing there
+                stop = None if self.stop is None else self.stop - start
+                for line in islice(fh, self.first - start, stop):
                     lineno += 1
                     if keep is not None and not keep(line):
                         skipped += 1
                         continue
-                    yield parse(line)
+                    yield parse(line, lineno - 1) if numbered else parse(line)
         except UnicodeDecodeError:
             raise _utf8_fault(path) from None
         except (DecodeError, MalformedLine) as exc:
@@ -197,6 +215,66 @@ class TextLines:
         finally:
             self.rows_scanned += lineno - self.first
             self.rows_skipped += skipped
+
+    @property
+    def cuttable(self) -> bool:
+        """Whether the lines are a sequence: those of a regular file whose
+        line breaks are all "\\n". A pipe can be read only once, and text
+        mode also breaks a line at a "\\r"."""
+        return self._count() is not None
+
+    def _count(self) -> list[int] | None:
+        """``_newline_counts`` of the file, taken on the first call."""
+        if self._newlines is None:
+            self._newlines = _newline_counts(self.path) or []
+        return self._newlines or None
+
+    def _offset(self, k: int) -> int:
+        """The byte offset of line ``k`` (the file's end if there is none)."""
+        if k == 0:
+            return 0
+        counts = self._count()[:-1]
+        b = bisect_left(counts, k) - 1  # the block that holds the k-th newline
+        if b == len(counts) - 1:  # there is none
+            return os.path.getsize(self.path)
+        with open(self.path, "rb") as fh:
+            fh.seek(b * _BLOCK)
+            block = fh.read(_BLOCK)
+        at = -1
+        for _ in range(k - counts[b]):
+            at = block.index(b"\n", at + 1)
+        return b * _BLOCK + at + 1
+
+    def __len__(self) -> int:
+        n = self._count()[-1]
+        return max(0, (n if self.stop is None else min(n, self.stop)) - self.first)
+
+    def __getitem__(self, i):
+        lines = range(self.first, self.first + len(self))[i]
+        if not isinstance(i, slice):
+            return next(iter(self[lines - self.first:lines - self.first + 1]))
+        if lines.step != 1:
+            raise ValueError("a slice of lines has step 1")
+        part = TextLines(self.path, self.parse, self.keep, lines.start,
+                         max(lines.start, lines.stop), numbered=self.numbered)
+        part._newlines, part._at = self._newlines, self._offset(lines.start)
+        return part
+
+
+def _newline_counts(path: str) -> list[int] | None:
+    """The number of newlines before each ``_BLOCK`` bytes of the file
+    ``path``, then its number of lines; None if its lines are not cuttable
+    (see ``TextLines``)."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    counts, last = [0], b"\n"
+    with open(path, "rb") as fh:
+        while block := fh.read(_BLOCK):
+            if b"\r" in block:
+                return None
+            counts.append(counts[-1] + block.count(b"\n"))
+            last = block[-1:]
+    return [*counts, counts[-1] + (last != b"\n")]
 
 
 def _utf8_fault(path: str) -> DecodeError:

@@ -222,8 +222,7 @@ class EventStore:
         batches where one pass does.
         """
         n_lines = len(events)
-        group = min(_usable_cpus(), n_lines // MIN_PART_LINES)
-        n = group * -(-n_lines // (group * MAX_WRITE_PART_LINES)) if group > 1 else 1
+        n = _part_count(n_lines)
         first_room, seg_rows = self._room(), self.segment_events
         cuts = {0, n_lines}
         for i in range(1, n):
@@ -440,6 +439,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _part_count(n_rows: int) -> int:
+    """The number of parts that a write of ``n_rows`` rows is split into:
+    1 for fewer than ``2 * MIN_PART_LINES`` rows or on one usable CPU, else
+    a multiple of the usable CPUs, with at most ``MAX_WRITE_PART_LINES``
+    rows in each of about equal parts."""
+    group = min(_usable_cpus(), n_rows // MIN_PART_LINES)
+    return group * -(-n_rows // (group * MAX_WRITE_PART_LINES)) if group > 1 else 1
+
+
+def _even_parts(rows: Sequence[_T]) -> list[Sequence[_T]]:
+    """``rows`` cut into ``_part_count`` contiguous slices of about equal
+    length."""
+    n_rows, n = len(rows), _part_count(len(rows))
+    return [rows[n_rows * i // n:n_rows * (i + 1) // n] for i in range(n)]
+
+
 def _in_parts(parts: Sequence[_A], work: Callable[[_A], Iterable[_T]]) -> Iterator[_T]:
     """The items of ``work(part)`` for each of ``parts``, in their order.
 
@@ -486,9 +501,15 @@ class _Worker:
     part saves on a 150k-line store. The children read a part of a store
     (decode, count, pickle) or write the rows of a part of a write; a part
     of ``expand_with_noise``'s stream also slices, searches and indexes
-    numpy arrays, but makes no BLAS call. So a child runs no code that
-    takes a lock another thread of the parent, such as a BLAS thread, may
-    have held at the fork.
+    numpy arrays, but makes no BLAS call. A part of an ``--events`` file
+    is read from its byte offset: ``ingest``'s children parse raw lines or
+    decode canonical ones, and encode them; ``pseudonymize``'s decode,
+    replace identities by their HMAC-SHA256 tokens (``hmac``, ``hashlib``)
+    and encode. They never encrypt or import ``cryptography``: the vault
+    holds each new token back (``PseudonymVault.held``), and the parent
+    escrows them after the parts. So a child runs no code that takes a lock
+    another thread of the parent, such as a BLAS thread, may have held at
+    the fork.
     """
 
     def __init__(self, fn: Callable[[_A], Iterable], arg: _A):

@@ -69,6 +69,11 @@ class PseudonymVault:
     # made; not saved, compared or shown
     _tokens: dict[tuple[str, str], str] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # While ``held`` is a list, each (field class, plaintext) new to the
+    # vault is appended to it, in first-seen order, and gets its token but
+    # no entry: nothing is encrypted until ``escrow``
+    held: list[tuple[str, str]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     # --- token derivation ---
 
@@ -97,20 +102,31 @@ class PseudonymVault:
         if existing is None:
             if self.read_only:
                 raise VaultSealed(f"vault is read-only; cannot add token {token}")
-            from cryptography.hazmat.primitives import serialization
+            if self.held is not None:
+                self.held.append((field_class, plaintext))
+            else:
+                from cryptography.hazmat.primitives import serialization
 
-            pub = serialization.load_pem_public_key(self.public_key_pem)
-            ciphertext = pub.encrypt(plaintext.encode(), _oaep())
-            self.entries[token] = {
-                "h": full.hex(),
-                "c": base64.b64encode(ciphertext).decode(),
-            }
+                pub = serialization.load_pem_public_key(self.public_key_pem)
+                ciphertext = pub.encrypt(plaintext.encode(), _oaep())
+                self.entries[token] = {
+                    "h": full.hex(),
+                    "c": base64.b64encode(ciphertext).decode(),
+                }
         elif existing["h"] != full.hex():
             raise TokenCollision(
                 f"token {token} already bound to a different plaintext"
             )
         self._tokens[(field_class, plaintext)] = token
         return token
+
+    def escrow(self, pairs: list[tuple[str, str]]) -> None:
+        """Stop holding, and add an entry for each of ``pairs`` that has
+        none: the pairs ``held`` here or in forked copies of the vault."""
+        self.held = None
+        for pair in pairs:
+            self._tokens.pop(pair, None)  # held, so not registered
+            self._register(*pair)
 
     def pseudonymize_event(self, e: LogEvent) -> LogEvent:
         """Replace identity fields by tokens; idempotent on tokens."""

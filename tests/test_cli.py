@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -1540,6 +1541,336 @@ def test_events_decode_error_names_the_file_and_line(parts_store, tmp_path, caps
     # a fault without an offset states none
     want = _BAD_JSON if damage == "bad JSON" else "ts must be > 0, got -5"
     assert _one_line_error(capsys) == f"error: {events}: line 501: {want}\n"
+
+
+# --- ingest and pseudonymize read an --events file in parts ---
+
+_RAW_OR_CANONICAL = {"ingest": "events.jsonl", "ingest raw": "raw.log",
+                     "pseudonymize": "events.jsonl"}
+
+
+@pytest.fixture(scope="module")
+def file_parts(tmp_path_factory):
+    """An attacked 862-event stream, canonical and raw, with its first 100
+    lines and the rest as files of their own; a vault and its shares, and
+    that vault holding the tokens of the first 100 lines."""
+    from chaintrace.vault import create_vault
+
+    root = tmp_path_factory.mktemp("file-parts")
+    (root / "cfg.json").write_text(json.dumps({"users": 10, "duration": 3600}))
+    assert main([str(a) for a in ["simulate", "--seed", "1", "--config", root / "cfg.json",
+                                  "--out", root / "events.jsonl", "--truth", root / "t.tsv",
+                                  "--raw", root / "raw.log"]]) == 0
+    for name in ("events.jsonl", "raw.log"):
+        lines = (root / name).read_bytes().splitlines(keepends=True)
+        (root / f"head-{name}").write_bytes(b"".join(lines[:100]))
+        (root / f"tail-{name}").write_bytes(b"".join(lines[100:]))
+    vault, shares = create_vault(2, 3)
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr("chaintrace.vault.create_vault", lambda k, n: (copy.deepcopy(vault), shares))
+        assert main([str(a) for a in ["pseudonymize", "--events", root / "head-events.jsonl",
+                                      "--out", root / "head-pseudo.jsonl",
+                                      "--vault", root / "vault-100.json",
+                                      "--shares-dir", root / "shares"]]) == 0
+    return root, vault, shares
+
+
+def _in_file_parts(monkeypatch, n, max_part=None):
+    """Force ``n`` parts of at least 100 lines and batches of 64 rows onto
+    the store's writer, at most ``max_part`` rows each; the list that
+    records the number of parts of each ``_in_parts`` run."""
+    from chaintrace import cli as cli_module
+    from chaintrace import store as store_module
+
+    monkeypatch.setattr(store_module, "MIN_PART_LINES", 100)
+    monkeypatch.setattr(store_module, "WRITE_BATCH_LINES", 64)
+    monkeypatch.setattr(store_module, "_usable_cpus", lambda: n)
+    if max_part is not None:
+        monkeypatch.setattr(store_module, "MAX_WRITE_PART_LINES", max_part)
+    runs, real = [], store_module._in_parts
+
+    def counted(parts, work):
+        runs.append(len(parts))
+        return real(parts, work)
+    monkeypatch.setattr(store_module, "_in_parts", counted)
+    monkeypatch.setattr(cli_module, "_in_parts", counted)
+    return runs
+
+
+def _part_starts(command, n_lines):
+    """The first line of each part of ``command``'s read of ``n_lines``
+    lines, in the forced parts."""
+    from chaintrace import store as store_module
+
+    if command == "pseudonymize":
+        return [part.start for part in store_module._even_parts(range(n_lines))]
+    return [rows.start for rows, _ in EventStore("unused")._write_parts(range(n_lines))]
+
+
+def _committed(store):
+    """The store's index and the committed bytes of each segment."""
+    if not os.path.exists(store):
+        return None
+    index = json.loads((store / "index.json").read_text())
+    return {"index.json": (store / "index.json").read_bytes(),
+            **{seg["path"]: (store / seg["path"]).read_bytes()[:seg["bytes"]]
+               for seg in index["segments"]}}
+
+
+def _run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    with pytest.raises(ChildProcessError):  # no worker is left behind
+        os.waitpid(-1, os.WNOHANG)
+    return rc, err.getvalue()
+
+
+def _file_command(command, events, out, vault=None):
+    """(exit status, stderr, and the command's outputs: the store's
+    committed bytes, or ``--out``, the vault's token -> hash map and the
+    share files) of ``command`` on the file ``events``; ``out`` is a new
+    directory, or one that holds the store or vault to start from."""
+    os.makedirs(out, exist_ok=True)
+    if command.startswith("ingest"):
+        fmt = "raw" if command == "ingest raw" else "canonical"
+        rc, err = _run_quietly(["ingest", "--store", out / "store", "--events", events,
+                                "--format", fmt])
+        return rc, err, _committed(out / "store")
+    if vault is not None:
+        shutil.copyfile(vault, out / "vault.json")
+    rc, err = _run_quietly(["pseudonymize", "--events", events, "--out", out / "p.jsonl",
+                            "--vault", out / "vault.json", "--shares-dir", out / "shares"])
+    left = sorted(p.name for p in out.iterdir() if not p.name.startswith("manifest."))
+    if rc:
+        return rc, err, left
+    entries = json.loads((out / "vault.json").read_text())["entries"]
+    pseudo = (out / "p.jsonl").read_bytes()
+    # every token written is escrowed
+    assert {t.decode() for t in re.findall(rb"pn:[0-9a-f]{32}", pseudo)} <= entries.keys()
+    shares = {p.name: p.read_bytes() for p in sorted((out / "shares").glob("*"))} \
+        if vault is None else None
+    return rc, err, left, pseudo, {token: entry["h"] for token, entry in entries.items()}, shares
+
+
+@pytest.fixture
+def fixed_new_vault(file_parts, monkeypatch):
+    """A new vault is the one of ``file_parts``, so that two runs make equal ones."""
+    _, vault, shares = file_parts
+    monkeypatch.setattr("chaintrace.vault.create_vault",
+                        lambda k, n: (copy.deepcopy(vault), shares))
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["new", "holding 100 events"])
+@pytest.mark.parametrize("max_part", [None, 50], ids=["one group", "many groups"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("command", sorted(_RAW_OR_CANONICAL))
+def test_events_file_in_parts_gives_the_outputs_of_one_pass(file_parts, tmp_path, monkeypatch,
+                                                            fixed_new_vault, command, n,
+                                                            max_part, held):
+    root, *_ = file_parts
+    name = _RAW_OR_CANONICAL[command]
+
+    def run(out):
+        # a store holds the first 100 events in a partly filled segment; a
+        # vault, the tokens of their identities
+        vault = root / "vault-100.json" if held and command == "pseudonymize" else None
+        if held and vault is None:
+            assert _file_command(command, root / f"head-{name}", out)[0] == 0
+        return _file_command(command, root / (f"tail-{name}" if held else name), out, vault)
+
+    _in_file_parts(monkeypatch, 1)
+    one = run(tmp_path / "one")
+    assert one[0] == 0
+    runs = _in_file_parts(monkeypatch, n, max_part)
+    assert run(tmp_path / "split") == one
+    lines = 762 if held else 862
+    parts = len(_part_starts(command, lines))
+    assert parts >= n and (parts > n) == (max_part is not None and n > 1)
+    # a write of one part does not go through _in_parts
+    assert runs == ([parts] if parts > 1 or command == "pseudonymize" else [])
+
+
+def test_pseudonymized_tokens_of_a_worker_part_are_revealed(file_parts, tmp_path, monkeypatch,
+                                                            fixed_new_vault):
+    root, *_ = file_parts
+    _in_file_parts(monkeypatch, 4)
+    assert _file_command("pseudonymize", root / "events.jsonl", tmp_path)[0] == 0
+    last = decode_event((root / "events.jsonl").read_text().splitlines()[-1])
+    token = decode_event((tmp_path / "p.jsonl").read_text().splitlines()[-1]).actor
+    shares = sorted((tmp_path / "shares").iterdir())[:2]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["reveal", "--vault", str(tmp_path / "vault.json"), "--token", token,
+                     *(a for p in shares for a in ("--share", str(p)))]) == 0
+    assert out.getvalue() == f"{last.actor}\n"
+
+
+def test_pseudonymize_workers_never_encrypt(file_parts, tmp_path, monkeypatch,
+                                            fixed_new_vault):
+    from chaintrace import vault as vault_module
+
+    root, *_ = file_parts
+    parent, oaep, marker = os.getpid(), vault_module._oaep, tmp_path / "encrypted in a worker"
+
+    def in_the_parent_only():
+        if os.getpid() != parent:
+            marker.touch()
+        return oaep()
+    monkeypatch.setattr(vault_module, "_oaep", in_the_parent_only)
+    assert _in_file_parts(monkeypatch, 4) == []
+    assert _file_command("pseudonymize", root / "events.jsonl", tmp_path / "out")[0] == 0
+    assert not marker.exists()
+
+
+def _raw_ts(line: bytes, ts: int) -> bytes:
+    kind, _, rest = line.split(b"\t", 2)
+    return b"\t".join([kind, str(ts).encode(), rest])
+
+
+def _ts_of(command, line: bytes) -> int:
+    return int(line.split(b"\t")[1]) if command == "ingest raw" \
+        else decode_event(line.decode()).ts
+
+
+_FILE_FAULTS = {  # (commands, the damage done to lines[k])
+    "malformed": (("ingest", "ingest raw", "pseudonymize"),
+                  lambda lines, k, command: b"windows\tgarbage\n" if command == "ingest raw"
+                  else b"{bad\n"),
+    "not UTF-8": (("ingest", "ingest raw", "pseudonymize"),
+                  lambda lines, k, command: lines[k][:4] + b"\xff" + lines[k][5:]),
+    "ts regresses": (("ingest", "ingest raw"),
+                     lambda lines, k, command: _raw_ts(lines[k], _ts_of(command, lines[k - 1]) - 1)
+                     if command == "ingest raw" else
+                     _bad_ts(lines[k].decode(), _ts_of(command, lines[k - 1]) - 1).encode()),
+    "actor not UTF-8": (("pseudonymize",),
+                        lambda lines, k, command: re.sub(rb'"actor":"[^"]*"',
+                                                         rb'"actor":"u\\ud800"', lines[k])),
+    "id past the bound": (("ingest raw",), None),
+}
+
+
+@pytest.mark.parametrize("where", ["part 0", "first of part 1", "last of part 1",
+                                   "first of part 2", "last line"])
+@pytest.mark.parametrize("command, fault", [(c, f) for f, (cs, _) in _FILE_FAULTS.items()
+                                            for c in cs])
+def test_events_file_in_parts_fails_as_one_pass(file_parts, tmp_path, monkeypatch,
+                                                fixed_new_vault, command, fault, where):
+    root, *_ = file_parts
+    lines = (root / _RAW_OR_CANONICAL[command]).read_bytes().splitlines(keepends=True)
+    _in_file_parts(monkeypatch, 4)
+    starts = _part_starts(command, len(lines))
+    assert len(starts) == 4
+    k = {"part 0": 10, "first of part 1": starts[1], "last of part 1": starts[2] - 1,
+         "first of part 2": starts[2], "last line": len(lines) - 1}[where]
+    damage = _FILE_FAULTS[fault][1]
+    if damage is None:  # the store holds an id from which line k's is 2**63
+        lines_path = root / "raw.log"
+        store = EventStore(str(tmp_path / "held"))
+        store.append([decode_event(_canonical(_TOP - k, 1))])
+        store.close()
+    else:
+        lines[k] = damage(lines, k, command)
+        lines_path = tmp_path / "damaged"
+        lines_path.write_bytes(b"".join(lines))
+
+    def run(out):
+        if damage is None:
+            shutil.copytree(tmp_path / "held", out / "store")
+        return _file_command(command, lines_path, out)
+
+    _in_file_parts(monkeypatch, 1)
+    one = run(tmp_path / "one")
+    runs = _in_file_parts(monkeypatch, 4)
+    assert run(tmp_path / "split") == one
+    assert runs == [4]
+    rc, err, left = one
+    assert rc == EXIT_ERROR and err.startswith("error: ") and err.count("\n") == 1, err
+    if fault == "id past the bound":
+        assert err == f"error: event after id={_TOP}: {_BOUND}\n"
+    elif fault != "ts regresses":
+        assert f"{lines_path}: line {k + 1}" in err
+    # a failing ingest commits none of its events; pseudonymize leaves no file
+    if command == "pseudonymize":
+        assert left == []
+    else:
+        assert left == (None if damage else _committed(tmp_path / "held"))
+
+
+def _kill_worker_at(monkeypatch, command, target: bytes):
+    """Make the worker that reads the line ``target`` die by SIGKILL there."""
+    from chaintrace import cli as cli_module
+
+    parent = os.getpid()
+    name = "parse_raw_line" if command == "ingest raw" else "decode_event"
+    real = getattr(cli_module, name)
+    text = target.decode().rstrip("\n")
+
+    def dies_in_worker(line, *args):
+        seen = f"{line.source_kind}\t{line.text}" if command == "ingest raw" else line
+        if seen.rstrip("\n") == text and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(line, *args)
+    monkeypatch.setattr(cli_module, name, dies_in_worker)
+
+
+@pytest.mark.parametrize("fault", ["worker killed", "no fork", "fork fails after one worker"])
+@pytest.mark.parametrize("command", sorted(_RAW_OR_CANONICAL))
+def test_events_file_in_parts_survives_a_lost_worker(file_parts, tmp_path, monkeypatch,
+                                                     fixed_new_vault, command, fault):
+    root, *_ = file_parts
+    events = root / _RAW_OR_CANONICAL[command]
+    _in_file_parts(monkeypatch, 1)
+    one = _file_command(command, events, tmp_path / "one")
+    runs = _in_file_parts(monkeypatch, 4)
+    if fault == "worker killed":  # halfway through part 2
+        lines = events.read_bytes().splitlines(keepends=True)
+        starts = _part_starts(command, len(lines))
+        _kill_worker_at(monkeypatch, command, lines[(starts[2] + starts[3]) // 2])
+    elif fault == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        real, forked = os.fork, []
+
+        def fork_once():
+            if forked:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            forked.append(True)
+            return real()
+        monkeypatch.setattr(os, "fork", fork_once)
+    assert _file_command(command, events, tmp_path / "split") == one
+    assert one[0] == 0 and runs == [4]
+
+
+@pytest.mark.parametrize("source", ["pipe", "CRLF file"])
+@pytest.mark.parametrize("command", sorted(_RAW_OR_CANONICAL))
+def test_events_not_cuttable_are_read_in_one_part(file_parts, tmp_path, monkeypatch,
+                                                  fixed_new_vault, command, source):
+    # text mode reads "\r\n" as "\n": a CRLF file has the lines of the LF one
+    import threading
+
+    root, *_ = file_parts
+    events = root / _RAW_OR_CANONICAL[command]
+    one = _file_command(command, events, tmp_path / "file")
+    runs = _in_file_parts(monkeypatch, 4)
+    data = events.read_bytes()
+    path = tmp_path / "input"
+    if source == "CRLF file":
+        path.write_bytes(data.replace(b"\n", b"\r\n"))
+        got = _file_command(command, path, tmp_path / "out")
+    else:
+        os.mkfifo(path)
+
+        def feed():
+            with open(path, "wb") as fh:
+                fh.write(data)
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        got = _file_command(command, path, tmp_path / "out")
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+    assert got == one and one[0] == 0
+    assert runs == ([1] if command == "pseudonymize" else [])
 
 
 # --- fuzz gate: a damaged input file never lets an exception out of main() ---

@@ -1,4 +1,7 @@
 import json
+import os
+import re
+import tempfile
 from collections import OrderedDict
 
 import numpy as np
@@ -6,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import RefDecodeError, decode_event_ref
 
+from chaintrace import events as events_module
 from chaintrace.cli import EXIT_ERROR, main
 from chaintrace.errors import DecodeError, MalformedLine, SchemaError
 from chaintrace.events import (
     EVENT_TYPES,
     LogEvent,
     RawLine,
+    TextLines,
     decode_event,
     encode_event,
     parse_raw_line,
@@ -376,3 +381,58 @@ def test_encode_off_fast_path_matches_json(member, value):
         with pytest.raises(SchemaError):
             encode_event(e)
 
+
+
+# --- TextLines: the lines of a file as a sequence ---
+
+_text_lines = st.lists(st.text(st.characters(blacklist_characters="\r\n",
+                                             blacklist_categories=("Cs",)), max_size=5),
+                       max_size=12)
+
+
+@given(lines=_text_lines, last_newline=st.booleans(), block=st.integers(1, 9),
+       cuts=st.lists(st.integers(0, 13), min_size=2, max_size=2))
+@settings(max_examples=300)
+def test_text_lines_slices_read_what_one_pass_reads(lines, last_newline, block, cuts):
+    text = "\n".join(lines) + ("\n" if last_newline and lines else "")
+    # blocks of a few bytes put lines across and at their edges
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events_module, "_BLOCK", block)
+        path = os.path.join(tmp, "lines.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        plain = TextLines(path, lambda line: line.rstrip("\n"))
+        numbered = TextLines(path, lambda line, n: (n, line.rstrip("\n")), numbered=True)
+        assert plain.cuttable
+        want = list(plain)
+        assert want == text.split("\n")[:-1 if text.endswith("\n") or not text else None]
+        assert len(plain) == len(want)
+        a, b = sorted(cuts)
+        assert list(plain[a:b]) == want[a:b]
+        assert list(numbered[a:b]) == list(enumerate(want))[a:b]
+        assert list(plain[a:][: b - a]) == want[a:][: b - a]
+        if a < len(want):
+            assert plain[a] == want[a] and numbered[a] == (a, want[a])
+
+
+def test_text_lines_slice_names_the_files_line(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text("".join(f"{i}\n" for i in range(20)))
+
+    def parse(line):
+        if line == "12\n":
+            raise MalformedLine("twelve")
+        return int(line)
+    lines = TextLines(str(path), parse)
+    assert list(lines[5:12]) == list(range(5, 12))
+    with pytest.raises(MalformedLine, match=re.escape(f"{path}: line 13: twelve")):
+        list(lines[10:15])
+
+
+def test_text_lines_cut_only_a_regular_file_of_newlines(tmp_path):
+    (tmp_path / "lf").write_text("a\nb\n")
+    (tmp_path / "crlf").write_bytes(b"a\r\nb\r\n")
+    os.mkfifo(tmp_path / "fifo")  # stat only: nothing opens it
+    assert [TextLines(str(tmp_path / name), str).cuttable
+            for name in ("lf", "crlf", "fifo")] == [True, False, False]
+    assert list(TextLines(str(tmp_path / "crlf"), str)) == ["a\n", "b\n"]
